@@ -10,8 +10,7 @@ tools used to characterize such a memory.
 from .components import (
     CIRCULATOR_ARM, COUPLER, FIBER_SEGMENT, FORWARD, FPC, MIRROR, OFF, ON, PBS,
     POCKELS_CELL, RETROREFLECTOR, REVERSE, ComponentSpec, DriveSchedule,
-    circulator_operator, fiber_transmission, pbs_route, pockels_level,
-    pockels_operator,
+    circulator_operator, fiber_transmission, pockels_level, pockels_operator,
 )
 from .counting import (
     CountRecord, DecayScan, MalusScan, ScanDataset, TomographyScan,
@@ -33,8 +32,7 @@ from .fitting import (
 )
 from .polarization import (
     A, D, DensityMatrix, H, JonesOperator, L, PureState, R, V, apply,
-    attenuator, birefringent_phase, fidelity, half_waveplate, identity,
-    jones_element, make_pure, pauli_x, quarter_waveplate, rotator,
+    attenuator, birefringent_phase, fidelity, make_pure, rotator,
 )
 from .scenario import PRESETS, Scenario, load_scenario, preset_scenario, resolve, run
 from .tomography import (

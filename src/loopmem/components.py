@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GainError, InvalidStateError, UnschedulableError
-from .polarization import DensityMatrix, JonesOperator, attenuator, birefringent_phase, rotator
+from .polarization import JonesOperator, attenuator, birefringent_phase, rotator
 
 PBS = "PBS"
 POCKELS_CELL = "POCKELS_CELL"
@@ -133,19 +133,6 @@ def pockels_operator(schedule: DriveSchedule, t: float, spec: ComponentSpec) -> 
     if spec.static_phase != 0.0:
         op = birefringent_phase(spec.static_phase) @ op
     return op
-
-
-def pbs_route(state: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix]:
-    """Ideal polarizing splitter: (transmitted H part, reflected V part).
-
-    Output traces are the port probabilities; they sum to the input weight.
-    """
-    m = state.matrix
-    th = np.zeros((2, 2), dtype=complex)
-    tv = np.zeros((2, 2), dtype=complex)
-    th[0, 0] = m[0, 0]
-    tv[1, 1] = m[1, 1]
-    return DensityMatrix(th), DensityMatrix(tv)
 
 
 def fiber_transmission(length_m: float, atten_db_per_km: float, round_trip: bool = False) -> float:

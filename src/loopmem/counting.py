@@ -17,10 +17,11 @@ against closed-form efficiencies).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
@@ -178,22 +179,32 @@ def synth_malus_dataset(angles: tuple[float, ...] | list[float], amplitude: floa
     return ScanDataset(tuple(records), amplitude, 1.0, acquisition_s, seed, "malus")
 
 
+def format_table(comment: str, columns, rows) -> str:
+    """CSV text: a '# ' comment line, a header, then rows.
+
+    Floats are written with repr so they read back exactly, None as an empty
+    cell; cells holding commas or quotes are quoted.
+    """
+    buf = io.StringIO()
+    buf.write(f"# {comment}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else "" if v is None else v
+                         for v in row])
+    return buf.getvalue()
+
+
 def _meta_line(ds: ScanDataset) -> str:
     seed = "none" if ds.seed is None else str(ds.seed)
-    return (f"# kind={ds.kind} pair_rate={ds.pair_rate!r} detection_eff={ds.detection_eff!r}"
+    return (f"kind={ds.kind} pair_rate={ds.pair_rate!r} detection_eff={ds.detection_eff!r}"
             f" acquisition_s={ds.acquisition_s!r} seed={seed}")
 
 
 def write_csv(ds: ScanDataset, path: str | os.PathLike) -> None:
     """Flat record table with a single leading metadata comment line."""
     with open(path, "w", newline="") as fh:
-        fh.write(_meta_line(ds) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
-        for r in ds.records:
-            writer.writerow([r.setting_label, repr(r.setting_value), repr(r.counts),
-                             repr(r.acquisition_s), r.n_cycles,
-                             "" if r.seed is None else r.seed])
+        fh.write(format_table(_meta_line(ds), _CSV_COLUMNS, map(astuple, ds.records)))
 
 
 def read_csv(path: str | os.PathLike) -> ScanDataset:
@@ -232,12 +243,7 @@ def write_json(ds: ScanDataset, path: str | os.PathLike) -> None:
         "detection_eff": ds.detection_eff,
         "acquisition_s": ds.acquisition_s,
         "seed": ds.seed,
-        "records": [
-            {"setting_label": r.setting_label, "setting_value": r.setting_value,
-             "counts": r.counts, "acquisition_s": r.acquisition_s,
-             "n_cycles": r.n_cycles, "seed": r.seed}
-            for r in ds.records
-        ],
+        "records": [asdict(r) for r in ds.records],
     }
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)

@@ -8,7 +8,7 @@ zero uncertainty while sampled data keeps the usual 1/sqrt(counts) scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -220,18 +220,9 @@ def project_budget(inventory, delta_tau: float | None = None,
 
     if wavelength_nm is not None:
         atten = default_attenuation_db_per_km(wavelength_nm)
-        delay = tuple(
-            ComponentSpec(c.kind, c.transmission, c.rotation_error, c.static_phase,
-                          c.length_m, atten) if c.kind == FIBER_SEGMENT else c
-            for c in cfg.delay_zone)
-        cfg = MemoryConfig(
-            delta_tau=delta_tau, pass_through_time=cfg.pass_through_time,
-            pc_rise_time=cfg.pc_rise_time, herald_latency=cfg.herald_latency,
-            delay_line_compensation=cfg.delay_line_compensation,
-            coincidence_window=cfg.coincidence_window, x_dl_enabled=cfg.x_dl_enabled,
-            input_coupler=cfg.input_coupler, output_coupler=cfg.output_coupler,
-            loop_coupler=cfg.loop_coupler, circulator_zone=cfg.circulator_zone,
-            switch_zone=cfg.switch_zone, delay_zone=delay, zone_params=cfg.zone_params)
+        cfg = replace(cfg, delta_tau=delta_tau, delay_zone=tuple(
+            replace(c, atten_db_per_km=atten) if c.kind == FIBER_SEGMENT else c
+            for c in cfg.delay_zone))
 
     params = derive_transmission_params(cfg)
     eta = tuple(efficiency(params, n) for n in range(n_max + 1))

@@ -11,8 +11,6 @@ Conventions used throughout the package:
   axes at +-45 degrees and retardance ``2*theta``.  At ``theta = pi/2`` it is
   a bit flip up to global phase, which is the convention the switching
   elements in this package rely on.
-* Waveplates take the fast-axis angle from horizontal; the half-wave plate is
-  real, the quarter-wave plate applies ``+pi/2`` phase to its slow axis.
 """
 
 from __future__ import annotations
@@ -174,20 +172,7 @@ def fidelity(rho: DensityMatrix, target: PureState) -> float:
     return rho.conditional().project(target)
 
 
-def _rot(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-def identity() -> JonesOperator:
-    return JonesOperator(np.eye(2, dtype=complex))
-
-
-def pauli_x() -> JonesOperator:
-    return JonesOperator(_PAULI_X)
 
 
 def rotator(theta: float) -> JonesOperator:
@@ -211,35 +196,3 @@ def attenuator(t_h: float, t_v: float | None = None) -> JonesOperator:
         if not 0.0 <= t <= 1.0 + _GAIN_TOL:
             raise GainError(f"transmission {t} outside [0, 1]")
     return JonesOperator(np.diag([math.sqrt(t_h), math.sqrt(t_v)]).astype(complex))
-
-
-def half_waveplate(theta: float) -> JonesOperator:
-    """Half-wave plate, fast axis at angle theta from horizontal."""
-    c, s = math.cos(2 * theta), math.sin(2 * theta)
-    return JonesOperator(np.array([[c, s], [s, -c]], dtype=complex))
-
-
-def quarter_waveplate(theta: float) -> JonesOperator:
-    """Quarter-wave plate, fast axis at theta; +pi/2 phase on the slow axis."""
-    r = _rot(theta)
-    return JonesOperator(r @ np.diag([1.0, 1j]) @ r.T)
-
-
-_CATALOG = {
-    "identity": identity,
-    "pauli_x": pauli_x,
-    "rotator": rotator,
-    "birefringent_phase": birefringent_phase,
-    "attenuator": attenuator,
-    "half_waveplate": half_waveplate,
-    "quarter_waveplate": quarter_waveplate,
-}
-
-
-def jones_element(kind: str, *params: float) -> JonesOperator:
-    """Catalog constructor; kind selects one of the named elements above."""
-    try:
-        ctor = _CATALOG[kind]
-    except KeyError:
-        raise TypeError(f"unknown element kind {kind!r}; have {sorted(_CATALOG)}") from None
-    return ctor(*params)

@@ -12,10 +12,12 @@ appear in JSON metadata.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from collections.abc import Iterator
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -24,7 +26,7 @@ from .components import (
     CIRCULATOR_ARM, COUPLER, FIBER_SEGMENT, FPC, POCKELS_CELL, RETROREFLECTOR,
     ComponentSpec,
 )
-from .counting import DecayScan, MalusScan, TomographyScan, run_scan
+from .counting import DecayScan, MalusScan, TomographyScan, format_table, record_seed, run_scan
 from .engine import (MemoryConfig, TransmissionParams, derive_transmission_params,
                      efficiency, simulate_storage)
 from .errors import SchemaError
@@ -222,8 +224,9 @@ def _build_config(mem: dict) -> tuple[MemoryConfig, float | None]:
             cfg = replace(cfg, circulator_zone=(
                 ComponentSpec(CIRCULATOR_ARM, static_phase=phi),))
 
-    wavelength = mem.get("wavelength_nm")
-    return cfg, (float(wavelength) if wavelength is not None else None)
+    if mem.get("wavelength_nm") is None:
+        return cfg, None
+    return cfg, _number(mem, "wavelength_nm", "memory")
 
 
 def _build(raw: dict) -> Scenario:
@@ -341,11 +344,8 @@ class _Emitter:
         return path
 
     def csv(self, name: str, columns: tuple[str, ...], rows) -> str:
-        lines = [f"# scenario={self.scenario.content_hash()} seed={self.scenario.seed}"]
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_cell(v) for v in row))
-        return self._emit(name, "\n".join(lines) + "\n")
+        comment = f"scenario={self.scenario.content_hash()} seed={self.scenario.seed}"
+        return self._emit(name, format_table(comment, columns, rows))
 
     def json(self, name: str, payload: dict) -> str:
         obj = {
@@ -358,25 +358,6 @@ class _Emitter:
         }
         obj.update(payload)
         return self._emit(name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return "" if v is None else str(v)
-
-
-class _SeedPlan:
-    """Stable per-task sub-seeds derived from the scenario seed."""
-
-    def __init__(self, master: int):
-        self.master = master
-        self.count = 0
-
-    def next(self) -> int:
-        seq = np.random.SeedSequence([self.master, self.count])
-        self.count += 1
-        return int(seq.generate_state(1)[0])
 
 
 def _rho_flat(rho: np.ndarray) -> list[float]:
@@ -392,11 +373,50 @@ def _fit_payload(fit) -> dict:
             "theta0_rad": fit.theta0, "amplitude": fit.amplitude, "clamped": fit.clamped}
 
 
+_FRINGE_STATES = (("H", H), ("D", D))
+
+
+def _scan(sc: Scenario, state: PureState, plan, seeds: Iterator[int]):
+    """Simulate and sample one scan plan with the scenario source and the next sub-seed."""
+    return run_scan(sc.config, state, plan, pair_rate=sc.pair_rate,
+                    detection_eff=sc.detection_eff, acquisition_s=sc.acquisition_s,
+                    seed=next(seeds))
+
+
+def _count_rows(label: str, ds) -> list[tuple]:
+    """(label, setting, counts, acquisition_s, seed) rows; projectors by name."""
+    by_name = ds.kind == "tomography"
+    return [(label, r.setting_label if by_name else r.setting_value,
+             r.counts, r.acquisition_s, r.seed) for r in ds.records]
+
+
+def _malus_fits(sc: Scenario, states, n_cycles: int,
+                seeds: Iterator[int]) -> tuple[list[tuple], dict]:
+    """Analyzer scan and fringe fit per state: (count rows, fit payload per label)."""
+    rows: list[tuple] = []
+    fits = {}
+    plan = MalusScan(sc.malus_angles, n_cycles)
+    for label, state in states:
+        ds = _scan(sc, state, plan, seeds)
+        rows += _count_rows(label, ds)
+        fits[label] = _fit_payload(fit_malus(ds.values(), ds.counts()))
+    return rows, fits
+
+
+def _tomography(sc: Scenario, label: str, state: PureState, seeds: Iterator[int]):
+    """Projector scan at tomo_cycles, then MLE with Monte Carlo error bars."""
+    mset = MeasurementSet()
+    ds = _scan(sc, state, TomographyScan(sc.tomo_cycles), seeds)
+    res = reconstruct_with_uncertainty(counts_from_dataset(ds, mset), mset, state,
+                                       n_samples=sc.mc_samples, seed=next(seeds))
+    return _count_rows(label, ds), res
+
+
 def run(scenario: Scenario, subcommand: str, out_dir: str,
         figure: str | None = None) -> tuple[dict, list[str]]:
     """Execute one pipeline; returns (summary, written file paths)."""
     emitter = _Emitter(scenario, out_dir)
-    seeds = _SeedPlan(scenario.seed)
+    seeds = (record_seed(scenario.seed, i) for i in itertools.count())
     handlers = {
         "simulate": _run_simulate, "decay": _run_decay, "malus": _run_malus,
         "tomo": _run_tomo, "budget": _run_budget,
@@ -414,7 +434,7 @@ def run(scenario: Scenario, subcommand: str, out_dir: str,
     return summary, emitter.written
 
 
-def _run_simulate(sc: Scenario, emitter: _Emitter, seeds: _SeedPlan) -> dict:
+def _run_simulate(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
     rows = []
     summary: dict = {}
     for label, state in sc.input_states:
@@ -425,8 +445,8 @@ def _run_simulate(sc: Scenario, emitter: _Emitter, seeds: _SeedPlan) -> dict:
             for ev in out.exits:
                 rows.append((label, n, "exit", ev.time, ev.weight,
                              fidelity(ev.state, state)))
-            for ev in out.ejections:
-                rows.append((label, n, "ejected", ev.time, ev.weight, None))
+            for t, w in out.ejections:
+                rows.append((label, n, "ejected", t, w, None))
             rows.append((label, n, "absorbed", None, out.absorbed, None))
             summary[f"{label}/N={n}"] = {
                 "retrieved_weight": out.retrieved.weight,
@@ -440,23 +460,17 @@ def _run_simulate(sc: Scenario, emitter: _Emitter, seeds: _SeedPlan) -> dict:
     return {"outcomes": len(summary)}
 
 
-def _run_decay(sc: Scenario, emitter: _Emitter, seeds: _SeedPlan) -> dict:
+def _run_decay(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
     n_values = tuple(n for n in sc.n_values if n >= 1)
     if len(n_values) < 3:
         raise SchemaError("decay needs at least 3 values of n >= 1", field="n_values")
     scan = DecayScan(n_values)
-    rows = []
+    rows: list[tuple] = []
     fits = {}
     for label, state in sc.input_states:
-        ds = run_scan(sc.config, state, scan, pair_rate=sc.pair_rate,
-                      detection_eff=sc.detection_eff,
-                      acquisition_s=sc.acquisition_s, seed=seeds.next())
-        for r in ds.records:
-            rows.append((label, r.setting_value, r.counts, r.acquisition_s, r.seed))
-        fit = fit_decay(ds.values(), ds.counts())
-        fits[label] = {"gamma_per_cycle": fit.gamma_per_cycle,
-                       "sigma_gamma": fit.sigma_gamma, "prefactor": fit.prefactor,
-                       "n_excluded": fit.n_excluded, "clamped": fit.clamped}
+        ds = _scan(sc, state, scan, seeds)
+        rows += _count_rows(label, ds)
+        fits[label] = asdict(fit_decay(ds.values(), ds.counts()))
     emitter.csv("decay_counts.csv",
                 ("input_state", "n_cycles", "counts", "acquisition_s", "seed"), rows)
 
@@ -466,37 +480,20 @@ def _run_decay(sc: Scenario, emitter: _Emitter, seeds: _SeedPlan) -> dict:
     return {"fits": fits}
 
 
-def _run_malus(sc: Scenario, emitter: _Emitter, seeds: _SeedPlan) -> dict:
-    rows = []
-    fits = {}
-    scan = MalusScan(sc.malus_angles, sc.malus_cycles)
-    for label, state in sc.input_states:
-        ds = run_scan(sc.config, state, scan, pair_rate=sc.pair_rate,
-                      detection_eff=sc.detection_eff,
-                      acquisition_s=sc.acquisition_s, seed=seeds.next())
-        for r in ds.records:
-            rows.append((label, r.setting_value, r.counts, r.acquisition_s, r.seed))
-        fits[label] = _fit_payload(fit_malus(ds.values(), ds.counts()))
+def _run_malus(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
+    rows, fits = _malus_fits(sc, sc.input_states, sc.malus_cycles, seeds)
     emitter.csv("malus_counts.csv",
                 ("input_state", "angle_rad", "counts", "acquisition_s", "seed"), rows)
     emitter.json("malus.json", {"fits": fits, "n_cycles": sc.malus_cycles})
     return {"fits": fits}
 
 
-def _run_tomo(sc: Scenario, emitter: _Emitter, seeds: _SeedPlan) -> dict:
-    mset = MeasurementSet()
-    rows = []
+def _run_tomo(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
+    rows: list[tuple] = []
     recon = {}
-    scan = TomographyScan(sc.tomo_cycles)
     for label, state in sc.input_states:
-        ds = run_scan(sc.config, state, scan, pair_rate=sc.pair_rate,
-                      detection_eff=sc.detection_eff,
-                      acquisition_s=sc.acquisition_s, seed=seeds.next())
-        for r in ds.records:
-            rows.append((label, r.setting_label, r.counts, r.acquisition_s, r.seed))
-        counts = counts_from_dataset(ds, mset)
-        res = reconstruct_with_uncertainty(counts, mset, state,
-                                           n_samples=sc.mc_samples, seed=seeds.next())
+        counts, res = _tomography(sc, label, state, seeds)
+        rows += counts
         recon[label] = {
             "rho": _rho_flat(res.rho.matrix), "fidelity": res.fidelity,
             "flux": res.flux, "converged": res.converged,
@@ -509,12 +506,11 @@ def _run_tomo(sc: Scenario, emitter: _Emitter, seeds: _SeedPlan) -> dict:
     return {"reconstructions": {k: v["fidelity"] for k, v in recon.items()}}
 
 
-def _run_budget(sc: Scenario, emitter: _Emitter, seeds: _SeedPlan) -> dict:
+def _run_budget(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
     n_max = max(max(sc.n_values), 8)
     report = project_budget(sc.config, wavelength_nm=sc.wavelength_nm, n_max=n_max)
     payload = {
-        "params": {"g13": report.params.g13, "g12": report.params.g12,
-                   "g22": report.params.g22, "g23": report.params.g23},
+        "params": asdict(report.params),
         "per_cycle": report.per_cycle,
         "lifetime_cycles_1e": report.lifetime_cycles_1e,
         "lifetime_time_1e_ns": report.lifetime_time_1e_ns,
@@ -528,14 +524,12 @@ def _run_budget(sc: Scenario, emitter: _Emitter, seeds: _SeedPlan) -> dict:
     return payload
 
 
-def _run_fig2c(sc: Scenario, emitter: _Emitter, seeds: _SeedPlan) -> dict:
+def _run_fig2c(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
     """Efficiency-vs-cycles bundle: closed-form table plus a sampled decay fit."""
     label, state = sc.input_states[0]
     n_values = tuple(range(1, 9))
     params = derive_transmission_params(sc.config)
-    ds = run_scan(sc.config, state, DecayScan(n_values), pair_rate=sc.pair_rate,
-                  detection_eff=sc.detection_eff, acquisition_s=sc.acquisition_s,
-                  seed=seeds.next())
+    ds = _scan(sc, state, DecayScan(n_values), seeds)
     fit = fit_decay(ds.values(), ds.counts())
     scale = sc.pair_rate * sc.detection_eff * sc.acquisition_s
     rows = [(n, efficiency(params, n), efficiency(params, n) * scale, r.counts)
@@ -546,35 +540,20 @@ def _run_fig2c(sc: Scenario, emitter: _Emitter, seeds: _SeedPlan) -> dict:
         "gamma_fit": fit.gamma_per_cycle, "gamma_sigma": fit.sigma_gamma,
         "prefactor": fit.prefactor,
         "eta_pass_through": efficiency(params, 0),
-        "params": {"g13": params.g13, "g12": params.g12,
-                   "g22": params.g22, "g23": params.g23},
+        "params": asdict(params),
     }
     emitter.json("fig2c.json", payload)
     return payload
 
 
-def _run_fig3(sc: Scenario, emitter: _Emitter, seeds: _SeedPlan) -> dict:
+def _run_fig3(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
     """Fringe + tomography bundle at one cycle count."""
-    mrows = []
-    fits = {}
-    for label, state in (("H", H), ("D", D)):
-        ds = run_scan(sc.config, state, MalusScan(sc.malus_angles, sc.malus_cycles),
-                      pair_rate=sc.pair_rate, detection_eff=sc.detection_eff,
-                      acquisition_s=sc.acquisition_s, seed=seeds.next())
-        for r in ds.records:
-            mrows.append((label, r.setting_value, r.counts, r.acquisition_s, r.seed))
-        fits[label] = _fit_payload(fit_malus(ds.values(), ds.counts()))
+    mrows, fits = _malus_fits(sc, _FRINGE_STATES, sc.malus_cycles, seeds)
     emitter.csv("fig3_malus.csv",
                 ("input_state", "angle_rad", "counts", "acquisition_s", "seed"), mrows)
-
-    mset = MeasurementSet()
-    ds = run_scan(sc.config, R, TomographyScan(sc.tomo_cycles),
-                  pair_rate=sc.pair_rate, detection_eff=sc.detection_eff,
-                  acquisition_s=sc.acquisition_s, seed=seeds.next())
+    rows, res = _tomography(sc, "R", R, seeds)
     emitter.csv("fig3_tomo.csv", ("setting", "counts", "acquisition_s", "seed"),
-                [(r.setting_label, r.counts, r.acquisition_s, r.seed) for r in ds.records])
-    res = reconstruct_with_uncertainty(counts_from_dataset(ds, mset), mset, R,
-                                       n_samples=sc.mc_samples, seed=seeds.next())
+                [row[1:] for row in rows])
     payload = {
         "visibility_h": fits["H"], "visibility_d": fits["D"],
         "tomo_r": {"fidelity": res.fidelity, "mc_mean": res.mc_mean,
@@ -586,7 +565,7 @@ def _run_fig3(sc: Scenario, emitter: _Emitter, seeds: _SeedPlan) -> dict:
     return payload
 
 
-def _run_fig4(sc: Scenario, emitter: _Emitter, seeds: _SeedPlan) -> dict:
+def _run_fig4(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
     """Output-quality-vs-storage-time bundle: visibilities and fidelities per n.
 
     Fidelities are MLE point estimates; the Monte Carlo error bars are left to
@@ -596,18 +575,13 @@ def _run_fig4(sc: Scenario, emitter: _Emitter, seeds: _SeedPlan) -> dict:
     rows = []
     per_n = {}
     for n in sc.n_values:
+        _, fits = _malus_fits(sc, _FRINGE_STATES, n, seeds)
         entry = {}
-        for label, state in (("H", H), ("D", D)):
-            ds = run_scan(sc.config, state, MalusScan(sc.malus_angles, n),
-                          pair_rate=sc.pair_rate, detection_eff=sc.detection_eff,
-                          acquisition_s=sc.acquisition_s, seed=seeds.next())
-            fit = fit_malus(ds.values(), ds.counts())
-            entry[f"visibility_{label.lower()}"] = fit.visibility
-            entry[f"sigma_v{label.lower()}"] = fit.sigma_visibility
+        for label in ("H", "D"):
+            entry[f"visibility_{label.lower()}"] = fits[label]["visibility"]
+            entry[f"sigma_v{label.lower()}"] = fits[label]["sigma_visibility"]
         for label, state in (("H", H), ("D", D), ("R", R)):
-            ds = run_scan(sc.config, state, TomographyScan(n),
-                          pair_rate=sc.pair_rate, detection_eff=sc.detection_eff,
-                          acquisition_s=sc.acquisition_s, seed=seeds.next())
+            ds = _scan(sc, state, TomographyScan(n), seeds)
             res = mle_reconstruct(counts_from_dataset(ds, mset), mset, state)
             entry[f"fidelity_{label.lower()}"] = res.fidelity
         rows.append((n, n * sc.config.delta_tau,

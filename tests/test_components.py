@@ -5,8 +5,8 @@ import pytest
 
 from loopmem.components import (
     CIRCULATOR_ARM, FORWARD, OFF, ON, POCKELS_CELL, REVERSE, ComponentSpec,
-    DriveSchedule, circulator_operator, fiber_transmission, pbs_route,
-    pockels_level, pockels_operator,
+    DriveSchedule, circulator_operator, fiber_transmission, pockels_level,
+    pockels_operator,
 )
 from loopmem.errors import GainError, InvalidStateError, UnschedulableError
 from loopmem.polarization import D, DensityMatrix, H, V, apply
@@ -62,14 +62,6 @@ def test_pockels_operator_levels():
     rho = DensityMatrix.from_pure(H)
     assert abs(apply(rho, pockels_operator(off, 0.0, spec)).project(H) - 1.0) < 1e-12
     assert abs(apply(rho, pockels_operator(on, 0.0, spec)).project(V) - 1.0) < 1e-12
-
-
-def test_pbs_route_splits_weight():
-    rho = DensityMatrix.from_pure(D, weight=0.8)
-    h_arm, v_arm = pbs_route(rho)
-    assert abs(h_arm.weight - 0.4) < 1e-12
-    assert abs(v_arm.weight - 0.4) < 1e-12
-    assert abs(h_arm.weight + v_arm.weight - rho.weight) < 1e-12
 
 
 def test_fiber_transmission_values():

@@ -125,6 +125,7 @@ def test_csv_round_trip(tmp_path):
     ds = run_scan(cfg, H, DecayScan(), seed=42)
     path = tmp_path / "decay.csv"
     write_csv(ds, path)
+    assert b"\r" not in path.read_bytes()
     assert read_csv(path) == ds
 
 

@@ -6,8 +6,7 @@ import pytest
 from loopmem.errors import GainError, InvalidStateError
 from loopmem.polarization import (
     A, D, DensityMatrix, H, JonesOperator, L, PureState, R, V, apply,
-    attenuator, birefringent_phase, fidelity, half_waveplate, identity,
-    jones_element, make_pure, pauli_x, quarter_waveplate, rotator,
+    attenuator, birefringent_phase, fidelity, make_pure, rotator,
 )
 
 
@@ -78,7 +77,7 @@ def test_gain_rejected():
 
 def test_rotator_pi_half_is_bit_flip_up_to_phase():
     m = rotator(math.pi / 2).matrix
-    x = pauli_x().matrix
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
     # proportional with a unimodular factor
     ratio = m[0, 1] / x[0, 1]
     assert abs(abs(ratio) - 1.0) < 1e-12
@@ -91,26 +90,6 @@ def test_rotator_composes_additively():
         a, b = rng.uniform(-math.pi, math.pi, size=2)
         lhs = (rotator(a) @ rotator(b)).matrix
         assert np.allclose(lhs, rotator(a + b).matrix, atol=1e-12)
-
-
-def test_half_waveplate_maps_h_to_d():
-    out = half_waveplate(math.pi / 8).matrix @ H.vector()
-    assert abs(abs(out @ np.conj(D.vector())) - 1.0) < 1e-12
-
-
-def test_quarter_waveplate_square_is_half_waveplate():
-    for theta in (0.0, 0.3, math.pi / 4):
-        q = quarter_waveplate(theta).matrix
-        h = half_waveplate(theta).matrix
-        prod = q @ q
-        ratio = prod[np.abs(h) > 0.5].flat[0] / h[np.abs(h) > 0.5].flat[0]
-        assert np.allclose(prod, ratio * h, atol=1e-12)
-
-
-def test_quarter_waveplate_makes_circular_from_diagonal():
-    out = quarter_waveplate(0.0).matrix @ D.vector()
-    rho = DensityMatrix(np.outer(out, out.conj()))
-    assert abs(rho.project(R) - 1.0) < 1e-12 or abs(rho.project(L) - 1.0) < 1e-12
 
 
 def test_apply_is_kraus_update():
@@ -138,15 +117,3 @@ def test_unitaries_preserve_weight():
 def test_fidelity_is_conditional():
     rho = DensityMatrix.from_pure(R, weight=0.1)
     assert abs(fidelity(rho, R) - 1.0) < 1e-12
-
-
-def test_jones_element_dispatch():
-    assert np.allclose(jones_element("pauli_x").matrix, pauli_x().matrix)
-    assert np.allclose(jones_element("rotator", 0.2).matrix, rotator(0.2).matrix)
-    with pytest.raises(TypeError):
-        jones_element("beam_splitter")
-
-
-def test_identity_composition():
-    op = identity() @ pauli_x() @ pauli_x()
-    assert np.allclose(op.matrix, np.eye(2), atol=1e-12)

@@ -1,6 +1,8 @@
+import csv
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +69,10 @@ def test_missing_delta_tau_field_path():
         resolve({"memory": {"params": {"g13": 0.5, "g12": 0.4,
                                        "g22": 0.5, "g23": 0.6}}})
     assert err.value.field == "memory.delta_tau"
+    for bad in ("abc", [1], True):
+        with pytest.raises(SchemaError) as err:
+            resolve({"preset": "paper-improved", "memory": {"wavelength_nm": bad}})
+        assert err.value.field == "memory.wavelength_nm"
 
 
 def test_unknown_keys_rejected():
@@ -155,18 +161,52 @@ def test_decay_needs_three_cycle_values(tmp_path):
     assert err.value.field == "n_values"
 
 
+PIPELINES = [("simulate", None), ("decay", None), ("malus", None), ("tomo", None),
+             ("budget", None), ("reproduce", "fig2c"), ("reproduce", "fig3"),
+             ("reproduce", "fig4")]
+
+
+def _rerun_content(path):
+    """CSV bytes, or the JSON object without its wall-clock timestamp."""
+    if path.endswith(".json"):
+        obj = json.loads(Path(path).read_text())
+        obj["metadata"].pop("generated_at")
+        return obj
+    return Path(path).read_bytes()
+
+
 def test_reruns_are_bit_identical(tmp_path):
-    sc = resolve({"preset": "paper-short", "seed": 5})
-    run(sc, "decay", str(tmp_path / "a"))
-    run(sc, "decay", str(tmp_path / "b"))
-    csv_a = (tmp_path / "a" / "decay_counts.csv").read_bytes()
-    csv_b = (tmp_path / "b" / "decay_counts.csv").read_bytes()
-    assert csv_a == csv_b
-    ja = json.loads((tmp_path / "a" / "decay.json").read_text())
-    jb = json.loads((tmp_path / "b" / "decay.json").read_text())
-    ja["metadata"].pop("generated_at")
-    jb["metadata"].pop("generated_at")
-    assert ja == jb
+    sc = resolve({"preset": "paper-short", "seed": 5, "mc_samples": 20,
+                  "n_values": [1, 2, 3]})
+    for subcommand, figure in PIPELINES:
+        outputs = []
+        for rerun in ("a", "b"):
+            out_dir = str(tmp_path / rerun / f"{subcommand}{figure or ''}")
+            _, written = run(sc, subcommand, out_dir, figure=figure)
+            outputs.append({os.path.basename(p): _rerun_content(p) for p in written})
+        assert outputs[0] == outputs[1], (subcommand, figure)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("subcommand,figure", PIPELINES)
+def test_every_pipeline_runs_on_every_preset(tmp_path, capsys, preset, subcommand, figure):
+    path = write_scenario(tmp_path, {"preset": preset, "mc_samples": 20,
+                                     "n_values": [1, 2, 3]})
+    argv = [subcommand] + ([figure] if figure else [])
+    rc = main(argv + ["--scenario", path, "--out", str(tmp_path / "out")])
+    assert rc == 0, capsys.readouterr().err
+    assert any(name.endswith(".csv") for name in os.listdir(tmp_path / "out"))
+
+
+def test_csv_quotes_labels_with_commas(tmp_path):
+    sc = resolve({"preset": "paper-short", "n_values": [1, 2, 3], "input_states": [
+        {"label": "ell,ip", "alpha": [0.8, 0], "beta": [0, 0.6]}]})
+    run(sc, "decay", str(tmp_path))
+    with open(tmp_path / "decay_counts.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows[0] == ["input_state", "n_cycles", "counts", "acquisition_s", "seed"]
+    assert len(rows) == 4
+    assert all(len(row) == 5 and row[0] == "ell,ip" for row in rows[1:])
 
 
 def test_simulate_and_budget_pipelines(tmp_path):
@@ -245,6 +285,12 @@ def test_cli_bad_scenario_file(tmp_path, capsys):
     assert rc == 1
     payload = json.loads(err)
     assert payload["field"] == "(file)"
+
+    path = write_scenario(tmp_path, {"preset": "paper-improved",
+                                     "memory": {"wavelength_nm": "abc"}})
+    rc = main(["budget", "--scenario", path, "--out", str(tmp_path)])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["field"] == "memory.wavelength_nm"
 
 
 def test_cli_out_dir_from_environment(tmp_path, monkeypatch, capsys):
