@@ -2,9 +2,9 @@
 
 A :class:`ComponentSpec` is a passive description (what the element is and how
 lossy/misaligned it is); the functions below turn specs into operators or
-scalar transmissions.  Drive-dependent behavior (the Pockels cell) takes a
-:class:`DriveSchedule` and an evaluation time; the cell's rotation angle is
-proportional to the drive level, ``level * (pi/2 + rotation_error)``.
+scalar transmissions.  A :class:`DriveSchedule` sets the Pockels cell's drive
+level over time (:func:`pockels_level`); the cell's rotation angle is
+proportional to that level, ``level * (pi/2 + rotation_error)``.
 """
 
 from __future__ import annotations
@@ -119,13 +119,12 @@ def pockels_level(schedule: DriveSchedule, t: float) -> float:
     return level
 
 
-def pockels_operator(schedule: DriveSchedule, t: float, spec: ComponentSpec) -> JonesOperator:
-    """Cell operator at time t: exchange rotation by level*(pi/2 + rotation_error).
+def pockels_operator(level: float, spec: ComponentSpec) -> JonesOperator:
+    """Cell operator at drive level: exchange rotation by level*(pi/2 + rotation_error).
 
     Static birefringence and the per-pass transmission are composed after the
     drive-dependent rotation.
     """
-    level = pockels_level(schedule, t)
     theta = level * (math.pi / 2 + spec.rotation_error)
     op = rotator(theta)
     if spec.transmission != (1.0, 1.0):

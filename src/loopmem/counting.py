@@ -97,7 +97,8 @@ def expected_rate(outcome: StorageOutcome, projector: PureState,
         raise ValueError("pair_rate must be nonnegative")
     if not 0.0 <= detection_eff <= 1.0:
         raise ValueError("detection_eff must lie in [0, 1]")
-    return pair_rate * detection_eff * outcome.retrieved.state.project(projector)
+    # a projection orthogonal to the state can round to a tiny negative number
+    return max(pair_rate * detection_eff * outcome.retrieved.state.project(projector), 0.0)
 
 
 def sample_counts(rate: float, acquisition_s: float, seed: int | None) -> float:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,9 +43,10 @@ from .components import (
     circulator_operator,
     fiber_transmission,
     pockels_level,
+    pockels_operator,
 )
 from .errors import GainError, InvalidStateError, UnschedulableError
-from .polarization import DensityMatrix, PureState
+from .polarization import DensityMatrix, PureState, attenuator, birefringent_phase, rotator
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _RESIDUAL_CUTOFF = 1e-16
@@ -154,6 +156,8 @@ class MemoryConfig:
     zone_params: TransmissionParams | None = None
 
     def __post_init__(self):
+        for name in ("circulator_zone", "switch_zone", "delay_zone"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.delta_tau <= 0:
             raise InvalidStateError(f"delta_tau must be positive, got {self.delta_tau}")
         if self.pass_through_time <= 0:
@@ -279,104 +283,86 @@ class StorageOutcome:
 
 
 class _Plumbing:
-    """Operators and loss attribution precomputed from a MemoryConfig."""
+    """Operators and loss attribution precomputed from a MemoryConfig.
+
+    first_passage and later_passage map a drive level (OFF or ON) to the
+    (release, store) operator pair of a switch passage from the circulator
+    side (the first) or from the delay side (every later one).
+    """
 
     def __init__(self, cfg: MemoryConfig):
-        self.cfg = cfg
         circ = cfg.circulator_spec()
-        # geometric (unit-transmission) circulator cores keep the arm phase
-        unit_circ = replace(circ, transmission=(1.0, 1.0))
-        fwd_core = circulator_operator(FORWARD, unit_circ).matrix
-        rev_core = circulator_operator(REVERSE, unit_circ).matrix
-
+        pc = cfg.pockels_spec()
         fpc = cfg.fpc_spec()
         eps_f = fpc.rotation_error if fpc is not None else 0.0
+        flip = np.eye(2, dtype=complex)
         if cfg.x_dl_enabled:
-            th = math.pi / 2.0 + eps_f
-            flip = math.cos(th) * np.eye(2) - 1j * math.sin(th) * _X
-        else:
-            flip = np.eye(2, dtype=complex)
-
+            flip = rotator(math.pi / 2.0 + eps_f).matrix
         fiber_phase = sum(c.static_phase for c in cfg.delay_zone if c.kind == FIBER_SEGMENT)
-        one_way = np.diag([1.0, np.exp(1j * fiber_phase)]).astype(complex)
+        one_way = birefringent_phase(fiber_phase).matrix
+        switch_amp = np.eye(2, dtype=complex)
 
         if cfg.zone_params is not None:
+            # zone_params carry all loss; unit-transmission circulator and cell keep their phases
             p = cfg.zone_params
-            a_entry = math.sqrt(p.g12 / p.g22)
-            a_loop = math.sqrt(p.g22)
-            a_exit = math.sqrt(p.g23)
-            self.passthrough_amp = math.sqrt(p.g13 * p.g22 / (p.g12 * p.g23))
-            self.switch_amp = np.eye(2, dtype=complex)
+            circ = replace(circ, transmission=(1.0, 1.0))
+            pc = replace(pc, transmission=(1.0, 1.0))
+            passthrough_amp = math.sqrt(p.g13 * p.g22 / (p.g12 * p.g23))
             self.entry_ej_share = 0.0
             self.exit_ej_share = 0.0
-            self.entry_op = a_entry * fwd_core
-            self.exit_op = a_exit * rev_core
-            self.delay_op = a_loop * (one_way @ flip @ one_way)
-            return
+            self.entry_op = math.sqrt(p.g12 / p.g22) * circulator_operator(FORWARD, circ).matrix
+            self.exit_op = math.sqrt(p.g23) * circulator_operator(REVERSE, circ).matrix
+            self.delay_op = math.sqrt(p.g22) * (one_way @ flip @ one_way)
+        else:
+            passthrough_amp = 1.0
+            c1 = attenuator(*cfg.input_coupler.transmission).matrix
+            c3 = attenuator(*cfg.output_coupler.transmission).matrix
+            c2 = attenuator(*cfg.loop_coupler.transmission).matrix
+            circ_static = np.eye(2, dtype=complex)
+            for c in cfg.circulator_zone:
+                if c.kind != CIRCULATOR_ARM:
+                    circ_static = attenuator(*c.transmission).matrix @ circ_static
+            self.entry_op = circulator_operator(FORWARD, circ).matrix @ circ_static @ c1
+            self.exit_op = c3 @ circ_static @ circulator_operator(REVERSE, circ).matrix
 
-        self.passthrough_amp = 1.0
+            # fraction of each end-zone loss ejected at the circulator (vs absorbed)
+            def ej_share(pre_w, arm_w):
+                lost = 1.0 - pre_w * arm_w
+                return (pre_w * (1.0 - arm_w)) / lost if lost > 1e-15 else 0.0
 
-        def amp(spec):
-            return np.diag([math.sqrt(spec.transmission[0]), math.sqrt(spec.transmission[1])])
+            w_static = float(np.prod([c.mean_transmission for c in cfg.circulator_zone]))
+            w_arm = circ.mean_transmission
+            w_static = w_static / w_arm if w_arm > 0 else w_static
+            self.entry_ej_share = ej_share(cfg.input_coupler.mean_transmission * w_static, w_arm)
+            self.exit_ej_share = ej_share(w_static * cfg.output_coupler.mean_transmission, w_arm)
 
-        c1 = amp(cfg.input_coupler)
-        c3 = amp(cfg.output_coupler)
-        c2 = amp(cfg.loop_coupler)
-        circ_amp = amp(circ)
-        circ_static = np.eye(2, dtype=complex)
-        for c in cfg.circulator_zone:
-            if c.kind != CIRCULATOR_ARM:
-                circ_amp_other = amp(c)
-                circ_static = circ_amp_other @ circ_static
-        self.entry_op = circ_amp @ fwd_core @ circ_static @ c1
-        self.exit_op = c3 @ circ_static @ circ_amp @ rev_core
+            for c in cfg.switch_zone:
+                if c.kind != POCKELS_CELL:
+                    switch_amp = attenuator(*c.transmission).matrix @ switch_amp
 
-        # fraction of each end-zone loss ejected at the circulator (vs absorbed)
-        def ej_share(pre_w, arm_w):
-            lost = 1.0 - pre_w * arm_w
-            return (pre_w * (1.0 - arm_w)) / lost if lost > 1e-15 else 0.0
+            d = np.eye(2, dtype=complex)
+            for c in cfg.delay_zone:
+                if c.kind == FIBER_SEGMENT:
+                    d = math.sqrt(fiber_transmission(c.length_m, c.atten_db_per_km, round_trip=True)) * d
+                elif c.kind == FPC:
+                    d = math.sqrt(c.mean_transmission) * d
+                else:
+                    d = attenuator(*c.transmission).matrix @ d
+            self.delay_op = c2 @ one_way @ (d @ flip) @ one_way @ c2
 
-        w_static = float(np.prod([c.mean_transmission for c in cfg.circulator_zone]))
-        w_arm = circ.mean_transmission
-        w_static = w_static / w_arm if w_arm > 0 else w_static
-        self.entry_ej_share = ej_share(cfg.input_coupler.mean_transmission * w_static, w_arm)
-        self.exit_ej_share = ej_share(w_static * cfg.output_coupler.mean_transmission, w_arm)
-
-        sw = np.eye(2, dtype=complex)
-        for c in cfg.switch_zone:
-            if c.kind != POCKELS_CELL:
-                sw = amp(c) @ sw
-        self.switch_amp = sw
-
-        d = np.eye(2, dtype=complex)
-        for c in cfg.delay_zone:
-            if c.kind == FIBER_SEGMENT:
-                d = math.sqrt(fiber_transmission(c.length_m, c.atten_db_per_km, round_trip=True)) * d
-            elif c.kind == FPC:
-                d = math.sqrt(c.mean_transmission) * d
-            else:
-                d = amp(c) @ d
-        self.delay_op = c2 @ one_way @ (d @ flip) @ one_way @ c2
-
-
-def _switch_branches(plumb: _Plumbing, schedule: DriveSchedule, t: float):
-    """Crossing and returning branch operators at passage time t."""
-    cfg = plumb.cfg
-    pc = cfg.pockels_spec()
-    level = pockels_level(schedule, t)
-    theta = level * (math.pi / 2.0 + pc.rotation_error)
-    j = math.cos(theta) * np.eye(2) - 1j * math.sin(theta) * _X
-    if cfg.zone_params is None:
-        j = np.diag([math.sqrt(pc.transmission[0]), math.sqrt(pc.transmission[1])]) @ j
-    if pc.static_phase != 0.0:
-        j = np.diag([1.0, np.exp(1j * pc.static_phase)]) @ j
-    j = plumb.switch_amp @ j
-    cross = np.diag(np.diag(j))
-    return cross, j[1, 0] * _X, j[0, 1] * _X  # cross, return-from-circ, return-from-delay
+        self.first_passage = {}
+        self.later_passage = {}
+        for level in (OFF, ON):
+            j = switch_amp @ pockels_operator(level, pc).matrix
+            cross = np.diag(np.diag(j))
+            self.first_passage[level] = (passthrough_amp * (j[1, 0] * _X), cross)
+            self.later_passage[level] = (cross, j[0, 1] * _X)
 
 
-def simulate_storage(cfg: MemoryConfig, input_state: PureState, n: int, *,
-                     t_in: float | None = None) -> StorageOutcome:
+_plumbing = lru_cache(maxsize=16)(_Plumbing)  # one per config; workloads reuse a handful
+
+
+def simulate_storage(cfg: MemoryConfig, input_state: PureState, n: int) -> StorageOutcome:
     """Propagate one heralded photon through n storage cycles.
 
     Returns every output-port exit (the scheduled retrieval plus any early or
@@ -386,11 +372,10 @@ def simulate_storage(cfg: MemoryConfig, input_state: PureState, n: int, *,
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"cycle count must be a non-negative integer, got {n!r}")
     schedule = switch_schedule(n, cfg)
-    plumb = _Plumbing(cfg)
-    if t_in is None:
-        t_in = cfg.delay_line_compensation
+    plumb = _plumbing(cfg)
+    t_arrive = cfg.delay_line_compensation
     t_half = cfg.pass_through_time / 2.0
-    t1 = t_in + t_half
+    t1 = t_arrive + t_half
 
     exits: list[ExitEvent] = []
     ejections: list[tuple[float, float]] = []
@@ -401,13 +386,13 @@ def simulate_storage(cfg: MemoryConfig, input_state: PureState, n: int, *,
     if lost > 0:
         ej = lost * plumb.entry_ej_share
         if ej > 0:
-            ejections.append((t_in, ej))
+            ejections.append((t_arrive, ej))
         absorbed += lost - ej
 
-    t_nominal = t_in + cfg.pass_through_time + n * cfg.delta_tau
+    t_nominal = t_arrive + cfg.pass_through_time + n * cfg.delta_tau
     gate = cfg.coincidence_window / 2.0
     retrieved = None
-    side_circ = True
+    passages = plumb.first_passage
     k = 1
     max_k = n + 1 + _EXTRA_PASSES
     while k <= max_k:
@@ -416,13 +401,9 @@ def simulate_storage(cfg: MemoryConfig, input_state: PureState, n: int, *,
         if w_in <= _RESIDUAL_CUTOFF and retrieved is not None:
             absorbed += w_in
             break
-        cross, ret_circ, ret_delay = _switch_branches(plumb, schedule, t_k)
-        if side_circ:
-            to_delay = cross @ v
-            to_out = (plumb.passthrough_amp * ret_circ) @ v
-        else:
-            to_out = cross @ v
-            to_delay = ret_delay @ v
+        release, store = passages[pockels_level(schedule, t_k)]
+        to_out = release @ v
+        to_delay = store @ v
         w_out = float(np.vdot(to_out, to_out).real)
         w_stay = float(np.vdot(to_delay, to_delay).real)
         absorbed += max(w_in - w_out - w_stay, 0.0)
@@ -446,7 +427,7 @@ def simulate_storage(cfg: MemoryConfig, input_state: PureState, n: int, *,
         v = plumb.delay_op @ to_delay
         w_next = float(np.vdot(v, v).real)
         absorbed += max(w_stay - w_next, 0.0)
-        side_circ = False
+        passages = plumb.later_passage
         k += 1
     else:
         absorbed += float(np.vdot(v, v).real)

@@ -24,13 +24,13 @@ import numpy as np
 
 from .components import (
     CIRCULATOR_ARM, COUPLER, FIBER_SEGMENT, FPC, POCKELS_CELL, RETROREFLECTOR,
-    ComponentSpec,
+    VALID_KINDS, ComponentSpec,
 )
 from .counting import DecayScan, MalusScan, TomographyScan, format_table, record_seed, run_scan
 from .engine import (MemoryConfig, TransmissionParams, derive_transmission_params,
                      efficiency, simulate_storage)
-from .errors import SchemaError
-from .fitting import fit_decay, fit_malus, project_budget, route_inventory
+from .errors import InvalidStateError, SchemaError
+from .fitting import ATTENUATION_DB_PER_KM, fit_decay, fit_malus, project_budget, route_inventory
 from .polarization import A, D, H, L, PureState, R, V, fidelity, make_pure
 from .tomography import MeasurementSet, counts_from_dataset, mle_reconstruct, reconstruct_with_uncertainty
 
@@ -127,28 +127,31 @@ def _check_keys(d: dict, allowed: set, path: str):
             _fail(f"unknown key {key!r}", f"{path}.{key}" if path else key)
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _number(d: dict, key: str, path: str, default=None):
     if key not in d:
         if default is None:
             _fail("missing required field", f"{path}.{key}")
         return default
     v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(v):
         _fail("expected a number", f"{path}.{key}")
     return float(v)
 
 
 def _component(d: dict, path: str) -> ComponentSpec:
     _check_keys(d, _COMPONENT_KEYS, path)
-    if "kind" not in d:
-        _fail("missing required field", f"{path}.kind")
+    if not isinstance(d.get("kind"), str) or d["kind"] not in VALID_KINDS:
+        _fail(f"expected a component kind, one of {sorted(VALID_KINDS)}", f"{path}.kind")
     t = d.get("transmission", 1.0)
-    if isinstance(t, list):
-        if len(t) != 2:
-            _fail("transmission list must have two entries", f"{path}.transmission")
-        t = (float(t[0]), float(t[1]))
+    t = t if isinstance(t, list) else [t, t]
+    if len(t) != 2 or not all(_is_number(x) for x in t):
+        _fail("expected a number or a list of two numbers", f"{path}.transmission")
     return ComponentSpec(
-        d["kind"], t,
+        d["kind"], tuple(t),
         rotation_error=_number(d, "rotation_error", path, 0.0),
         static_phase=_number(d, "static_phase", path, 0.0),
         length_m=_number(d, "length_m", path, 0.0),
@@ -226,7 +229,11 @@ def _build_config(mem: dict) -> tuple[MemoryConfig, float | None]:
 
     if mem.get("wavelength_nm") is None:
         return cfg, None
-    return cfg, _number(mem, "wavelength_nm", "memory")
+    wavelength = _number(mem, "wavelength_nm", "memory")
+    if wavelength not in ATTENUATION_DB_PER_KM:
+        _fail(f"no attenuation default at {wavelength} nm; "
+              f"known: {sorted(ATTENUATION_DB_PER_KM)}", "memory.wavelength_nm")
+    return cfg, wavelength
 
 
 def _build(raw: dict) -> Scenario:
@@ -255,6 +262,9 @@ def _build(raw: dict) -> Scenario:
         degs = raw["malus_angles_deg"]
         if not isinstance(degs, list) or len(degs) < 5:
             _fail("expected a list of at least 5 angles", "malus_angles_deg")
+        for i, a in enumerate(degs):
+            if not _is_number(a) or not math.isfinite(a):
+                _fail("expected a finite number", f"malus_angles_deg[{i}]")
         angles = tuple(math.radians(float(a)) for a in degs)
     else:
         pts = raw.get("malus_points", 13)
@@ -434,6 +444,14 @@ def run(scenario: Scenario, subcommand: str, out_dir: str,
     return summary, emitter.written
 
 
+def _exit_fidelity(rho, target: PureState) -> float | None:
+    """Conditional fidelity of an exit; None when it is too light to condition on."""
+    try:
+        return fidelity(rho, target)
+    except InvalidStateError:
+        return None
+
+
 def _run_simulate(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
     rows = []
     summary: dict = {}
@@ -441,16 +459,16 @@ def _run_simulate(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict
         for n in sc.n_values:
             out = simulate_storage(sc.config, state, n)
             rows.append((label, n, "retrieved", out.retrieved.time,
-                         out.retrieved.weight, fidelity(out.retrieved.state, state)))
+                         out.retrieved.weight, _exit_fidelity(out.retrieved.state, state)))
             for ev in out.exits:
                 rows.append((label, n, "exit", ev.time, ev.weight,
-                             fidelity(ev.state, state)))
+                             _exit_fidelity(ev.state, state)))
             for t, w in out.ejections:
                 rows.append((label, n, "ejected", t, w, None))
             rows.append((label, n, "absorbed", None, out.absorbed, None))
             summary[f"{label}/N={n}"] = {
                 "retrieved_weight": out.retrieved.weight,
-                "fidelity": fidelity(out.retrieved.state, state),
+                "fidelity": _exit_fidelity(out.retrieved.state, state),
                 "weight_balance": out.weight_balance(),
             }
     emitter.csv("simulate_events.csv",

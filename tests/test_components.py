@@ -57,11 +57,9 @@ def test_drive_schedule_rejects_overlapping_ramps():
 
 def test_pockels_operator_levels():
     spec = ComponentSpec(POCKELS_CELL, 1.0)
-    off = DriveSchedule(transitions=(), rise_time=10.0, initial_level=OFF)
-    on = DriveSchedule(transitions=(), rise_time=10.0, initial_level=ON)
     rho = DensityMatrix.from_pure(H)
-    assert abs(apply(rho, pockels_operator(off, 0.0, spec)).project(H) - 1.0) < 1e-12
-    assert abs(apply(rho, pockels_operator(on, 0.0, spec)).project(V) - 1.0) < 1e-12
+    assert abs(apply(rho, pockels_operator(OFF, spec)).project(H) - 1.0) < 1e-12
+    assert abs(apply(rho, pockels_operator(ON, spec)).project(V) - 1.0) < 1e-12
 
 
 def test_fiber_transmission_values():
@@ -106,6 +104,5 @@ def test_circulator_bad_direction():
 
 def test_pockels_rotation_error_tilts_flip():
     spec = ComponentSpec(POCKELS_CELL, 1.0, rotation_error=0.1)
-    on = DriveSchedule(transitions=(), rise_time=10.0, initial_level=ON)
-    out = apply(DensityMatrix.from_pure(H), pockels_operator(on, 0.0, spec))
+    out = apply(DensityMatrix.from_pure(H), pockels_operator(ON, spec))
     assert abs(out.project(V) - math.cos(0.1) ** 2) < 1e-12

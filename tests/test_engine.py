@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +205,37 @@ def test_circulator_arm_phase_drops_out():
         for n in (0, 2):
             out = simulate_storage(cfg, R, n)
             assert fidelity(out.retrieved.state, R) > 1 - 1e-9
+
+
+def test_lossy_phased_switch_matches_recorded_outcomes():
+    # engine_regression.json holds outcomes for D recorded before the switch
+    # and zone operators were composed from the components/polarization primitives
+    recorded = json.loads((Path(__file__).parent / "engine_regression.json").read_text())
+    inventory = MemoryConfig(
+        delta_tau=36.5,
+        input_coupler=ComponentSpec(COUPLER, 0.96), loop_coupler=ComponentSpec(COUPLER, 0.96),
+        output_coupler=ComponentSpec(COUPLER, 0.96),
+        circulator_zone=(ComponentSpec(CIRCULATOR_ARM, 0.98),),
+        switch_zone=(ComponentSpec(POCKELS_CELL, (0.9, 0.8), rotation_error=0.05, static_phase=0.4),
+                     ComponentSpec(COUPLER, (0.97, 0.95))),
+        delay_zone=(ComponentSpec(FIBER_SEGMENT, length_m=0.5, atten_db_per_km=4.0),
+                    ComponentSpec(RETROREFLECTOR, 0.98), ComponentSpec(FPC)))
+    lumped = short_config(
+        circulator_zone=(ComponentSpec(CIRCULATOR_ARM, static_phase=0.2),),
+        switch_zone=(ComponentSpec(POCKELS_CELL, rotation_error=0.05),),
+        delay_zone=(ComponentSpec(FIBER_SEGMENT, length_m=0.5, static_phase=0.3),
+                    ComponentSpec(RETROREFLECTOR), ComponentSpec(FPC, rotation_error=0.03)))
+    for name, cfg in (("inventory", inventory), ("lumped", lumped)):
+        for n in (0, 1, 3):
+            want = recorded[f"{name}/N={n}"]
+            out = simulate_storage(cfg, D, n)
+            assert abs(out.retrieved_weight - want["retrieved_weight"]) < 1e-12
+            assert abs(fidelity(out.retrieved.state, D) - want["fidelity"]) < 1e-12
+            assert abs(out.absorbed - want["absorbed"]) < 1e-12
+            exits = [(ev.time, ev.weight) for ev in out.exits]
+            np.testing.assert_allclose(exits, want["exits"], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(np.reshape(out.ejections, (-1, 2)),
+                                       np.reshape(want["ejections"], (-1, 2)), rtol=0, atol=1e-12)
 
 
 # --- schedule ---

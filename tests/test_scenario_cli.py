@@ -286,11 +286,56 @@ def test_cli_bad_scenario_file(tmp_path, capsys):
     payload = json.loads(err)
     assert payload["field"] == "(file)"
 
+    for raw, field in (
+            ({"preset": "paper-improved", "memory": {"wavelength_nm": "abc"}},
+             "memory.wavelength_nm"),
+            ({"preset": "paper-improved", "memory": {"wavelength_nm": 1310}},
+             "memory.wavelength_nm"),
+            ({"preset": "paper-improved", "memory": {"inventory": [{"kind": "LENS"}]}},
+             "memory.inventory[0].kind"),
+            ({"preset": "paper-improved",
+              "memory": {"inventory": [{"kind": "COUPLER", "transmission": "abc"}]}},
+             "memory.inventory[0].transmission"),
+            ({"preset": "paper-improved",
+              "memory": {"inventory": [{"kind": "COUPLER", "transmission": ["a", 1]}]}},
+             "memory.inventory[0].transmission"),
+            ({"preset": "paper-short", "malus_angles_deg": [0, "x", 90, 120, 180]},
+             "malus_angles_deg[1]"),
+            ({"preset": "paper-short", "malus_angles_deg": [0, 45, math.nan, 120, 180]},
+             "malus_angles_deg[2]")):
+        path = write_scenario(tmp_path, raw)
+        rc = main(["budget", "--scenario", path, "--out", str(tmp_path)])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["field"] == field
     path = write_scenario(tmp_path, {"preset": "paper-improved",
-                                     "memory": {"wavelength_nm": "abc"}})
-    rc = main(["budget", "--scenario", path, "--out", str(tmp_path)])
-    assert rc == 1
-    assert json.loads(capsys.readouterr().err)["field"] == "memory.wavelength_nm"
+                                     "memory": {"wavelength_nm": 1310}})
+    main(["budget", "--scenario", path, "--out", str(tmp_path)])
+    assert "[780.0, 1550.0]" in json.loads(capsys.readouterr().err)["message"]
+
+
+@pytest.mark.parametrize("memory,n_values", [({}, [40]), ({"pc_rotation_error": 0.05}, [0])])
+def test_cli_simulate_leaves_fidelity_blank_for_weightless_exits(tmp_path, capsys,
+                                                                 memory, n_values):
+    path = write_scenario(tmp_path, {"preset": "paper-short", "input_states": ["D"],
+                                     "n_values": n_values, "memory": memory})
+    rc = main(["simulate", "--scenario", path, "--out", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
+    with open(tmp_path / "simulate_events.csv", newline="") as fh:
+        rows = [row for row in list(csv.reader(fh))[2:] if row[2] in ("retrieved", "exit")]
+    assert any(row[5] == "" for row in rows)
+    for row in rows:
+        assert (row[5] == "") == (float(row[4]) < 1e-12)
+    outcome = json.loads((tmp_path / "simulate.json").read_text())["outcomes"][f"D/N={n_values[0]}"]
+    assert (outcome["fidelity"] is None) == (outcome["retrieved_weight"] < 1e-12)
+
+
+def test_cli_fig4_survives_negative_round_off_in_projections(tmp_path, capsys):
+    # without the delay-line flip, D returns orthogonal to the 135 degree
+    # analyzer at even cycle counts; at N = 8 that projection rounds to -7.7e-20
+    path = write_scenario(tmp_path, {"preset": "paper-short", "memory": {
+        "x_dl_enabled": False, "delay_static_phase": 0.3}})
+    rc = main(["reproduce", "fig4", "--scenario", path, "--out", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
 
 
 def test_cli_out_dir_from_environment(tmp_path, monkeypatch, capsys):
