@@ -36,8 +36,9 @@ from .polarization import (
 )
 from .scenario import PRESETS, Scenario, load_scenario, preset_scenario, resolve, run
 from .tomography import (
-    MeasurementSet, ReconstructionResult, counts_from_dataset, linear_inversion,
-    mle_reconstruct, monte_carlo_uncertainty, reconstruct_with_uncertainty,
+    MeasurementSet, ReconstructionResult, counts_from_dataset, exact_mle_bloch,
+    linear_inversion, mle_reconstruct, monte_carlo_uncertainty,
+    reconstruct_with_uncertainty,
 )
 
 __version__ = "0.1.0"

@@ -142,6 +142,16 @@ def _number(d: dict, key: str, path: str, default=None):
     return float(v)
 
 
+def _bounded(d: dict, key: str, path: str, default=None, lo=-math.inf, hi=math.inf):
+    """A finite number in [lo, hi]; JSON's NaN and Infinity are rejected."""
+    v = _number(d, key, path, default)
+    if not math.isfinite(v):
+        _fail("expected a finite number", f"{path}.{key}")
+    if not lo <= v <= hi:
+        _fail(f"expected a number in [{lo:g}, {hi:g}]", f"{path}.{key}")
+    return v
+
+
 def _component(d: dict, path: str) -> ComponentSpec:
     _check_keys(d, _COMPONENT_KEYS, path)
     if not isinstance(d.get("kind"), str) or d["kind"] not in VALID_KINDS:
@@ -178,13 +188,13 @@ def _build_config(mem: dict) -> tuple[MemoryConfig, float | None]:
     _check_keys(mem, _MEMORY_KEYS, "memory")
     if "params" in mem and "inventory" in mem:
         _fail("params and inventory are mutually exclusive", "memory")
-    delta_tau = _number(mem, "delta_tau", "memory")
+    delta_tau = _bounded(mem, "delta_tau", "memory")
 
     timing = {}
     for key in ("pass_through_time", "pc_rise_time", "herald_latency",
                 "delay_line_compensation", "coincidence_window"):
         if key in mem:
-            timing[key] = _number(mem, key, "memory")
+            timing[key] = _bounded(mem, key, "memory")
     if "x_dl_enabled" in mem:
         if not isinstance(mem["x_dl_enabled"], bool):
             _fail("expected a boolean", "memory.x_dl_enabled")
@@ -284,9 +294,9 @@ def _build(raw: dict) -> Scenario:
 
     source = raw.get("source", {})
     _check_keys(source, _SOURCE_KEYS, "source")
-    pair_rate = _number(source, "pair_rate", "source", 2000.0)
-    detection_eff = _number(source, "detection_eff", "source", 1.0)
-    acquisition_s = _number(source, "acquisition_s", "source", 60.0)
+    pair_rate = _bounded(source, "pair_rate", "source", 2000.0, lo=0.0)
+    detection_eff = _bounded(source, "detection_eff", "source", 1.0, lo=0.0, hi=1.0)
+    acquisition_s = _bounded(source, "acquisition_s", "source", 60.0, lo=0.0)
 
     return Scenario(label, cfg, input_states, tuple(n_values), angles,
                     malus_cycles, tomo_cycles, pair_rate, detection_eff,

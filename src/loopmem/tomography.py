@@ -8,6 +8,13 @@ optimizer only sees the four real parameters of the triangular factor
     T = [[t1, 0], [t3 + i t4, t2]],    rho_t = T^dagger T,
 
 which keeps every iterate positive semidefinite by construction.
+
+A set of exactly four projectors is a saturated model (James et al.,
+"Measurement of qubits", PRA 64, 052312 (2001)): linear inversion reproduces
+the counts exactly, so it is the maximum-likelihood estimate whenever it is
+positive semidefinite, and otherwise the optimum is a pure state.
+`exact_mle_bloch` solves that case for many count vectors at once, and
+`monte_carlo_uncertainty` uses it for every four-projector error bar.
 """
 
 from __future__ import annotations
@@ -24,6 +31,10 @@ from .polarization import DensityMatrix, PureState, fidelity
 
 _Q_FLOOR = 1e-12
 _EV_CLIP = 1e-6
+_NEWTON_MAXITER = 100
+_NEWTON_GTOL = 1e-10  # tangent gradient per total count
+_MAX_STEP = 0.5  # radians on the unit sphere
+_LL_SLACK = 1e-12  # log-likelihood per total count
 
 
 @dataclass(frozen=True)
@@ -172,6 +183,122 @@ def mle_reconstruct(counts, mset: MeasurementSet | None = None,
     return ReconstructionResult(rho, flux, fid, converged, -float(res.fun))
 
 
+def _bloch(rho: np.ndarray) -> np.ndarray:
+    """Bloch vector (rho00 - rho11, 2 Re rho01, 2 Im rho01) of a unit-trace matrix.
+
+    rho is a state iff |r| <= 1, and <t|rho|t> = (1 + r . r_t) / 2 for a pure
+    |t> with Bloch vector r_t.
+    """
+    return np.array([(rho[0, 0] - rho[1, 1]).real, 2.0 * rho[0, 1].real, 2.0 * rho[0, 1].imag])
+
+
+def _sphere_ascent(k: np.ndarray, n: np.ndarray, c: np.ndarray,
+                   b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize sum k log q - K log sum q, q = c + b n, over unit vectors n.
+
+    Rows of `k` (counts) and `n` (start points) are independent problems.
+    Each iteration takes a Newton step in the tangent plane, or a gradient
+    step where the projected Hessian is not negative definite, no longer
+    than a per-row radius, and retracts it onto the sphere along the great
+    circle.  A step that lowers the likelihood by more than round-off is
+    refused and the radius shrinks.  Returns (n, stuck), stuck marking rows
+    still short of the tolerance after `_NEWTON_MAXITER` iterations.
+    """
+    n = n.copy()
+    total = k.sum(axis=1)
+    c_sum, b_sum = c.sum(), b.sum(axis=0)
+    radius = np.full(len(n), _MAX_STEP)
+    active = np.arange(len(n))
+
+    def loglik(kk, tot, nn):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = np.where(kk > 0, c + nn @ b.T, 1.0)
+            return (kk * np.log(q)).sum(axis=1) - tot * np.log(c_sum + nn @ b_sum)
+
+    for _ in range(_NEWTON_MAXITER):
+        ka, na, tot = k[active], n[active], total[active]
+        q = c + na @ b.T
+        w = np.divide(ka, q, out=np.zeros_like(q), where=ka > 0)  # k/q, 0 where k = 0
+        s = c_sum + na @ b_sum
+        g = w @ b - np.outer(tot / s, b_sum)
+        k_q2 = w * w / np.where(ka > 0, ka, 1.0)  # k/q^2, 0 where k = 0 (q may be 0 there)
+        hess = (np.einsum("mi,ia,ib->mab", -k_q2, b, b)
+                + (tot / s ** 2)[:, None, None] * np.outer(b_sum, b_sum))
+        # orthonormal tangent basis e (m, 2, 3); n is a unit vector
+        axis = np.eye(3)[np.argmin(np.abs(na), axis=1)]
+        e1 = np.cross(na, axis)
+        e1 /= np.linalg.norm(e1, axis=1)[:, None]
+        e = np.stack((e1, np.cross(na, e1)), axis=1)
+        gt = np.einsum("mja,ma->mj", e, g)
+        done = np.linalg.norm(gt, axis=1) <= _NEWTON_GTOL * tot
+        active, e, gt, hess, g, na, ka, tot = (
+            v[~done] for v in (active, e, gt, hess, g, na, ka, tot))
+        if not active.size:
+            break
+        # Riemannian Hessian on the sphere: projected Hessian minus (g . n) I
+        h = np.einsum("mja,mab,mkb->mjk", e, hess, e)
+        h -= (g * na).sum(axis=1)[:, None, None] * np.eye(2)
+        det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
+        concave = (h[:, 0, 0] < 0) & (det > 0)
+        step = gt.copy()
+        hc, gc, dc = h[concave], gt[concave], det[concave]
+        step[concave] = -np.stack((hc[:, 1, 1] * gc[:, 0] - hc[:, 0, 1] * gc[:, 1],
+                                   hc[:, 0, 0] * gc[:, 1] - hc[:, 1, 0] * gc[:, 0]),
+                                  axis=1) / dc[:, None]
+        length = np.linalg.norm(step, axis=1)
+        step *= (np.minimum(length, radius[active]) / length)[:, None]
+        v = np.einsum("mj,mja->ma", step, e)
+        theta = np.linalg.norm(v, axis=1)[:, None]
+        trial = np.cos(theta) * na + np.sin(theta) * v / theta
+        trial /= np.linalg.norm(trial, axis=1)[:, None]
+        # the slack lets steps whose gain is below round-off through
+        better = loglik(ka, tot, trial) >= loglik(ka, tot, na) - _LL_SLACK * tot
+        n[active[better]] = trial[better]
+        radius[active] = np.where(better, np.minimum(2.0 * radius[active], _MAX_STEP),
+                                  0.25 * radius[active])
+    stuck = np.zeros(len(n), dtype=bool)
+    stuck[active] = True
+    return n, stuck
+
+
+def exact_mle_bloch(draws, mset: MeasurementSet) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum-likelihood Bloch vectors for many count vectors on four projectors.
+
+    Each row of `draws` holds the counts of one measurement of the four
+    projectors of `mset`.  Linear inversion of a saturated model is the MLE
+    wherever its Bloch vector r has |r| <= 1.  Elsewhere the likelihood,
+    concave in (flux, flux * r), peaks on the pure states, which
+    `_sphere_ascent` searches from r / |r| with the flux profiled out.
+
+    Returns (r, failed): r has shape (n, 3) in the coordinates of `_bloch`,
+    and failed marks rows with no signal (linear-inversion flux <= 0, as
+    `linear_inversion` raises `NoSignalError`) or whose ascent did not
+    converge; their r is NaN.
+    """
+    a = mset.design_matrix()
+    k = np.asarray(draws, dtype=float)
+    if a.shape[0] != 4 or k.ndim != 2 or k.shape[1] != 4:
+        raise ValueError(f"need rows of 4 counts on 4 projectors, got {k.shape} "
+                         f"on {a.shape[0]}")
+    if np.any(k < 0):
+        raise ValueError("counts must be nonnegative")
+    x = np.linalg.solve(a, k.T).T
+    flux = x[:, 0] + x[:, 1]
+    ok = flux > 0
+    failed = ~ok
+    r = np.full((len(k), 3), np.nan)
+    r[ok] = np.column_stack((x[ok, 0] - x[ok, 1], 2.0 * x[ok, 2], 2.0 * x[ok, 3])) / flux[ok, None]
+    norm = np.linalg.norm(r, axis=1)
+    out = np.flatnonzero(ok & (norm > 1.0))
+    # q = a @ (rho00, rho11, Re rho01, Im rho01) = c + b @ r on unit-trace states
+    c = 0.5 * (a[:, 0] + a[:, 1])
+    b = 0.5 * np.column_stack((a[:, 0] - a[:, 1], a[:, 2], a[:, 3]))
+    r[out], stuck = _sphere_ascent(k[out], r[out] / norm[out, None], c, b)
+    failed[out[stuck]] = True
+    r[failed] = np.nan
+    return r, failed
+
+
 def monte_carlo_uncertainty(counts, mset: MeasurementSet, target: PureState, *,
                             n_samples: int = 10000, seed: int = 0) -> tuple[float, float, int]:
     """Fidelity mean and spread under Poisson resampling of the observed counts.
@@ -179,24 +306,32 @@ def monte_carlo_uncertainty(counts, mset: MeasurementSet, target: PureState, *,
     All draws come from one generator seeded up front, so the result does not
     depend on evaluation order.  Returns (mean, sample std, n_failed) where
     failed samples (no signal or non-converged fit) are excluded from the
-    statistics but counted.
+    statistics but counted.  Four projectors are solved exactly for all
+    draws at once by `exact_mle_bloch`; larger sets fit each draw with
+    `mle_reconstruct`.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     k = np.asarray(counts, dtype=float)
     draws = np.random.default_rng(seed).poisson(lam=k, size=(n_samples, len(k)))
-    fids = []
-    n_failed = 0
-    for row in draws:
-        try:
-            r = mle_reconstruct(row.astype(float), mset, target)
-        except NoSignalError:
-            n_failed += 1
-            continue
-        if not r.converged:
-            n_failed += 1
-            continue
-        fids.append(r.fidelity)
+    if len(mset.projectors) == 4:
+        r, failed = exact_mle_bloch(draws, mset)
+        v = target.vector()
+        fids = 0.5 * (1.0 + r[~failed] @ _bloch(np.outer(v, v.conj())))
+        n_failed = int(failed.sum())
+    else:
+        fids = []
+        n_failed = 0
+        for row in draws:
+            try:
+                r = mle_reconstruct(row.astype(float), mset, target)
+            except NoSignalError:
+                n_failed += 1
+                continue
+            if not r.converged:
+                n_failed += 1
+                continue
+            fids.append(r.fidelity)
     if len(fids) < 2:
         raise NoSignalError("Monte Carlo resampling produced no usable fits")
     arr = np.array(fids)

@@ -302,7 +302,16 @@ def test_cli_bad_scenario_file(tmp_path, capsys):
             ({"preset": "paper-short", "malus_angles_deg": [0, "x", 90, 120, 180]},
              "malus_angles_deg[1]"),
             ({"preset": "paper-short", "malus_angles_deg": [0, 45, math.nan, 120, 180]},
-             "malus_angles_deg[2]")):
+             "malus_angles_deg[2]"),
+            ({"preset": "paper-short", "source": {"pair_rate": math.inf}}, "source.pair_rate"),
+            ({"preset": "paper-short", "source": {"pair_rate": math.nan}}, "source.pair_rate"),
+            ({"preset": "paper-short", "source": {"detection_eff": 1.5}},
+             "source.detection_eff"),
+            ({"preset": "paper-short", "source": {"acquisition_s": -1}}, "source.acquisition_s"),
+            ({"preset": "paper-short", "memory": {"delta_tau": math.nan}}, "memory.delta_tau"),
+            ({"preset": "paper-short", "memory": {"delta_tau": math.inf}}, "memory.delta_tau"),
+            ({"preset": "paper-short", "memory": {"pc_rise_time": math.nan}},
+             "memory.pc_rise_time")):
         path = write_scenario(tmp_path, raw)
         rc = main(["budget", "--scenario", path, "--out", str(tmp_path)])
         assert rc == 1

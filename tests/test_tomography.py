@@ -6,8 +6,8 @@ from loopmem.engine import MemoryConfig
 from loopmem.errors import IncompleteSetError, NoSignalError
 from loopmem.polarization import A, D, H, L, R, V
 from loopmem.tomography import (
-    MeasurementSet, counts_from_dataset, linear_inversion, mle_reconstruct,
-    monte_carlo_uncertainty, reconstruct_with_uncertainty,
+    MeasurementSet, counts_from_dataset, exact_mle_bloch, linear_inversion,
+    mle_reconstruct, monte_carlo_uncertainty, reconstruct_with_uncertainty,
 )
 
 MSET = MeasurementSet()
@@ -25,6 +25,34 @@ def pure_rho(state) -> np.ndarray:
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
+
+
+def rho_from_bloch(r: np.ndarray) -> np.ndarray:
+    return 0.5 * np.array([[1.0 + r[0], r[1] + 1j * r[2]],
+                           [r[1] - 1j * r[2], 1.0 - r[0]]])
+
+
+def profile_log_likelihood(k: np.ndarray, rho: np.ndarray) -> float:
+    """sum k log q - K log sum q, with 0 log 0 = 0."""
+    q = MSET.design_matrix() @ np.array(
+        [rho[0, 0].real, rho[1, 1].real, rho[0, 1].real, rho[0, 1].imag])
+    return float((k * np.log(np.where(k > 0, q, 1.0))).sum() - k.sum() * np.log(q.sum()))
+
+
+def per_draw_mc(draws, mset, target) -> tuple[float, float, int]:
+    """The per-draw reference: one `mle_reconstruct` fit per row of counts."""
+    fids, n_failed = [], 0
+    for row in draws:
+        try:
+            res = mle_reconstruct(row.astype(float), mset, target)
+        except NoSignalError:
+            n_failed += 1
+            continue
+        if not res.converged:
+            n_failed += 1
+            continue
+        fids.append(res.fidelity)
+    return float(np.mean(fids)), float(np.std(fids, ddof=1)), n_failed
 
 
 def random_rho(rng) -> np.ndarray:
@@ -174,6 +202,79 @@ def test_reconstruct_with_uncertainty_fields():
     assert abs(res.mc_mean - res.fidelity) < 5.0 * res.mc_std + 0.01
     bare = reconstruct_with_uncertainty(k, MSET)
     assert bare.mc_mean is None and bare.n_samples == 0
+
+
+# --- exact four-projector solver against per-draw L-BFGS ---
+
+@pytest.mark.parametrize("state", [H, D, R], ids=["H", "D", "R"])
+@pytest.mark.parametrize("flux", [6.0, 2000.0, 2e5])
+def test_exact_mle_matches_per_draw_fits(state, flux):
+    draws = np.random.default_rng(int(flux) + 17).poisson(
+        exact_counts(pure_rho(state), flux), size=(40, 4)).astype(float)
+    if state is H:
+        assert (draws[:, 1] == 0).all()
+    r, failed = exact_mle_bloch(draws, MSET)
+    v = state.vector()
+    checked = {"interior": 0, "boundary": 0}
+    for k, ri, fail in zip(draws, r, failed):
+        if fail:
+            assert np.isnan(ri).all()
+            with pytest.raises(NoSignalError):
+                mle_reconstruct(k, MSET, state)
+            continue
+        res = mle_reconstruct(k, MSET, state)
+        rho = rho_from_bloch(ri)
+        li, _ = linear_inversion(k, MSET)
+        if np.linalg.eigvalsh(li).min() >= 0.0:
+            assert np.abs(rho - res.rho.matrix).max() <= 1e-12
+            checked["interior"] += 1
+        else:
+            assert abs(np.linalg.norm(ri) - 1.0) <= 1e-12
+            assert (profile_log_likelihood(k, rho)
+                    >= profile_log_likelihood(k, res.rho.matrix) - 1e-9)
+            assert abs(float(np.real(v.conj() @ rho @ v)) - res.fidelity) <= 1e-5
+            checked["boundary"] += 1
+    assert checked["boundary"] > 0
+    if state is not H:  # H's V count is always 0, so it never lands inside
+        assert checked["interior"] > 0
+
+
+def test_exact_mle_validation():
+    six = MeasurementSet((("H", H), ("V", V), ("D", D), ("A", A), ("R", R), ("L", L)))
+    with pytest.raises(ValueError):
+        exact_mle_bloch(np.ones((3, 6)), six)
+    with pytest.raises(ValueError):
+        exact_mle_bloch(np.ones(4), MSET)
+    with pytest.raises(ValueError):
+        exact_mle_bloch([[10.0, -1.0, 5.0, 5.0]], MSET)
+
+
+def test_mc_counts_draws_without_signal_as_failed():
+    # on H/V/D/R the linear-inversion flux is kH + kV
+    rows = np.array([[0, 0, 0, 0], [0, 0, 2, 7], [2, 0, 3, 2]], dtype=float)
+    r, failed = exact_mle_bloch(rows, MSET)
+    assert failed.tolist() == [True, True, False]
+    assert np.isnan(r[:2]).all() and np.isfinite(r[2]).all()
+    with pytest.raises(NoSignalError):
+        mle_reconstruct(rows[0], MSET)
+
+    counts = np.array([0.5, 0.5, 1.5, 1.5])
+    draws = np.random.default_rng(3).poisson(lam=counts, size=(500, 4))
+    no_flux = draws[:, 0] + draws[:, 1] == 0
+    assert (draws.sum(axis=1) == 0).any() and (no_flux & (draws[:, 2] > 0)).any()
+    mean, std, n_failed = monte_carlo_uncertainty(counts, MSET, D, n_samples=500, seed=3)
+    ref_mean, ref_std, ref_failed = per_draw_mc(draws[~no_flux], MSET, D)
+    assert ref_failed == 0
+    assert n_failed == int(no_flux.sum())
+    assert mean == pytest.approx(ref_mean, abs=1e-6)
+    assert std == pytest.approx(ref_std, abs=1e-6)
+
+
+def test_mc_fits_overcomplete_sets_draw_by_draw():
+    six = MeasurementSet((("H", H), ("V", V), ("D", D), ("A", A), ("R", R), ("L", L)))
+    k = 1e3 * np.array([0.5, 0.5, 0.9, 0.1, 0.5, 0.5])
+    draws = np.random.default_rng(4).poisson(lam=k, size=(30, 6))
+    assert monte_carlo_uncertainty(k, six, D, n_samples=30, seed=4) == per_draw_mc(draws, six, D)
 
 
 # --- dataset glue ---
