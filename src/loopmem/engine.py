@@ -259,8 +259,10 @@ class StorageOutcome:
 
     exits are output-port events in time order; ejections are (time, weight)
     pairs lost at non-output ports; absorbed collects absorptive loss.
-    retrieved is the exit inside the nominal retrieval gate.  Exit weights,
-    ejections and absorbed sum to 1.
+    truncated is the weight still circulating when propagation stopped at the
+    pass cap, which was never simulated to an exit or a loss.  retrieved is
+    the exit inside the nominal retrieval gate.  Exit weights, ejections,
+    absorbed and truncated sum to 1.
     """
 
     n_cycles: int
@@ -270,6 +272,7 @@ class StorageOutcome:
     absorbed: float
     retrieved: ExitEvent
     schedule: DriveSchedule
+    truncated: float = 0.0
 
     @property
     def retrieved_weight(self) -> float:
@@ -277,14 +280,25 @@ class StorageOutcome:
 
     def weight_balance(self) -> float:
         """Total accounted probability; 1 up to float rounding."""
-        tot = sum(e.weight for e in self.exits) + self.absorbed
+        tot = sum(e.weight for e in self.exits) + self.absorbed + self.truncated
         tot += sum(w for _, w in self.ejections)
         return tot
+
+
+_Op2 = tuple[complex, complex, complex, complex]
+
+
+def _entries(m: np.ndarray) -> _Op2:
+    """Row-major entries (a, b, c, d) of a 2x2 operator as Python complex."""
+    (a, b), (c, d) = m.tolist()
+    return complex(a), complex(b), complex(c), complex(d)
 
 
 class _Plumbing:
     """Operators and loss attribution precomputed from a MemoryConfig.
 
+    Every operator is stored as its row-major entries (a, b, c, d) in plain
+    Python complex, so the passage loop runs without numpy calls.
     first_passage and later_passage map a drive level (OFF or ON) to the
     (release, store) operator pair of a switch passage from the circulator
     side (the first) or from the delay side (every later one).
@@ -310,9 +324,9 @@ class _Plumbing:
             passthrough_amp = math.sqrt(p.g13 * p.g22 / (p.g12 * p.g23))
             self.entry_ej_share = 0.0
             self.exit_ej_share = 0.0
-            self.entry_op = math.sqrt(p.g12 / p.g22) * circulator_operator(FORWARD, circ).matrix
-            self.exit_op = math.sqrt(p.g23) * circulator_operator(REVERSE, circ).matrix
-            self.delay_op = math.sqrt(p.g22) * (one_way @ flip @ one_way)
+            entry_op = math.sqrt(p.g12 / p.g22) * circulator_operator(FORWARD, circ).matrix
+            exit_op = math.sqrt(p.g23) * circulator_operator(REVERSE, circ).matrix
+            delay_op = math.sqrt(p.g22) * (one_way @ flip @ one_way)
         else:
             passthrough_amp = 1.0
             c1 = attenuator(*cfg.input_coupler.transmission).matrix
@@ -322,8 +336,8 @@ class _Plumbing:
             for c in cfg.circulator_zone:
                 if c.kind != CIRCULATOR_ARM:
                     circ_static = attenuator(*c.transmission).matrix @ circ_static
-            self.entry_op = circulator_operator(FORWARD, circ).matrix @ circ_static @ c1
-            self.exit_op = c3 @ circ_static @ circulator_operator(REVERSE, circ).matrix
+            entry_op = circulator_operator(FORWARD, circ).matrix @ circ_static @ c1
+            exit_op = c3 @ circ_static @ circulator_operator(REVERSE, circ).matrix
 
             # fraction of each end-zone loss ejected at the circulator (vs absorbed)
             def ej_share(pre_w, arm_w):
@@ -348,26 +362,45 @@ class _Plumbing:
                     d = math.sqrt(c.mean_transmission) * d
                 else:
                     d = attenuator(*c.transmission).matrix @ d
-            self.delay_op = c2 @ one_way @ (d @ flip) @ one_way @ c2
+            delay_op = c2 @ one_way @ (d @ flip) @ one_way @ c2
 
+        self.entry_op = _entries(entry_op)
+        self.exit_op = _entries(exit_op)
+        self.delay_op = _entries(delay_op)
         self.first_passage = {}
         self.later_passage = {}
         for level in (OFF, ON):
             j = switch_amp @ pockels_operator(level, pc).matrix
-            cross = np.diag(np.diag(j))
-            self.first_passage[level] = (passthrough_amp * (j[1, 0] * _X), cross)
-            self.later_passage[level] = (cross, j[0, 1] * _X)
+            cross = _entries(np.diag(np.diag(j)))
+            self.first_passage[level] = (_entries(passthrough_amp * (j[1, 0] * _X)), cross)
+            self.later_passage[level] = (cross, _entries(j[0, 1] * _X))
 
 
 _plumbing = lru_cache(maxsize=16)(_Plumbing)  # one per config; workloads reuse a handful
+
+
+def _apply(op: _Op2, x: complex, y: complex) -> tuple[complex, complex]:
+    a, b, c, d = op
+    return a * x + b * y, c * x + d * y
+
+
+def _norm2(x: complex, y: complex) -> float:
+    return (x * x.conjugate() + y * y.conjugate()).real
+
+
+def _exit_state(x: complex, y: complex) -> DensityMatrix:
+    # |v><v| is Hermitian and PSD by construction; the trace is still guarded
+    xc, yc = x.conjugate(), y.conjugate()
+    return DensityMatrix._trusted(np.array(((x * xc, x * yc), (y * xc, y * yc))))
 
 
 def simulate_storage(cfg: MemoryConfig, input_state: PureState, n: int) -> StorageOutcome:
     """Propagate one heralded photon through n storage cycles.
 
     Returns every output-port exit (the scheduled retrieval plus any early or
-    late leakage), ejections and absorption, with total weight 1.  Raises
-    UnschedulableError when the drive cannot realize the requested n.
+    late leakage), ejections, absorption and the weight left circulating at
+    the pass cap, with total weight 1.  Raises UnschedulableError when the
+    drive cannot realize the requested n.
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"cycle count must be a non-negative integer, got {n!r}")
@@ -380,9 +413,11 @@ def simulate_storage(cfg: MemoryConfig, input_state: PureState, n: int) -> Stora
     exits: list[ExitEvent] = []
     ejections: list[tuple[float, float]] = []
     absorbed = 0.0
+    truncated = 0.0
 
-    v = plumb.entry_op @ input_state.vector()
-    lost = 1.0 - float(np.vdot(v, v).real)
+    # the amplitude (x, y) in the H/V basis, propagated as two complex scalars
+    x, y = _apply(plumb.entry_op, input_state.alpha, input_state.beta)
+    lost = 1.0 - _norm2(x, y)
     if lost > 0:
         ej = lost * plumb.entry_ej_share
         if ej > 0:
@@ -397,20 +432,20 @@ def simulate_storage(cfg: MemoryConfig, input_state: PureState, n: int) -> Stora
     max_k = n + 1 + _EXTRA_PASSES
     while k <= max_k:
         t_k = t1 + (k - 1) * cfg.delta_tau
-        w_in = float(np.vdot(v, v).real)
+        w_in = _norm2(x, y)
         if w_in <= _RESIDUAL_CUTOFF and retrieved is not None:
             absorbed += w_in
             break
         release, store = passages[pockels_level(schedule, t_k)]
-        to_out = release @ v
-        to_delay = store @ v
-        w_out = float(np.vdot(to_out, to_out).real)
-        w_stay = float(np.vdot(to_delay, to_delay).real)
+        out_x, out_y = _apply(release, x, y)
+        stay_x, stay_y = _apply(store, x, y)
+        w_out = _norm2(out_x, out_y)
+        w_stay = _norm2(stay_x, stay_y)
         absorbed += max(w_in - w_out - w_stay, 0.0)
 
         t_exit = t_k + t_half
-        released = plumb.exit_op @ to_out
-        w_rel = float(np.vdot(released, released).real)
+        rel_x, rel_y = _apply(plumb.exit_op, out_x, out_y)
+        w_rel = _norm2(rel_x, rel_y)
         lost = w_out - w_rel
         if lost > 0:
             ej = lost * plumb.exit_ej_share
@@ -419,18 +454,17 @@ def simulate_storage(cfg: MemoryConfig, input_state: PureState, n: int) -> Stora
             absorbed += lost - ej
         in_gate = abs(t_exit - t_nominal) <= gate
         if w_rel > _RESIDUAL_CUTOFF or in_gate:
-            event = ExitEvent(time=t_exit, state=DensityMatrix(np.outer(released, released.conj())))
+            event = ExitEvent(time=t_exit, state=_exit_state(rel_x, rel_y))
             exits.append(event)
             if in_gate:
                 retrieved = event
 
-        v = plumb.delay_op @ to_delay
-        w_next = float(np.vdot(v, v).real)
-        absorbed += max(w_stay - w_next, 0.0)
+        x, y = _apply(plumb.delay_op, stay_x, stay_y)
+        absorbed += max(w_stay - _norm2(x, y), 0.0)
         passages = plumb.later_passage
         k += 1
     else:
-        absorbed += float(np.vdot(v, v).real)
+        truncated = _norm2(x, y)
 
     if retrieved is None:
         raise InvalidStateError("no exit event fell inside the retrieval gate")
@@ -442,6 +476,7 @@ def simulate_storage(cfg: MemoryConfig, input_state: PureState, n: int) -> Stora
         absorbed=absorbed,
         retrieved=retrieved,
         schedule=schedule,
+        truncated=truncated,
     )
     balance = outcome.weight_balance()
     if abs(balance - 1.0) > 1e-9:

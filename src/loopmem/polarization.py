@@ -107,6 +107,22 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
+    def _trusted(cls, m: np.ndarray) -> "DensityMatrix":
+        """Wrap a matrix that is Hermitian and PSD by construction, unchecked.
+
+        For matrices the package built itself: an outer product |v><v|, or a
+        valid state scaled by a positive number.  Only the trace is checked,
+        which is where a gain upstream would show.  ``m`` is frozen in place.
+        """
+        tr = m[0, 0].real + m[1, 1].real
+        if not tr <= 1.0 + _PSD_TOL:
+            raise InvalidStateError(f"density matrix trace {tr} above 1")
+        m.setflags(write=False)
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "matrix", m)
+        return rho
+
+    @classmethod
     def from_pure(cls, state: PureState, weight: float = 1.0) -> "DensityMatrix":
         if not 0.0 <= weight <= 1.0 + _NORM_TOL:
             raise InvalidStateError(f"weight {weight} outside [0, 1]")
@@ -123,7 +139,7 @@ class DensityMatrix:
         w = self.weight
         if w < _NORM_TOL:
             raise InvalidStateError("conditional state undefined at zero weight")
-        return DensityMatrix(self.matrix / w)
+        return DensityMatrix._trusted(self.matrix / w)
 
     def purity(self) -> float:
         """tr(rho_c^2) of the conditional state; 1 for pure."""

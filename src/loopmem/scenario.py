@@ -476,11 +476,15 @@ def _run_simulate(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict
             for t, w in out.ejections:
                 rows.append((label, n, "ejected", t, w, None))
             rows.append((label, n, "absorbed", None, out.absorbed, None))
-            summary[f"{label}/N={n}"] = {
+            entry = {
                 "retrieved_weight": out.retrieved.weight,
                 "fidelity": _exit_fidelity(out.retrieved.state, state),
                 "weight_balance": out.weight_balance(),
             }
+            if out.truncated > 0:
+                rows.append((label, n, "truncated", None, out.truncated, None))
+                entry["truncated"] = out.truncated
+            summary[f"{label}/N={n}"] = entry
     emitter.csv("simulate_events.csv",
                 ("input_state", "n_cycles", "event", "time_ns", "weight", "fidelity"),
                 rows)

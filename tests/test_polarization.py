@@ -54,6 +54,28 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[0.2, 0.5], [0.5, 0.2]]))  # negative eigenvalue
 
 
+def test_trusted_density_matrix_guards_only_the_trace():
+    v = np.array([1.0, 0.1j])  # norm^2 1.01
+    with pytest.raises(InvalidStateError):
+        DensityMatrix._trusted(np.outer(v, v.conj()))
+    with pytest.raises(InvalidStateError):
+        DensityMatrix._trusted(np.full((2, 2), np.nan, dtype=complex))
+    v = v / np.linalg.norm(v)
+    rho = DensityMatrix._trusted(np.outer(v, v.conj()))
+    assert abs(rho.weight - 1.0) < 1e-15
+    assert not rho.matrix.flags.writeable
+
+
+def test_conditional_of_mixed_state_is_read_only_unit_trace():
+    rho = DensityMatrix(np.array([[0.2, 0.05 + 0.1j], [0.05 - 0.1j, 0.3]]))
+    cond = rho.conditional()
+    assert abs(cond.weight - 1.0) < 1e-15
+    assert not cond.matrix.flags.writeable
+    np.testing.assert_allclose(cond.matrix, rho.matrix / 0.5, rtol=0, atol=1e-15)
+    with pytest.raises(InvalidStateError):
+        DensityMatrix(np.zeros((2, 2))).conditional()
+
+
 def test_density_matrix_basic_ops():
     rho = DensityMatrix.from_pure(D, weight=0.25)
     assert abs(rho.weight - 0.25) < 1e-12

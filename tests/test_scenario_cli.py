@@ -338,6 +338,26 @@ def test_cli_simulate_leaves_fidelity_blank_for_weightless_exits(tmp_path, capsy
     assert (outcome["fidelity"] is None) == (outcome["retrieved_weight"] < 1e-12)
 
 
+def test_cli_simulate_reports_truncated_weight_only_when_capped(tmp_path, capsys):
+    # lossless, cell on at N = 0: the leakage tail outlasts the engine's pass cap
+    path = write_scenario(tmp_path, {"label": "lossless", "input_states": ["D"], "n_values": [0, 1],
+                                     "memory": {"delta_tau": 36.5, "pc_rotation_error": 0.01,
+                                                "params": {"g13": 1, "g12": 1, "g22": 1, "g23": 1}}})
+    rc = main(["simulate", "--scenario", path, "--out", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
+    with open(tmp_path / "simulate_events.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[2:]
+    truncated = [row for row in rows if row[2] == "truncated"]
+    assert [row[1] for row in truncated] == ["0"]
+    assert abs(float(truncated[0][4]) - 9.5e-5) < 1e-6
+    absorbed = {row[1]: float(row[4]) for row in rows if row[2] == "absorbed"}
+    assert absorbed["0"] < 1e-12
+    outcomes = json.loads((tmp_path / "simulate.json").read_text())["outcomes"]
+    assert outcomes["D/N=0"]["truncated"] == float(truncated[0][4])
+    assert abs(outcomes["D/N=0"]["weight_balance"] - 1.0) < 1e-9
+    assert "truncated" not in outcomes["D/N=1"]
+
+
 def test_cli_fig4_survives_negative_round_off_in_projections(tmp_path, capsys):
     # without the delay-line flip, D returns orthogonal to the 135 degree
     # analyzer at even cycle counts; at N = 8 that projection rounds to -7.7e-20
