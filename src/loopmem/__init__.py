@@ -14,13 +14,13 @@ from .components import (
 )
 from .counting import (
     CountRecord, DecayScan, MalusScan, ScanDataset, TomographyScan,
-    expected_rate, malus_mean, read_csv, read_json, run_scan, sample_counts,
-    synth_malus_dataset, write_csv, write_json,
+    expected_rate, malus_mean, read_csv, run_scan, sample_counts,
+    synth_malus_dataset, write_csv,
 )
 from .engine import (
     ExitEvent, MemoryConfig, PathTrace, StorageOutcome, TransmissionParams,
     derive_transmission_params, efficiency, f8_path_trace, simulate_storage,
-    switch_schedule,
+    simulate_sweep, switch_schedule,
 )
 from .errors import (
     GainError, IncompleteSetError, InvalidStateError, LoopMemError,

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .engine import MemoryConfig, StorageOutcome, simulate_storage
+from .engine import MemoryConfig, StorageOutcome, simulate_storage, simulate_sweep
 from .errors import SchemaError
 from .polarization import D, H, PureState, R, V, make_pure
 
@@ -147,8 +146,8 @@ def run_scan(cfg: MemoryConfig, input_state: PureState,
             _emit(name, float(i), outcome, projector, scan.n_cycles)
         kind = "tomography"
     elif isinstance(scan, DecayScan):
-        for n in scan.n_values:
-            outcome = simulate_storage(cfg, input_state, n)
+        outcomes = simulate_sweep(cfg, input_state, scan.n_values)
+        for n, outcome in zip(scan.n_values, outcomes):
             _emit("n_cycles", float(n), outcome, input_state, n)
         kind = "decay"
     else:
@@ -235,31 +234,3 @@ def read_csv(path: str | os.PathLike) -> ScanDataset:
                 row[0], float(row[1]), float(row[2]), float(row[3]), int(row[4]),
                 None if row[5] == "" else int(row[5])))
     return ScanDataset(tuple(records), pair_rate, detection_eff, acquisition_s, seed, kind)
-
-
-def write_json(ds: ScanDataset, path: str | os.PathLike) -> None:
-    obj = {
-        "kind": ds.kind,
-        "pair_rate": ds.pair_rate,
-        "detection_eff": ds.detection_eff,
-        "acquisition_s": ds.acquisition_s,
-        "seed": ds.seed,
-        "records": [asdict(r) for r in ds.records],
-    }
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_json(path: str | os.PathLike) -> ScanDataset:
-    with open(path) as fh:
-        obj = json.load(fh)
-    try:
-        records = tuple(
-            CountRecord(r["setting_label"], float(r["setting_value"]), float(r["counts"]),
-                        float(r["acquisition_s"]), int(r["n_cycles"]), r["seed"])
-            for r in obj["records"])
-        return ScanDataset(records, float(obj["pair_rate"]), float(obj["detection_eff"]),
-                           float(obj["acquisition_s"]), obj["seed"], obj["kind"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad dataset file: {exc}", field="records") from exc

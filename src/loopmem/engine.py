@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -248,7 +248,7 @@ class ExitEvent:
     time: float
     state: DensityMatrix
 
-    @property
+    @cached_property
     def weight(self) -> float:
         return self.state.weight
 
@@ -394,48 +394,42 @@ def _exit_state(x: complex, y: complex) -> DensityMatrix:
     return DensityMatrix._trusted(np.array(((x * xc, x * yc), (y * xc, y * yc))))
 
 
-def simulate_storage(cfg: MemoryConfig, input_state: PureState, n: int) -> StorageOutcome:
-    """Propagate one heralded photon through n storage cycles.
+@dataclass
+class _Branch:
+    """A propagation in progress: the amplitude meeting passage k, and all that left before."""
 
-    Returns every output-port exit (the scheduled retrieval plus any early or
-    late leakage), ejections, absorption and the weight left circulating at
-    the pass cap, with total weight 1.  Raises UnschedulableError when the
-    drive cannot realize the requested n.
+    x: complex
+    y: complex
+    k: int
+    absorbed: float
+    exits: list[ExitEvent]
+    ejections: list[tuple[float, float]]
+
+    def fork(self) -> "_Branch":
+        return _Branch(self.x, self.y, self.k, self.absorbed, list(self.exits), list(self.ejections))
+
+
+def _run(cfg: MemoryConfig, plumb: _Plumbing, branch: _Branch, schedule: DriveSchedule,
+         t_nominal: float, last_k: int) -> ExitEvent | None:
+    """Propagate `branch` through passages branch.k..last_k under `schedule`.
+
+    Stops early, counting the residual as absorbed, once the exit in the gate
+    around t_nominal has left and the circulating weight is below the cutoff.
+    Returns that retrieved exit, or None if it has not left yet.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"cycle count must be a non-negative integer, got {n!r}")
-    schedule = switch_schedule(n, cfg)
-    plumb = _plumbing(cfg)
-    t_arrive = cfg.delay_line_compensation
     t_half = cfg.pass_through_time / 2.0
-    t1 = t_arrive + t_half
-
-    exits: list[ExitEvent] = []
-    ejections: list[tuple[float, float]] = []
-    absorbed = 0.0
-    truncated = 0.0
-
-    # the amplitude (x, y) in the H/V basis, propagated as two complex scalars
-    x, y = _apply(plumb.entry_op, input_state.alpha, input_state.beta)
-    lost = 1.0 - _norm2(x, y)
-    if lost > 0:
-        ej = lost * plumb.entry_ej_share
-        if ej > 0:
-            ejections.append((t_arrive, ej))
-        absorbed += lost - ej
-
-    t_nominal = t_arrive + cfg.pass_through_time + n * cfg.delta_tau
+    t1 = cfg.delay_line_compensation + t_half
     gate = cfg.coincidence_window / 2.0
+    exits, ejections = branch.exits, branch.ejections
+    x, y, k, absorbed = branch.x, branch.y, branch.k, branch.absorbed
     retrieved = None
-    passages = plumb.first_passage
-    k = 1
-    max_k = n + 1 + _EXTRA_PASSES
-    while k <= max_k:
+    while k <= last_k:
         t_k = t1 + (k - 1) * cfg.delta_tau
         w_in = _norm2(x, y)
         if w_in <= _RESIDUAL_CUTOFF and retrieved is not None:
             absorbed += w_in
             break
+        passages = plumb.first_passage if k == 1 else plumb.later_passage
         release, store = passages[pockels_level(schedule, t_k)]
         out_x, out_y = _apply(release, x, y)
         stay_x, stay_y = _apply(store, x, y)
@@ -461,27 +455,70 @@ def simulate_storage(cfg: MemoryConfig, input_state: PureState, n: int) -> Stora
 
         x, y = _apply(plumb.delay_op, stay_x, stay_y)
         absorbed += max(w_stay - _norm2(x, y), 0.0)
-        passages = plumb.later_passage
         k += 1
-    else:
-        truncated = _norm2(x, y)
+    branch.x, branch.y, branch.k, branch.absorbed = x, y, k, absorbed
+    return retrieved
 
-    if retrieved is None:
-        raise InvalidStateError("no exit event fell inside the retrieval gate")
-    outcome = StorageOutcome(
-        n_cycles=int(n),
-        input_state=input_state,
-        exits=tuple(exits),
-        ejections=tuple(ejections),
-        absorbed=absorbed,
-        retrieved=retrieved,
-        schedule=schedule,
-        truncated=truncated,
-    )
-    balance = outcome.weight_balance()
-    if abs(balance - 1.0) > 1e-9:
-        raise InvalidStateError(f"probability not conserved: accounted {balance}")
-    return outcome
+
+def simulate_sweep(cfg: MemoryConfig, input_state: PureState,
+                   n_values: tuple[int, ...]) -> tuple[StorageOutcome, ...]:
+    """Propagate one heralded photon through each cycle count in n_values.
+
+    Returns one outcome per entry of n_values, in order, each the one
+    simulate_storage gives for that n.  Every n >= 1 drives the cell OFF at
+    passage 1 and ON through passage n, so passages 1..n are propagated once
+    for all of them; each n branches off at its release passage n + 1 and runs
+    its own tail.  n = 0 runs alone.
+    """
+    schedules = {}
+    for n in n_values:
+        schedules[int(n)] = switch_schedule(n, cfg)
+    plumb = _plumbing(cfg)
+    t_arrive = cfg.delay_line_compensation
+
+    # the amplitude (x, y) in the H/V basis, propagated as two complex scalars
+    x, y = _apply(plumb.entry_op, input_state.alpha, input_state.beta)
+    prefix = _Branch(x, y, k=1, absorbed=0.0, exits=[], ejections=[])
+    lost = 1.0 - _norm2(x, y)
+    if lost > 0:
+        ej = lost * plumb.entry_ej_share
+        if ej > 0:
+            prefix.ejections.append((t_arrive, ej))
+        prefix.absorbed += lost - ej
+
+    outcomes = {}
+    n_last = max(schedules, default=0)
+    for n, schedule in sorted(schedules.items()):
+        t_nominal = t_arrive + cfg.pass_through_time + n * cfg.delta_tau
+        if n < n_last:
+            _run(cfg, plumb, prefix, schedule, t_nominal, n)  # passages every larger n shares
+            branch = prefix.fork()
+        else:
+            branch = prefix  # nothing branches later, so the prefix runs on into this tail
+        max_k = n + 1 + _EXTRA_PASSES
+        retrieved = _run(cfg, plumb, branch, schedule, t_nominal, max_k)
+        if retrieved is None:
+            raise InvalidStateError("no exit event fell inside the retrieval gate")
+        outcome = StorageOutcome(
+            n_cycles=n, input_state=input_state, exits=tuple(branch.exits),
+            ejections=tuple(branch.ejections), absorbed=branch.absorbed, retrieved=retrieved,
+            schedule=schedule, truncated=_norm2(branch.x, branch.y) if branch.k > max_k else 0.0)
+        balance = outcome.weight_balance()
+        if abs(balance - 1.0) > 1e-9:
+            raise InvalidStateError(f"probability not conserved: accounted {balance}")
+        outcomes[n] = outcome
+    return tuple(outcomes[int(n)] for n in n_values)
+
+
+def simulate_storage(cfg: MemoryConfig, input_state: PureState, n: int) -> StorageOutcome:
+    """Propagate one heralded photon through n storage cycles.
+
+    Returns every output-port exit (the scheduled retrieval plus any early or
+    late leakage), ejections, absorption and the weight left circulating at
+    the pass cap, with total weight 1.  Raises UnschedulableError when the
+    drive cannot realize the requested n.
+    """
+    return simulate_sweep(cfg, input_state, (n,))[0]
 
 
 def derive_transmission_params(cfg: MemoryConfig) -> TransmissionParams:

@@ -42,7 +42,7 @@ class PureState:
     The first nonzero amplitude is rotated to be real and nonnegative, so
     the stored numbers identify the physical state rather than a phase
     convention.  Canonicalization rounds like any float arithmetic; compare
-    states with :meth:`isclose`, not ``==``.  Construction rejects
+    states by :meth:`overlap`, not ``==``.  Construction rejects
     non-normalized input; use :func:`make_pure` to normalize arbitrary
     amplitudes.
     """
@@ -64,9 +64,6 @@ class PureState:
     def overlap(self, other: "PureState") -> float:
         """|<self|other>|^2."""
         return abs(np.vdot(self.vector(), other.vector())) ** 2
-
-    def isclose(self, other: "PureState", tol: float = 1e-9) -> bool:
-        return self.overlap(other) >= 1.0 - tol
 
 
 def make_pure(alpha: complex, beta: complex) -> PureState:
@@ -141,11 +138,6 @@ class DensityMatrix:
             raise InvalidStateError("conditional state undefined at zero weight")
         return DensityMatrix._trusted(self.matrix / w)
 
-    def purity(self) -> float:
-        """tr(rho_c^2) of the conditional state; 1 for pure."""
-        c = self.conditional().matrix
-        return float((c @ c).trace().real)
-
     def project(self, state: PureState) -> float:
         """Unconditional projection probability <s|rho|s> (includes weight)."""
         v = state.vector()
@@ -167,11 +159,6 @@ class JonesOperator:
             raise GainError(f"operator has gain (max singular value {smax})")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def is_unitary(self) -> bool:
-        m = self.matrix
-        return bool(np.allclose(m.conj().T @ m, np.eye(2), atol=1e-9))
 
     def __matmul__(self, other: "JonesOperator") -> "JonesOperator":
         return JonesOperator(self.matrix @ other.matrix)

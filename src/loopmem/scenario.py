@@ -468,17 +468,18 @@ def _run_simulate(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict
     for label, state in sc.input_states:
         for n in sc.n_values:
             out = simulate_storage(sc.config, state, n)
+            f_retrieved = _exit_fidelity(out.retrieved.state, state)
             rows.append((label, n, "retrieved", out.retrieved.time,
-                         out.retrieved.weight, _exit_fidelity(out.retrieved.state, state)))
+                         out.retrieved.weight, f_retrieved))
             for ev in out.exits:
-                rows.append((label, n, "exit", ev.time, ev.weight,
-                             _exit_fidelity(ev.state, state)))
+                f = f_retrieved if ev is out.retrieved else _exit_fidelity(ev.state, state)
+                rows.append((label, n, "exit", ev.time, ev.weight, f))
             for t, w in out.ejections:
                 rows.append((label, n, "ejected", t, w, None))
             rows.append((label, n, "absorbed", None, out.absorbed, None))
             entry = {
                 "retrieved_weight": out.retrieved.weight,
-                "fidelity": _exit_fidelity(out.retrieved.state, state),
+                "fidelity": f_retrieved,
                 "weight_balance": out.weight_balance(),
             }
             if out.truncated > 0:

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from loopmem.components import POCKELS_CELL, ComponentSpec
 from loopmem.counting import (
-    DecayScan, MalusScan, TomographyScan, expected_rate, malus_mean,
-    read_csv, read_json, record_seed, run_scan, sample_counts,
-    synth_malus_dataset, write_csv, write_json,
+    CountRecord, DecayScan, MalusScan, TomographyScan, expected_rate, malus_mean,
+    read_csv, record_seed, run_scan, sample_counts, synth_malus_dataset, write_csv,
 )
 from loopmem.engine import MemoryConfig, TransmissionParams, efficiency, simulate_storage
 from loopmem.errors import SchemaError
@@ -77,6 +77,22 @@ def test_decay_scan_noiseless_matches_closed_form():
         assert rec.setting_value == float(n)
 
 
+@pytest.mark.parametrize("seed", [None, 7])
+def test_decay_scan_matches_per_n_storage_loop(seed):
+    # the scan propagates the sweep once; each record must be what a separate
+    # simulate_storage call per N gives
+    cfg = MemoryConfig.from_params(SHORT, delta_tau=36.5,
+                                   switch_zone=(ComponentSpec(POCKELS_CELL, rotation_error=0.05),))
+    ds = run_scan(cfg, D, DecayScan(tuple(range(1, 65))), pair_rate=2000.0,
+                  acquisition_s=60.0, seed=seed)
+    want = []
+    for i, n in enumerate(range(1, 65)):
+        rate = expected_rate(simulate_storage(cfg, D, n), D, 2000.0, 1.0)
+        sub = record_seed(seed, i)
+        want.append(CountRecord("n_cycles", float(n), sample_counts(rate, 60.0, sub), 60.0, n, sub))
+    assert ds.records == tuple(want)
+
+
 def test_malus_scan_noiseless_traces_fringe():
     angles = np.linspace(0.0, math.pi, 13)
     ds = run_scan(IDEAL, D, MalusScan(tuple(angles)), pair_rate=2000.0,
@@ -127,13 +143,6 @@ def test_csv_round_trip(tmp_path):
     write_csv(ds, path)
     assert b"\r" not in path.read_bytes()
     assert read_csv(path) == ds
-
-
-def test_json_round_trip(tmp_path):
-    ds = synth_malus_dataset((0.0, 0.4, 0.9, 1.7, 2.6, 3.1), 1000.0, 0.9, seed=3)
-    path = tmp_path / "malus.json"
-    write_json(ds, path)
-    assert read_json(path) == ds
 
 
 def test_csv_rejects_missing_metadata(tmp_path):

@@ -11,10 +11,11 @@ from loopmem.components import (
 )
 from loopmem.engine import (
     MemoryConfig, TransmissionParams, derive_transmission_params, efficiency,
-    f8_path_trace, simulate_storage, switch_schedule,
+    f8_path_trace, simulate_storage, simulate_sweep, switch_schedule,
 )
 from loopmem.errors import GainError, InvalidStateError, UnschedulableError
 from loopmem.polarization import D, H, R, V, DensityMatrix, fidelity
+from loopmem.scenario import resolve
 
 SHORT = TransmissionParams(0.541, 0.419, 0.50, 0.662)
 LONG = TransmissionParams(0.541, 0.398, 0.44, 0.662)
@@ -207,12 +208,8 @@ def test_circulator_arm_phase_drops_out():
             assert fidelity(out.retrieved.state, R) > 1 - 1e-9
 
 
-def test_lossy_phased_switch_matches_recorded_outcomes():
-    # engine_regression.json holds outcomes for D recorded before the switch
-    # and zone operators were composed from the components/polarization primitives;
-    # the low-loss and paper-short+pc0.05 cases were recorded before the passage
-    # loop moved from numpy vectors to complex scalars
-    recorded = json.loads((Path(__file__).parent / "engine_regression.json").read_text())
+def regression_configs():
+    """The lossy, phased devices whose outcomes engine_regression.json records."""
     inventory = MemoryConfig(
         delta_tau=36.5,
         input_coupler=ComponentSpec(COUPLER, 0.96), loop_coupler=ComponentSpec(COUPLER, 0.96),
@@ -232,9 +229,20 @@ def test_lossy_phased_switch_matches_recorded_outcomes():
         TransmissionParams(0.98, 0.98, 0.99, 0.99), delta_tau=36.5,
         switch_zone=(ComponentSpec(POCKELS_CELL, rotation_error=0.01),))
     short_pc = short_config(switch_zone=(ComponentSpec(POCKELS_CELL, rotation_error=0.05),))
-    cases = [(f"{name}/N={n}", cfg, n)
-             for name, cfg in (("inventory", inventory), ("lumped", lumped)) for n in (0, 1, 3)]
-    cases += [("low-loss/N=0", low_loss, 0), ("paper-short+pc0.05/N=64", short_pc, 64)]
+    return {"inventory": inventory, "lumped": lumped, "low-loss": low_loss,
+            "paper-short+pc0.05": short_pc}
+
+
+def test_lossy_phased_switch_matches_recorded_outcomes():
+    # engine_regression.json holds outcomes for D recorded before the switch
+    # and zone operators were composed from the components/polarization primitives;
+    # the low-loss and paper-short+pc0.05 cases were recorded before the passage
+    # loop moved from numpy vectors to complex scalars
+    recorded = json.loads((Path(__file__).parent / "engine_regression.json").read_text())
+    configs = regression_configs()
+    cases = [(f"{name}/N={n}", configs[name], n) for name in ("inventory", "lumped") for n in (0, 1, 3)]
+    cases += [("low-loss/N=0", configs["low-loss"], 0),
+              ("paper-short+pc0.05/N=64", configs["paper-short+pc0.05"], 64)]
     for key, cfg, n in cases:
         want = recorded[key]
         out = simulate_storage(cfg, D, n)
@@ -249,6 +257,31 @@ def test_lossy_phased_switch_matches_recorded_outcomes():
         np.testing.assert_allclose(exits, want["exits"], rtol=0, atol=1e-12)
         np.testing.assert_allclose(np.reshape(out.ejections, (-1, 2)),
                                    np.reshape(want["ejections"], (-1, 2)), rtol=0, atol=1e-12)
+
+
+def test_sweep_matches_one_propagation_per_n():
+    configs = regression_configs()
+    for preset in ("paper-short", "paper-long"):
+        configs[preset] = resolve({"preset": preset, "memory": {"pc_rotation_error": 0.05}}).config
+    n_values = (5, 0, 3, 3, 64, 1)
+    for cfg in configs.values():
+        for state in (H, D, R):
+            sweep = simulate_sweep(cfg, state, n_values)
+            assert [out.n_cycles for out in sweep] == list(n_values)
+            for n, out in zip(n_values, sweep):
+                (alone,) = simulate_sweep(cfg, state, (n,))
+                assert [ev.time for ev in out.exits] == [ev.time for ev in alone.exits]
+                for ev, ev_alone in zip(out.exits, alone.exits):
+                    assert np.array_equal(ev.state.matrix, ev_alone.state.matrix)
+                assert out.ejections == alone.ejections
+                assert out.absorbed == alone.absorbed and out.truncated == alone.truncated
+                assert out.retrieved.time == alone.retrieved.time
+                assert not any(isinstance(v, list) for v in vars(out).values())
+    assert simulate_sweep(short_config(), D, ()) == ()
+    with pytest.raises(ValueError):
+        simulate_sweep(short_config(), D, (3, -1))
+    with pytest.raises(UnschedulableError):
+        simulate_sweep(short_config(pc_rise_time=40.0), D, (1, 2))
 
 
 def test_pass_cap_residual_is_truncated_not_absorbed():

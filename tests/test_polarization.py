@@ -27,7 +27,7 @@ def test_overlaps():
 def test_global_phase_canonicalized():
     s1 = make_pure(1.0, 1.0)
     s2 = make_pure(-1.0, -1.0)
-    assert s1.isclose(s2)
+    assert abs(s1.overlap(s2) - 1.0) < 1e-12
     assert abs(s2.alpha.imag) < 1e-15 and s2.alpha.real > 0
     s3 = make_pure(1j * 0.6, 1j * 0.8)
     assert abs(s3.alpha - 0.6) < 1e-12 and abs(s3.beta - 0.8) < 1e-12
@@ -81,7 +81,7 @@ def test_density_matrix_basic_ops():
     assert abs(rho.weight - 0.25) < 1e-12
     cond = rho.conditional()
     assert abs(cond.weight - 1.0) < 1e-12
-    assert abs(cond.purity() - 1.0) < 1e-12
+    assert abs(np.trace(cond.matrix @ cond.matrix).real - 1.0) < 1e-12
     assert abs(rho.project(D) - 0.25) < 1e-12
     assert abs(rho.project(A)) < 1e-12
     # unconditional projection keeps the loss in the number
@@ -129,7 +129,7 @@ def test_unitaries_preserve_weight():
         s = make_pure(a[0], a[1])
         rho = DensityMatrix.from_pure(s)
         op = rotator(rng.uniform(0, 2 * math.pi)) @ birefringent_phase(rng.uniform(0, 2 * math.pi))
-        assert op.is_unitary
+        assert np.allclose(op.matrix.conj().T @ op.matrix, np.eye(2), atol=1e-12)
         out = apply(rho, op)
         assert abs(out.weight - 1.0) < 1e-12
         f = fidelity(out, s)

@@ -112,8 +112,8 @@ def test_error_knobs_need_lumped_params():
 def test_input_state_forms():
     sc = resolve({"preset": "paper-short", "input_states": ["H", "D"]})
     assert [name for name, _ in sc.input_states] == ["H", "D"]
-    assert sc.input_states[0][1].isclose(H)
-    assert sc.input_states[1][1].isclose(D)
+    assert sc.input_states[0][1].overlap(H) > 1 - 1e-12
+    assert sc.input_states[1][1].overlap(D) > 1 - 1e-12
     custom = resolve({"preset": "paper-short", "input_states": [
         {"label": "elliptic", "alpha": [0.8, 0.0], "beta": [0.0, 0.6]}]})
     name, state = custom.input_states[0]
