@@ -22,7 +22,7 @@ rather than polarization errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -50,7 +50,7 @@ from .polarization import DensityMatrix, PureState, attenuator, birefringent_pha
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _RESIDUAL_CUTOFF = 1e-16
-_EXTRA_PASSES = 512
+_LISTED_PASSES = 64  # passages past the release passage whose events are listed one by one
 
 
 @dataclass(frozen=True)
@@ -186,6 +186,18 @@ class MemoryConfig:
             if p.g13 * p.g22 > p.g12 * p.g23 + 1e-12:
                 raise GainError("g13*g22 > g12*g23 implies an amplifying pass-through")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the field hash @dataclass would recompute on every engine cache lookup
+        return hash(tuple(getattr(self, f.name) for f in fields(self)))
+
+    def __getstate__(self) -> dict:
+        # str hashes differ between processes, so an unpickled copy hashes afresh
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     @classmethod
     def from_params(cls, params: TransmissionParams, delta_tau: float, **kwargs) -> "MemoryConfig":
         """Configuration whose simulated efficiencies equal the given params exactly."""
@@ -241,28 +253,40 @@ def switch_schedule(n: int, cfg: MemoryConfig) -> DriveSchedule:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExitEvent:
-    """Photon leaving at the output port: arrival time and (lossy) state."""
+    """Photon leaving at the output port: arrival time, weight and (lossy) state.
+
+    rho holds the entries (HH, HV, VV) of the unnormalized density matrix and
+    weight its trace; the state is built on first read, since scans read only
+    the retrieved exit.
+    """
 
     time: float
-    state: DensityMatrix
+    weight: float
+    rho: tuple[complex, complex, complex]
 
     @cached_property
-    def weight(self) -> float:
-        return self.state.weight
+    def state(self) -> DensityMatrix:
+        # Hermitian by construction (VH is the conjugate of HV); only the trace is checked
+        hh, hv, vv = self.rho
+        return DensityMatrix._trusted(np.array(((hh, hv), (hv.conjugate(), vv))))
 
 
 @dataclass(frozen=True)
 class StorageOutcome:
     """Complete account of one storage attempt.
 
-    exits are output-port events in time order; ejections are (time, weight)
-    pairs lost at non-output ports; absorbed collects absorptive loss.
-    truncated is the weight still circulating when propagation stopped at the
-    pass cap, which was never simulated to an exit or a loss.  retrieved is
-    the exit inside the nominal retrieval gate.  Exit weights, ejections,
-    absorbed and truncated sum to 1.
+    exits are output-port events and ejections (time, weight) pairs lost at
+    non-output ports, both in time order and listed passage by passage up to
+    64 passages past the release passage n + 1.  Events of weight at most
+    1e-16 are not listed, except the exit inside the nominal retrieval gate,
+    which is retrieved.  tail is the exact sum of every exit after the listed
+    passages (its time is the first passage it covers) plus the unlisted light
+    exits, and tail_ejected the same sum for ejections.  When nothing above
+    1e-16 circulates after the listing, tail is None and the unlisted light
+    events stay out of the account.  absorbed collects absorptive loss.  Exit
+    weights, tail, ejections, tail_ejected and absorbed sum to 1.
     """
 
     n_cycles: int
@@ -272,7 +296,8 @@ class StorageOutcome:
     absorbed: float
     retrieved: ExitEvent
     schedule: DriveSchedule
-    truncated: float = 0.0
+    tail: ExitEvent | None = None
+    tail_ejected: float = 0.0
 
     @property
     def retrieved_weight(self) -> float:
@@ -280,8 +305,10 @@ class StorageOutcome:
 
     def weight_balance(self) -> float:
         """Total accounted probability; 1 up to float rounding."""
-        tot = sum(e.weight for e in self.exits) + self.absorbed + self.truncated
+        tot = sum(e.weight for e in self.exits) + self.absorbed + self.tail_ejected
         tot += sum(w for _, w in self.ejections)
+        if self.tail is not None:
+            tot += self.tail.weight
         return tot
 
 
@@ -374,6 +401,33 @@ class _Plumbing:
             cross = _entries(np.diag(np.diag(j)))
             self.first_passage[level] = (_entries(passthrough_amp * (j[1, 0] * _X)), cross)
             self.later_passage[level] = (cross, _entries(j[0, 1] * _X))
+        self._stein = {}
+
+    def stein(self, level: float) -> tuple[tuple[complex, ...], ...] | None:
+        """Linear maps that sum every later passage at one fixed drive level.
+
+        Passages from the delay side at this level send the circulating
+        amplitude x through M = delay.store and out through E = exit.release,
+        so from x on they leave S = sum_j M^j x x^+ M^+j, the solution of the
+        Stein equation S = x x^+ + M S M^+.  The four rows returned map the
+        row-major entries of x x^+ to the entries HH, HV and VV of the summed
+        exit state E S E^+ and to the summed released weight
+        tr(release S release^+).  None when M does not decay (spectral
+        radius >= 1).  Built once per level, with one 4x4 solve.
+        """
+        if level not in self._stein:
+            release, store = (np.reshape(op, (2, 2)) for op in self.later_passage[level])
+            m = np.reshape(self.delay_op, (2, 2)) @ store
+            e = np.reshape(self.exit_op, (2, 2)) @ release
+            rows = None
+            if np.abs(np.linalg.eigvals(m)).max() < 1.0:
+                # row-major vec(A S A^+) = kron(A, conj A) vec(S)
+                ee, rr = np.kron(e, e.conj()), np.kron(release, release.conj())
+                lhs = np.stack((ee[0], ee[1], ee[3], rr[0] + rr[3]))
+                sol = np.linalg.solve((np.eye(4) - np.kron(m, m.conj())).T, lhs.T).T
+                rows = tuple(map(tuple, sol.tolist()))
+            self._stein[level] = rows
+        return self._stein[level]
 
 
 _plumbing = lru_cache(maxsize=16)(_Plumbing)  # one per config; workloads reuse a handful
@@ -388,32 +442,33 @@ def _norm2(x: complex, y: complex) -> float:
     return (x * x.conjugate() + y * y.conjugate()).real
 
 
-def _exit_state(x: complex, y: complex) -> DensityMatrix:
-    # |v><v| is Hermitian and PSD by construction; the trace is still guarded
-    xc, yc = x.conjugate(), y.conjugate()
-    return DensityMatrix._trusted(np.array(((x * xc, x * yc), (y * xc, y * yc))))
-
-
 @dataclass
 class _Branch:
-    """A propagation in progress: the amplitude meeting passage k, and all that left before."""
+    """A propagation in progress: the amplitude meeting passage k, and all that left before.
+
+    quiet sums the (HH, HV, VV) entries of the exits too light to list, and
+    quiet_ejected the weight of the ejections too light to list.
+    """
 
     x: complex
     y: complex
     k: int
     absorbed: float
-    exits: list[ExitEvent]
-    ejections: list[tuple[float, float]]
+    exits: list[ExitEvent] = field(default_factory=list)
+    ejections: list[tuple[float, float]] = field(default_factory=list)
+    quiet: tuple[complex, complex, complex] = (0j, 0j, 0j)
+    quiet_ejected: float = 0.0
 
     def fork(self) -> "_Branch":
-        return _Branch(self.x, self.y, self.k, self.absorbed, list(self.exits), list(self.ejections))
+        return _Branch(self.x, self.y, self.k, self.absorbed, list(self.exits),
+                       list(self.ejections), self.quiet, self.quiet_ejected)
 
 
 def _run(cfg: MemoryConfig, plumb: _Plumbing, branch: _Branch, schedule: DriveSchedule,
          t_nominal: float, last_k: int) -> ExitEvent | None:
     """Propagate `branch` through passages branch.k..last_k under `schedule`.
 
-    Stops early, counting the residual as absorbed, once the exit in the gate
+    Stops early, leaving the residual for _close, once the exit in the gate
     around t_nominal has left and the circulating weight is below the cutoff.
     Returns that retrieved exit, or None if it has not left yet.
     """
@@ -422,12 +477,12 @@ def _run(cfg: MemoryConfig, plumb: _Plumbing, branch: _Branch, schedule: DriveSc
     gate = cfg.coincidence_window / 2.0
     exits, ejections = branch.exits, branch.ejections
     x, y, k, absorbed = branch.x, branch.y, branch.k, branch.absorbed
+    (q_hh, q_hv, q_vv), q_ej = branch.quiet, branch.quiet_ejected
     retrieved = None
     while k <= last_k:
         t_k = t1 + (k - 1) * cfg.delta_tau
         w_in = _norm2(x, y)
         if w_in <= _RESIDUAL_CUTOFF and retrieved is not None:
-            absorbed += w_in
             break
         passages = plumb.first_passage if k == 1 else plumb.later_passage
         release, store = passages[pockels_level(schedule, t_k)]
@@ -439,25 +494,66 @@ def _run(cfg: MemoryConfig, plumb: _Plumbing, branch: _Branch, schedule: DriveSc
 
         t_exit = t_k + t_half
         rel_x, rel_y = _apply(plumb.exit_op, out_x, out_y)
-        w_rel = _norm2(rel_x, rel_y)
+        # |v><v| of the exit amplitude v = (rel_x, rel_y); its trace is the exit weight
+        yc = rel_y.conjugate()
+        hh, hv, vv = rel_x * rel_x.conjugate(), rel_x * yc, rel_y * yc
+        w_rel = (hh + vv).real
         lost = w_out - w_rel
         if lost > 0:
             ej = lost * plumb.exit_ej_share
-            if ej > 0:
+            if ej > _RESIDUAL_CUTOFF:
                 ejections.append((t_exit, ej))
+            else:
+                q_ej += ej
             absorbed += lost - ej
         in_gate = abs(t_exit - t_nominal) <= gate
         if w_rel > _RESIDUAL_CUTOFF or in_gate:
-            event = ExitEvent(time=t_exit, state=_exit_state(rel_x, rel_y))
+            event = ExitEvent(t_exit, w_rel, (hh, hv, vv))
             exits.append(event)
             if in_gate:
                 retrieved = event
+        else:
+            q_hh, q_hv, q_vv = q_hh + hh, q_hv + hv, q_vv + vv
 
         x, y = _apply(plumb.delay_op, stay_x, stay_y)
         absorbed += max(w_stay - _norm2(x, y), 0.0)
         k += 1
     branch.x, branch.y, branch.k, branch.absorbed = x, y, k, absorbed
+    branch.quiet, branch.quiet_ejected = (q_hh, q_hv, q_vv), q_ej
     return retrieved
+
+
+def _close(cfg: MemoryConfig, plumb: _Plumbing, branch: _Branch,
+           schedule: DriveSchedule) -> tuple[ExitEvent | None, float]:
+    """Settle what `branch` leaves after its listed passages: (tail exit, tail ejection).
+
+    A residual at or below the cutoff is absorbed, with no tail.  Otherwise
+    every later passage runs at the schedule's final drive level and
+    plumb.stein sums them exactly; the tail also carries the unlisted light
+    events, and what never leaves the loop is absorbed.
+    """
+    x, y = branch.x, branch.y
+    w = _norm2(x, y)
+    if w <= _RESIDUAL_CUTOFF:
+        branch.absorbed += w
+        return None, 0.0
+    t_k = cfg.delay_line_compensation + cfg.pass_through_time / 2.0 + (branch.k - 1) * cfg.delta_tau
+    sums = plumb.stein(pockels_level(schedule, t_k))
+    if sums is None:
+        raise InvalidStateError(
+            f"weight {w} still circulates after passage {branch.k - 1} and never decays: "
+            "at the final drive level the round trip keeps it all (spectral radius >= 1)")
+    xc, yc = x.conjugate(), y.conjugate()
+    a, b, c, d = x * xc, x * yc, y * xc, y * yc  # row-major entries of x x^+
+    hh, hv, vv, released = [r0 * a + r1 * b + r2 * c + r3 * d for r0, r1, r2, r3 in sums]
+    hh, vv, released = max(hh.real, 0.0), max(vv.real, 0.0), released.real
+    lost = max(released - hh - vv, 0.0)
+    ej = lost * plumb.exit_ej_share
+    branch.absorbed += lost - ej + max(w - released, 0.0)
+    q_hh, q_hv, q_vv = branch.quiet
+    hh, hv, vv = hh + q_hh, hv + q_hv, vv + q_vv
+    tail = ExitEvent(t_k + cfg.pass_through_time / 2.0, (hh + vv).real, (hh, hv, vv))
+    return tail, branch.quiet_ejected + ej
 
 
 def simulate_sweep(cfg: MemoryConfig, input_state: PureState,
@@ -478,12 +574,14 @@ def simulate_sweep(cfg: MemoryConfig, input_state: PureState,
 
     # the amplitude (x, y) in the H/V basis, propagated as two complex scalars
     x, y = _apply(plumb.entry_op, input_state.alpha, input_state.beta)
-    prefix = _Branch(x, y, k=1, absorbed=0.0, exits=[], ejections=[])
+    prefix = _Branch(x, y, k=1, absorbed=0.0)
     lost = 1.0 - _norm2(x, y)
     if lost > 0:
         ej = lost * plumb.entry_ej_share
-        if ej > 0:
+        if ej > _RESIDUAL_CUTOFF:
             prefix.ejections.append((t_arrive, ej))
+        else:
+            prefix.quiet_ejected += ej
         prefix.absorbed += lost - ej
 
     outcomes = {}
@@ -495,14 +593,14 @@ def simulate_sweep(cfg: MemoryConfig, input_state: PureState,
             branch = prefix.fork()
         else:
             branch = prefix  # nothing branches later, so the prefix runs on into this tail
-        max_k = n + 1 + _EXTRA_PASSES
-        retrieved = _run(cfg, plumb, branch, schedule, t_nominal, max_k)
+        retrieved = _run(cfg, plumb, branch, schedule, t_nominal, n + 1 + _LISTED_PASSES)
         if retrieved is None:
             raise InvalidStateError("no exit event fell inside the retrieval gate")
+        tail, tail_ejected = _close(cfg, plumb, branch, schedule)
         outcome = StorageOutcome(
             n_cycles=n, input_state=input_state, exits=tuple(branch.exits),
             ejections=tuple(branch.ejections), absorbed=branch.absorbed, retrieved=retrieved,
-            schedule=schedule, truncated=_norm2(branch.x, branch.y) if branch.k > max_k else 0.0)
+            schedule=schedule, tail=tail, tail_ejected=tail_ejected)
         balance = outcome.weight_balance()
         if abs(balance - 1.0) > 1e-9:
             raise InvalidStateError(f"probability not conserved: accounted {balance}")
@@ -514,9 +612,11 @@ def simulate_storage(cfg: MemoryConfig, input_state: PureState, n: int) -> Stora
     """Propagate one heralded photon through n storage cycles.
 
     Returns every output-port exit (the scheduled retrieval plus any early or
-    late leakage), ejections, absorption and the weight left circulating at
-    the pass cap, with total weight 1.  Raises UnschedulableError when the
-    drive cannot realize the requested n.
+    late leakage), ejections and absorption, with total weight 1.  Events are
+    listed one by one up to 64 passages past the release passage n + 1; what
+    leaks after that is summed exactly into one tail exit and one tail
+    ejection.  Raises UnschedulableError when the drive cannot realize the
+    requested n, and InvalidStateError when weight would circulate forever.
     """
     return simulate_sweep(cfg, input_state, (n,))[0]
 

@@ -476,16 +476,17 @@ def _run_simulate(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict
                 rows.append((label, n, "exit", ev.time, ev.weight, f))
             for t, w in out.ejections:
                 rows.append((label, n, "ejected", t, w, None))
+            if out.tail is not None:
+                rows.append((label, n, "tail-exit", out.tail.time, out.tail.weight,
+                             _exit_fidelity(out.tail.state, state)))
+                if out.tail_ejected > 0:
+                    rows.append((label, n, "tail-ejected", out.tail.time, out.tail_ejected, None))
             rows.append((label, n, "absorbed", None, out.absorbed, None))
-            entry = {
+            summary[f"{label}/N={n}"] = {
                 "retrieved_weight": out.retrieved.weight,
                 "fidelity": f_retrieved,
                 "weight_balance": out.weight_balance(),
             }
-            if out.truncated > 0:
-                rows.append((label, n, "truncated", None, out.truncated, None))
-                entry["truncated"] = out.truncated
-            summary[f"{label}/N={n}"] = entry
     emitter.csv("simulate_events.csv",
                 ("input_state", "n_cycles", "event", "time_ns", "weight", "fidelity"),
                 rows)

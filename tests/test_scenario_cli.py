@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from loopmem.cli import main
+from loopmem.components import POCKELS_CELL
 from loopmem.engine import derive_transmission_params
 from loopmem.errors import SchemaError
 from loopmem.polarization import D, H
@@ -338,24 +339,62 @@ def test_cli_simulate_leaves_fidelity_blank_for_weightless_exits(tmp_path, capsy
     assert (outcome["fidelity"] is None) == (outcome["retrieved_weight"] < 1e-12)
 
 
-def test_cli_simulate_reports_truncated_weight_only_when_capped(tmp_path, capsys):
-    # lossless, cell on at N = 0: the leakage tail outlasts the engine's pass cap
+def test_cli_simulate_reports_tail_only_when_weight_outlasts_listing(tmp_path, capsys):
+    # lossless, cell on at N = 0: after the 65 listed passages sin^2(eps)
+    # cos^128(eps) still circulates, and all of it leaks out in the tail
+    eps = 0.01
     path = write_scenario(tmp_path, {"label": "lossless", "input_states": ["D"], "n_values": [0, 1],
-                                     "memory": {"delta_tau": 36.5, "pc_rotation_error": 0.01,
+                                     "memory": {"delta_tau": 36.5, "pc_rotation_error": eps,
                                                 "params": {"g13": 1, "g12": 1, "g22": 1, "g23": 1}}})
     rc = main(["simulate", "--scenario", path, "--out", str(tmp_path)])
     assert rc == 0, capsys.readouterr().err
     with open(tmp_path / "simulate_events.csv", newline="") as fh:
         rows = list(csv.reader(fh))[2:]
-    truncated = [row for row in rows if row[2] == "truncated"]
-    assert [row[1] for row in truncated] == ["0"]
-    assert abs(float(truncated[0][4]) - 9.5e-5) < 1e-6
+    events = {row[2] for row in rows}
+    assert "truncated" not in events and "tail-ejected" not in events  # nothing is ejected
+    tail = [row for row in rows if row[2] == "tail-exit"]
+    assert [row[1] for row in tail] == ["0"]
+    expected = math.sin(eps) ** 2 * math.cos(eps) ** 128
+    assert abs(float(tail[0][4]) - expected) < 1e-12
+    exit_times = [float(row[3]) for row in rows if row[1] == "0" and row[2] == "exit"]
+    assert len(exit_times) == 65 and float(tail[0][3]) == exit_times[-1] + 36.5
+    assert abs(float(tail[0][5]) - 1.0) < 1e-9  # the leak keeps D
     absorbed = {row[1]: float(row[4]) for row in rows if row[2] == "absorbed"}
     assert absorbed["0"] < 1e-12
     outcomes = json.loads((tmp_path / "simulate.json").read_text())["outcomes"]
-    assert outcomes["D/N=0"]["truncated"] == float(truncated[0][4])
-    assert abs(outcomes["D/N=0"]["weight_balance"] - 1.0) < 1e-9
-    assert "truncated" not in outcomes["D/N=1"]
+    assert all("truncated" not in o for o in outcomes.values())
+    assert abs(outcomes["D/N=0"]["weight_balance"] - 1.0) < 1e-13
+
+
+def test_cli_simulate_sums_light_and_late_ejections(tmp_path, capsys):
+    # the inventory device with a rotated cell ejects at every passage at N = 0
+    inventory = [dict(c) for c in PRESETS["paper-improved"]["memory"]["inventory"]]
+    for c in inventory:
+        if c["kind"] == POCKELS_CELL:
+            c["rotation_error"] = 0.05
+    path = write_scenario(tmp_path, {"preset": "paper-improved", "input_states": ["D"],
+                                     "n_values": [0], "memory": {"inventory": inventory}})
+    rc = main(["simulate", "--scenario", path, "--out", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
+    with open(tmp_path / "simulate_events.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[2:]
+    ejected = [float(row[4]) for row in rows if row[2] == "ejected"]
+    assert ejected and min(ejected) > 1e-16
+    (tail,) = [row for row in rows if row[2] == "tail-ejected"]
+    assert float(tail[4]) > 0
+    assert tail[3] == next(row[3] for row in rows if row[2] == "tail-exit")
+    outcome = json.loads((tmp_path / "simulate.json").read_text())["outcomes"]["D/N=0"]
+    assert abs(outcome["weight_balance"] - 1.0) < 1e-13
+
+
+def test_cli_simulate_runs_the_checked_in_low_loss_scenario(tmp_path, capsys):
+    path = Path(__file__).parent.parent / "demos" / "low_loss_tail.json"
+    rc = main(["simulate", "--scenario", str(path), "--out", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
+    with open(tmp_path / "simulate_events.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[2:]
+    assert {(row[0], row[1]) for row in rows if row[2] == "tail-exit"} == {
+        ("H", "0"), ("D", "0"), ("R", "0")}
 
 
 def test_cli_fig4_survives_negative_round_off_in_projections(tmp_path, capsys):
