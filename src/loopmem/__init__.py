@@ -37,7 +37,7 @@ from .polarization import (
 from .scenario import PRESETS, Scenario, load_scenario, preset_scenario, resolve, run
 from .tomography import (
     MeasurementSet, ReconstructionResult, counts_from_dataset, exact_mle_bloch,
-    linear_inversion, mle_reconstruct, monte_carlo_uncertainty,
+    exact_mle_fidelities, linear_inversion, mle_reconstruct, monte_carlo_uncertainty,
     reconstruct_with_uncertainty,
 )
 

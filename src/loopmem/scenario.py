@@ -29,10 +29,12 @@ from .components import (
 from .counting import DecayScan, MalusScan, TomographyScan, format_table, record_seed, run_scan
 from .engine import (MemoryConfig, TransmissionParams, derive_transmission_params,
                      efficiency, simulate_storage)
-from .errors import InvalidStateError, SchemaError
+from .errors import InvalidStateError, NoSignalError, SchemaError
 from .fitting import ATTENUATION_DB_PER_KM, fit_decay, fit_malus, project_budget, route_inventory
 from .polarization import A, D, H, L, PureState, R, V, fidelity, make_pure
-from .tomography import MeasurementSet, counts_from_dataset, mle_reconstruct, reconstruct_with_uncertainty
+from .tomography import (MeasurementSet, counts_from_dataset, exact_mle_fidelities,
+                         reconstruct_with_uncertainty)
+from .tomography import mle_reconstruct  # noqa: F401  bench/tracer.py requires this binding
 
 STATE_NAMES = {"H": H, "V": V, "D": D, "A": A, "R": R, "L": L}
 
@@ -602,27 +604,39 @@ def _run_fig3(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
 def _run_fig4(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
     """Output-quality-vs-storage-time bundle: visibilities and fidelities per n.
 
-    Fidelities are MLE point estimates; the Monte Carlo error bars are left to
-    the dedicated tomo pipeline to keep this sweep fast.
+    Each n draws its fringe scans, then its H, D and R tomography scans, from
+    the next sub-seeds.  The fidelities are exact maximum-likelihood point
+    estimates, solved for every n and state in one `exact_mle_fidelities`
+    batch after the scans; a tomography without a solution raises
+    `NoSignalError`.  The Monte Carlo error bars are left to the dedicated
+    tomo pipeline to keep this sweep fast.
     """
     mset = MeasurementSet()
-    rows = []
-    per_n = {}
+    states = (("H", H), ("D", D), ("R", R))
+    entries, counts = [], []
     for n in sc.n_values:
         _, fits = _malus_fits(sc, _FRINGE_STATES, n, seeds)
         entry = {}
         for label in ("H", "D"):
             entry[f"visibility_{label.lower()}"] = fits[label]["visibility"]
             entry[f"sigma_v{label.lower()}"] = fits[label]["sigma_visibility"]
-        for label, state in (("H", H), ("D", D), ("R", R)):
-            ds = _scan(sc, state, TomographyScan(n), seeds)
-            res = mle_reconstruct(counts_from_dataset(ds, mset), mset, state)
-            entry[f"fidelity_{label.lower()}"] = res.fidelity
+        entries.append(entry)
+        for _, state in states:
+            counts.append(counts_from_dataset(_scan(sc, state, TomographyScan(n), seeds), mset))
+    fids, failed = exact_mle_fidelities(counts, mset, [s for _, s in states] * len(entries))
+    if failed.any():
+        i = int(np.flatnonzero(failed)[0])
+        raise NoSignalError(f"fig4 tomography of {states[i % 3][0]} at "
+                            f"N={sc.n_values[i // 3]} has no maximum-likelihood estimate")
+    rows = []
+    for n, entry, fid in zip(sc.n_values, entries, fids.reshape(-1, 3)):
+        for (label, _), f in zip(states, fid):
+            entry[f"fidelity_{label.lower()}"] = float(f)
         rows.append((n, n * sc.config.delta_tau,
                      entry["visibility_h"], entry["sigma_vh"],
                      entry["visibility_d"], entry["sigma_vd"],
                      entry["fidelity_h"], entry["fidelity_d"], entry["fidelity_r"]))
-        per_n[str(n)] = entry
+    per_n = {str(n): entry for n, entry in zip(sc.n_values, entries)}
     emitter.csv("fig4.csv",
                 ("n_cycles", "storage_time_ns", "visibility_h", "sigma_vh",
                  "visibility_d", "sigma_vd", "fidelity_h", "fidelity_d", "fidelity_r"),

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import loopmem.scenario
 from loopmem.cli import main
 from loopmem.components import POCKELS_CELL
 from loopmem.engine import derive_transmission_params
@@ -404,6 +405,49 @@ def test_cli_fig4_survives_negative_round_off_in_projections(tmp_path, capsys):
         "x_dl_enabled": False, "delay_static_phase": 0.3}})
     rc = main(["reproduce", "fig4", "--scenario", path, "--out", str(tmp_path)])
     assert rc == 0, capsys.readouterr().err
+
+
+def test_fig4_matches_the_recorded_lbfgs_run(tmp_path):
+    # fig4_regression.json holds fig4 at seed 0 as written when each fidelity
+    # was a separate L-BFGS fit; the exact batch draws the same counts
+    recorded = json.loads((Path(__file__).parent / "fig4_regression.json").read_text())
+    for preset, want in recorded["presets"].items():
+        sc = resolve({"preset": preset, "seed": recorded["seed"]})
+        run(sc, "reproduce", str(tmp_path / preset), figure="fig4")
+        per_n = json.loads((tmp_path / preset / "fig4.json").read_text())["per_n"]
+        assert per_n.keys() == want["per_n"].keys()
+        for n, entry in want["per_n"].items():
+            assert per_n[n].keys() == entry.keys()
+            for key, value in entry.items():
+                if key.startswith("fidelity"):
+                    assert abs(per_n[n][key] - value) <= 1e-5, (preset, n, key)
+                else:
+                    assert per_n[n][key] == value, (preset, n, key)
+        with open(tmp_path / preset / "fig4.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh.readlines()[1:]))
+        assert {r["n_cycles"]: float(r["storage_time_ns"]) for r in rows} == want["storage_time_ns"]
+        for r in rows:
+            for key in ("visibility_h", "sigma_vh", "visibility_d", "sigma_vd",
+                        "fidelity_h", "fidelity_d", "fidelity_r"):
+                assert float(r[key]) == per_n[r["n_cycles"]][key]
+
+
+def test_cli_fig4_tomography_without_counts_exits_1(tmp_path, capsys, monkeypatch):
+    original = loopmem.scenario.counts_from_dataset
+    calls = []
+
+    def counts(ds, mset):  # the fifth tomography, D at the second n, records nothing
+        calls.append(ds)
+        k = original(ds, mset)
+        return 0.0 * k if len(calls) == 5 else k
+
+    monkeypatch.setattr(loopmem.scenario, "counts_from_dataset", counts)
+    rc = main(["reproduce", "fig4", "--preset", "paper-short", "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NoSignalError"
+    assert "D at N=2" in err["message"]
+    assert not (tmp_path / "fig4.json").exists()
 
 
 def test_cli_out_dir_from_environment(tmp_path, monkeypatch, capsys):

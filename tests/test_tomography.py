@@ -4,10 +4,11 @@ import pytest
 from loopmem.counting import ScanDataset, TomographyScan, run_scan
 from loopmem.engine import MemoryConfig
 from loopmem.errors import IncompleteSetError, NoSignalError
-from loopmem.polarization import A, D, H, L, R, V
+from loopmem.polarization import A, D, H, L, R, V, make_pure
 from loopmem.tomography import (
-    MeasurementSet, counts_from_dataset, exact_mle_bloch, linear_inversion,
-    mle_reconstruct, monte_carlo_uncertainty, reconstruct_with_uncertainty,
+    MeasurementSet, counts_from_dataset, exact_mle_bloch, exact_mle_fidelities,
+    linear_inversion, mle_reconstruct, monte_carlo_uncertainty,
+    reconstruct_with_uncertainty,
 )
 
 MSET = MeasurementSet()
@@ -37,6 +38,19 @@ def profile_log_likelihood(k: np.ndarray, rho: np.ndarray) -> float:
     q = MSET.design_matrix() @ np.array(
         [rho[0, 0].real, rho[1, 1].real, rho[0, 1].real, rho[0, 1].imag])
     return float((k * np.log(np.where(k > 0, q, 1.0))).sum() - k.sum() * np.log(q.sum()))
+
+
+def pure_state_grid_max():
+    """A function giving the largest profile log-likelihood of counts on the
+    pure states of a 721 x 1441 (theta, phi) grid."""
+    theta, phi = np.meshgrid(np.linspace(0.0, np.pi, 721), np.linspace(0.0, 2.0 * np.pi, 1441),
+                             indexing="ij")
+    r = np.stack((np.cos(theta), np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi)),
+                 axis=-1).reshape(-1, 3)
+    q = 0.5 * np.column_stack((1.0 + r[:, 0], 1.0 - r[:, 0], r[:, 1], r[:, 2])) @ MSET.design_matrix().T
+    # q = 0 only where the state is orthogonal to a projector; log 1e-300 keeps 0 * log q = 0
+    log_q, log_sum = np.log(np.maximum(q, 1e-300)), np.log(q.sum(axis=1))
+    return lambda k: float(np.max(log_q @ k - k.sum() * log_sum))
 
 
 def per_draw_mc(draws, mset, target) -> tuple[float, float, int]:
@@ -239,6 +253,53 @@ def test_exact_mle_matches_per_draw_fits(state, flux):
         assert checked["interior"] > 0
 
 
+# counts where L-BFGS stops 0.014-0.017 nats short of the optimum and still
+# reports convergence (tomo of H on paper-improved at seeds 1 and 3)
+LBFGS_SHORT_ROWS = [[94268.0, 0.0, 47005.0, 47112.0], [93892.0, 0.0, 47080.0, 46929.0]]
+
+
+def test_exact_fidelities_match_per_row_fits():
+    rng = np.random.default_rng(8)
+    elliptical = make_pure(0.8, 0.6j)
+    mixed = 0.9 * pure_rho(D) + 0.05 * np.eye(2)
+    rows, targets = [], []
+    for rho, target in ((mixed, D), (mixed, elliptical), (pure_rho(H), H), (pure_rho(R), R),
+                        (pure_rho(elliptical), elliptical), (pure_rho(D), R)):
+        for flux in (50.0, 5e3, 2e5):
+            rows.append(rng.poisson(exact_counts(rho, flux)).astype(float))
+            targets.append(target)
+    rows += [np.array(k) for k in LBFGS_SHORT_ROWS]
+    targets += [H, H]
+    fid, failed = exact_mle_fidelities(rows, MSET, targets)
+    r, _ = exact_mle_bloch(rows, MSET)
+    assert not failed.any()
+    kinds = set()
+    for i, (k, target) in enumerate(zip(rows, targets)):
+        res = mle_reconstruct(k, MSET, target)
+        rho = rho_from_bloch(r[i])
+        v = target.vector()
+        assert abs(fid[i] - float(np.real(v.conj() @ rho @ v))) <= 1e-12
+        gain = profile_log_likelihood(k, rho) - profile_log_likelihood(k, res.rho.matrix)
+        assert gain >= -1e-9
+        if i >= len(rows) - 2:
+            assert gain > 0.01
+        else:
+            assert abs(fid[i] - res.fidelity) <= 1e-5
+        kinds.add("boundary" if abs(np.linalg.norm(r[i]) - 1.0) <= 1e-12 else "interior")
+    assert kinds == {"interior", "boundary"}
+
+
+def test_exact_fidelities_take_one_target_for_every_row():
+    rows = np.vstack((LBFGS_SHORT_ROWS, [[0.0, 0.0, 0.0, 0.0], [300.0, 200.0, 260.0, 310.0]]))
+    fid, failed = exact_mle_fidelities(rows, MSET, (D,))
+    assert failed.tolist() == [False, False, True, False]
+    assert np.isnan(fid[2]) and np.isfinite(fid[[0, 1, 3]]).all()
+    per_row, _ = exact_mle_fidelities(rows, MSET, [D] * 4)
+    assert np.array_equal(fid, per_row, equal_nan=True)
+    with pytest.raises(ValueError):
+        exact_mle_fidelities(rows, MSET, (D, H))
+
+
 def test_exact_mle_validation():
     six = MeasurementSet((("H", H), ("V", V), ("D", D), ("A", A), ("R", R), ("L", L)))
     with pytest.raises(ValueError):
@@ -250,24 +311,52 @@ def test_exact_mle_validation():
 
 
 def test_mc_counts_draws_without_signal_as_failed():
-    # on H/V/D/R the linear-inversion flux is kH + kV
-    rows = np.array([[0, 0, 0, 0], [0, 0, 2, 7], [2, 0, 3, 2]], dtype=float)
+    # on H/V/D/R the linear-inversion flux is kH + kV; without it the
+    # likelihood still peaks on a pure state, which only all-zero rows lack
+    no_flux = np.array([[0, 0, 3, 1], [0, 0, 2, 7], [0, 0, 1, 0], [0, 0, 0, 5],
+                        [0, 0, 40, 3], [0, 0, 5, 5]], dtype=float)
+    rows = np.vstack(([0, 0, 0, 0], no_flux, [2, 0, 3, 2]))
     r, failed = exact_mle_bloch(rows, MSET)
-    assert failed.tolist() == [True, True, False]
-    assert np.isnan(r[:2]).all() and np.isfinite(r[2]).all()
+    assert failed.tolist() == [True] + [False] * 7
+    assert np.isnan(r[0]).all() and np.isfinite(r[1:]).all()
     with pytest.raises(NoSignalError):
         mle_reconstruct(rows[0], MSET)
+    assert (exact_mle_bloch(rows[-1:], MSET)[0] == r[-1]).all()
+
+    grid_max = pure_state_grid_max()
+
+    def check_no_flux_row(k, ri):
+        assert abs(np.linalg.norm(ri) - 1.0) <= 1e-12
+        ll = profile_log_likelihood(k, rho_from_bloch(ri))
+        assert ll >= grid_max(k) - 1e-12
+        try:
+            res = mle_reconstruct(k, MSET)
+        except NoSignalError:  # lstsq rounds this row's flux to <= 0
+            return
+        assert ll >= profile_log_likelihood(k, res.rho.matrix) - 1e-9
+
+    for k, ri in zip(no_flux, r[1:-1]):
+        check_no_flux_row(k, ri)
 
     counts = np.array([0.5, 0.5, 1.5, 1.5])
-    draws = np.random.default_rng(3).poisson(lam=counts, size=(500, 4))
-    no_flux = draws[:, 0] + draws[:, 1] == 0
-    assert (draws.sum(axis=1) == 0).any() and (no_flux & (draws[:, 2] > 0)).any()
+    draws = np.random.default_rng(3).poisson(lam=counts, size=(500, 4)).astype(float)
+    empty = draws.sum(axis=1) == 0
+    zero_flux = (draws[:, 0] + draws[:, 1] == 0) & ~empty
+    assert empty.any() and zero_flux.any()
     mean, std, n_failed = monte_carlo_uncertainty(counts, MSET, D, n_samples=500, seed=3)
-    ref_mean, ref_std, ref_failed = per_draw_mc(draws[~no_flux], MSET, D)
-    assert ref_failed == 0
-    assert n_failed == int(no_flux.sum())
-    assert mean == pytest.approx(ref_mean, abs=1e-6)
-    assert std == pytest.approx(ref_std, abs=1e-6)
+    assert n_failed == int(empty.sum())
+    # reference: L-BFGS where there is flux, the grid-checked exact optimum where there is none
+    fits = [mle_reconstruct(k, MSET, D) for k in draws[~empty & ~zero_flux]]
+    assert all(res.converged for res in fits)
+    fids = np.array([res.fidelity for res in fits])
+    lost, which = np.unique(draws[zero_flux], axis=0, return_inverse=True)
+    r_lost, failed_lost = exact_mle_bloch(lost, MSET)
+    assert not failed_lost.any()
+    for k, ri in zip(lost, r_lost):
+        check_no_flux_row(k, ri)
+    fids = np.concatenate((fids, 0.5 * (1.0 + r_lost[which.ravel()] @ [0.0, 1.0, 0.0])))
+    assert mean == pytest.approx(fids.mean(), abs=1e-6)
+    assert std == pytest.approx(fids.std(ddof=1), abs=1e-6)
 
 
 def test_mc_fits_overcomplete_sets_draw_by_draw():
