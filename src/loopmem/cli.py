@@ -4,9 +4,10 @@
         [--scenario path] [--preset name] [--seed n] [--out dir]
 
 Either --scenario or --preset must identify the configuration; a scenario
-file may itself extend a preset, and --seed overrides the file's seed.  The
-output directory defaults to $LOOPMEM_OUT, then ./loopmem-out.  Module
-errors are emitted as a JSON object on stderr with exit code 1.
+file may itself extend a preset, and --preset and --seed override the file's
+preset and seed.  The output directory defaults to $LOOPMEM_OUT, then
+./loopmem-out.  Module errors, unreadable files and exhausted memory are
+emitted as a JSON object on stderr with exit code 1.
 """
 
 from __future__ import annotations
@@ -17,11 +18,9 @@ import os
 import sys
 
 from .errors import LoopMemError, SchemaError
-from .scenario import PRESETS, load_scenario, resolve, run
+from .scenario import FIGURES, PIPELINES, PRESETS, read_scenario, resolve, run
 
 OUT_ENV = "LOOPMEM_OUT"
-SUBCOMMANDS = ("simulate", "decay", "malus", "tomo", "budget", "reproduce")
-FIGURES = ("fig2c", "fig3", "fig4")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -29,16 +28,8 @@ def _parser() -> argparse.ArgumentParser:
         prog="loopmem",
         description="Polarization loop-memory simulation and analysis pipelines.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    descriptions = {
-        "simulate": "storage event tables for each input state and cycle count",
-        "decay": "cycle-count scan, per-cycle survival fit, closed-form table",
-        "malus": "analyzer fringe scan and visibility fit per input state",
-        "tomo": "projective counts, state reconstruction, Monte Carlo errors",
-        "budget": "loss budget: per-cycle efficiency, lifetime, eta table",
-        "reproduce": "bundled pipelines emitting plot-ready tables",
-    }
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name, help=descriptions[name])
+    for name, (description, _) in PIPELINES.items():
+        p = sub.add_parser(name, help=description)
         if name == "reproduce":
             p.add_argument("figure", choices=FIGURES,
                            help="which bundled pipeline to run")
@@ -50,20 +41,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _resolve_scenario(args):
-    if args.scenario:
-        scenario = load_scenario(args.scenario)
-        raw = scenario.raw
-        if args.preset:
-            raw = dict(raw, preset=args.preset)
-    elif args.preset:
-        raw = {"preset": args.preset}
-    else:
+    if not (args.scenario or args.preset):
         raise SchemaError("provide --scenario and/or --preset", field="(args)")
-    if args.seed is not None:
-        if args.seed < 0:
-            raise SchemaError("seed must be nonnegative", field="(args).seed")
-        raw = dict(raw, seed=args.seed)
-    return resolve(raw)
+    raw = read_scenario(args.scenario) if args.scenario else {}
+    flags = {"preset": args.preset, "seed": args.seed}
+    return resolve(dict(raw, **{k: v for k, v in flags.items() if v is not None}))
 
 
 def main(argv=None) -> int:
@@ -73,15 +55,13 @@ def main(argv=None) -> int:
         scenario = _resolve_scenario(args)
         summary, written = run(scenario, args.subcommand, out_dir,
                                figure=getattr(args, "figure", None))
-    except LoopMemError as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        field = getattr(exc, "field", "")
-        if field:
-            payload["field"] = field
+    except (LoopMemError, OSError, MemoryError) as exc:
+        error = type(exc).__name__ if isinstance(exc, LoopMemError) else (
+            "OSError" if isinstance(exc, OSError) else "MemoryError")
+        payload = {"error": error, "message": str(exc)}
+        if getattr(exc, "field", ""):
+            payload["field"] = exc.field
         print(json.dumps(payload), file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(json.dumps({"error": "OSError", "message": str(exc)}), file=sys.stderr)
         return 1
 
     for path in written:

@@ -280,8 +280,8 @@ class StorageOutcome:
     exits are output-port events and ejections (time, weight) pairs lost at
     non-output ports, both in time order and listed passage by passage up to
     64 passages past the release passage n + 1.  Events of weight at most
-    1e-16 are not listed, except the exit inside the nominal retrieval gate,
-    which is retrieved.  tail is the exact sum of every exit after the listed
+    1e-16 are not listed, except the exit of the release passage, which is
+    retrieved.  tail is the exact sum of every exit after the listed
     passages (its time is the first passage it covers) plus the unlisted light
     exits, and tail_ejected the same sum for ejections.  When nothing above
     1e-16 circulates after the listing, tail is None and the unlisted light
@@ -465,16 +465,15 @@ class _Branch:
 
 
 def _run(cfg: MemoryConfig, plumb: _Plumbing, branch: _Branch, schedule: DriveSchedule,
-         t_nominal: float, last_k: int) -> ExitEvent | None:
+         k_release: int, last_k: int) -> ExitEvent | None:
     """Propagate `branch` through passages branch.k..last_k under `schedule`.
 
-    Stops early, leaving the residual for _close, once the exit in the gate
-    around t_nominal has left and the circulating weight is below the cutoff.
+    Stops early, leaving the residual for _close, once the exit of release
+    passage k_release has left and the circulating weight is below the cutoff.
     Returns that retrieved exit, or None if it has not left yet.
     """
     t_half = cfg.pass_through_time / 2.0
     t1 = cfg.delay_line_compensation + t_half
-    gate = cfg.coincidence_window / 2.0
     exits, ejections = branch.exits, branch.ejections
     x, y, k, absorbed = branch.x, branch.y, branch.k, branch.absorbed
     (q_hh, q_hv, q_vv), q_ej = branch.quiet, branch.quiet_ejected
@@ -506,11 +505,10 @@ def _run(cfg: MemoryConfig, plumb: _Plumbing, branch: _Branch, schedule: DriveSc
             else:
                 q_ej += ej
             absorbed += lost - ej
-        in_gate = abs(t_exit - t_nominal) <= gate
-        if w_rel > _RESIDUAL_CUTOFF or in_gate:
+        if w_rel > _RESIDUAL_CUTOFF or k == k_release:
             event = ExitEvent(t_exit, w_rel, (hh, hv, vv))
             exits.append(event)
-            if in_gate:
+            if k == k_release:
                 retrieved = event
         else:
             q_hh, q_hv, q_vv = q_hh + hh, q_hv + hv, q_vv + vv
@@ -587,15 +585,12 @@ def simulate_sweep(cfg: MemoryConfig, input_state: PureState,
     outcomes = {}
     n_last = max(schedules, default=0)
     for n, schedule in sorted(schedules.items()):
-        t_nominal = t_arrive + cfg.pass_through_time + n * cfg.delta_tau
         if n < n_last:
-            _run(cfg, plumb, prefix, schedule, t_nominal, n)  # passages every larger n shares
+            _run(cfg, plumb, prefix, schedule, n + 1, n)  # passages every larger n shares
             branch = prefix.fork()
         else:
             branch = prefix  # nothing branches later, so the prefix runs on into this tail
-        retrieved = _run(cfg, plumb, branch, schedule, t_nominal, n + 1 + _LISTED_PASSES)
-        if retrieved is None:
-            raise InvalidStateError("no exit event fell inside the retrieval gate")
+        retrieved = _run(cfg, plumb, branch, schedule, n + 1, n + 1 + _LISTED_PASSES)
         tail, tail_ejected = _close(cfg, plumb, branch, schedule)
         outcome = StorageOutcome(
             n_cycles=n, input_state=input_state, exits=tuple(branch.exits),

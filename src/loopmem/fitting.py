@@ -75,7 +75,11 @@ def _wls(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.nd
     resid = y - x @ beta
     dof = x.shape[0] - x.shape[1]
     chi2_red = float(w @ resid**2) / dof if dof > 0 else 0.0
-    cov = np.linalg.inv(x.T @ (x * w[:, None])) * chi2_red
+    normal = x.T @ (x * w[:, None])
+    try:
+        cov = np.linalg.inv(normal) * chi2_red
+    except np.linalg.LinAlgError:  # weights 1/k of ~1e17 counts vanish next to a zero count's
+        cov = np.linalg.pinv(normal) * chi2_red
     return beta, cov
 
 

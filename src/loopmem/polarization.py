@@ -67,8 +67,20 @@ class PureState:
 
 
 def make_pure(alpha: complex, beta: complex) -> PureState:
-    """Normalize (alpha, beta) and return the canonical pure state."""
-    n = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+    """Normalize (alpha, beta) and return the canonical pure state.
+
+    Any finite nonzero pair normalizes: amplitudes whose squared norm leaves
+    the float range are first divided by their largest real or imaginary part.
+    """
+    try:
+        n = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+    except OverflowError:
+        n = math.inf
+    if not _NORM_TOL <= n < math.inf:
+        scale = max(abs(complex(alpha).real), abs(complex(alpha).imag),
+                    abs(complex(beta).real), abs(complex(beta).imag))
+        if 0.0 < scale < math.inf:
+            return make_pure(alpha / scale, beta / scale)
     if n < _NORM_TOL:
         raise InvalidStateError("cannot normalize the zero vector")
     return PureState(alpha / n, beta / n)

@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
@@ -39,12 +40,18 @@ from .tomography import mle_reconstruct  # noqa: F401  bench/tracer.py requires 
 STATE_NAMES = {"H": H, "V": V, "D": D, "A": A, "R": R, "L": L}
 
 _SOURCE_KEYS = {"pair_rate", "detection_eff", "acquisition_s"}
+# error knob -> (zone, component kind, field): a lumped-params device gets the
+# knob on that zone's component; an inventory sets the field on its own part
+_KNOBS = {
+    "pc_rotation_error": ("switch_zone", POCKELS_CELL, "rotation_error"),
+    "fpc_rotation_error": ("delay_zone", FPC, "rotation_error"),
+    "delay_static_phase": ("delay_zone", FIBER_SEGMENT, "static_phase"),
+    "circulator_arm_phase": ("circulator_zone", CIRCULATOR_ARM, "static_phase"),
+}
 _MEMORY_KEYS = {
     "delta_tau", "pass_through_time", "pc_rise_time", "herald_latency",
     "delay_line_compensation", "coincidence_window", "x_dl_enabled",
-    "params", "inventory", "wavelength_nm",
-    "pc_rotation_error", "fpc_rotation_error", "delay_static_phase",
-    "circulator_arm_phase",
+    "params", "inventory", "wavelength_nm", *_KNOBS,
 }
 _TOP_KEYS = {
     "preset", "label", "seed", "n_values", "input_states", "malus_points",
@@ -129,28 +136,29 @@ def _check_keys(d: dict, allowed: set, path: str):
             _fail(f"unknown key {key!r}", f"{path}.{key}" if path else key)
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+_MISSING = object()  # marks a required field that is absent
+_COUNT_CAP = 2 ** 53  # the largest integer a float time or an array size holds exactly
+_MAX_MEAN_COUNTS = 1e18  # numpy's Poisson sampler takes means up to about 9.2e18
 
 
-def _number(d: dict, key: str, path: str, default=None):
-    if key not in d:
-        if default is None:
-            _fail("missing required field", f"{path}.{key}")
-        return default
-    v = d[key]
-    if not _is_number(v):
-        _fail("expected a number", f"{path}.{key}")
-    return float(v)
+def _number(v, path: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """A JSON number, not a bool, finite as a float and inside [lo, hi]."""
+    if v is _MISSING:
+        _fail("missing required field", path)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        _fail("expected a number", path)
+    x = float(v) if abs(v) <= sys.float_info.max else math.inf  # float(10**400) raises
+    if not math.isfinite(x):
+        _fail("expected a finite number", path)
+    if not lo <= x <= hi:
+        _fail(f"expected a number in [{lo:g}, {hi:g}]", path)
+    return x
 
 
-def _bounded(d: dict, key: str, path: str, default=None, lo=-math.inf, hi=math.inf):
-    """A finite number in [lo, hi]; JSON's NaN and Infinity are rejected."""
-    v = _number(d, key, path, default)
-    if not math.isfinite(v):
-        _fail("expected a finite number", f"{path}.{key}")
-    if not lo <= v <= hi:
-        _fail(f"expected a number in [{lo:g}, {hi:g}]", f"{path}.{key}")
+def _integer(v, path: str, lo: int = 0, hi: float = _COUNT_CAP) -> int:
+    """A JSON integer, not a bool, inside [lo, hi]."""
+    if isinstance(v, bool) or not isinstance(v, int) or not lo <= v <= hi:
+        _fail(f"expected an integer in [{lo}, {hi}]", path)
     return v
 
 
@@ -160,14 +168,12 @@ def _component(d: dict, path: str) -> ComponentSpec:
         _fail(f"expected a component kind, one of {sorted(VALID_KINDS)}", f"{path}.kind")
     t = d.get("transmission", 1.0)
     t = t if isinstance(t, list) else [t, t]
-    if len(t) != 2 or not all(_is_number(x) for x in t):
+    if len(t) != 2:
         _fail("expected a number or a list of two numbers", f"{path}.transmission")
     return ComponentSpec(
-        d["kind"], tuple(t),
-        rotation_error=_number(d, "rotation_error", path, 0.0),
-        static_phase=_number(d, "static_phase", path, 0.0),
-        length_m=_number(d, "length_m", path, 0.0),
-        atten_db_per_km=_number(d, "atten_db_per_km", path, 0.0))
+        d["kind"], tuple(_number(x, f"{path}.transmission") for x in t),
+        **{key: _number(d.get(key, 0.0), f"{path}.{key}")
+           for key in ("rotation_error", "static_phase", "length_m", "atten_db_per_km")})
 
 
 def _parse_state(entry, path: str) -> tuple[str, PureState]:
@@ -175,28 +181,29 @@ def _parse_state(entry, path: str) -> tuple[str, PureState]:
         if entry not in STATE_NAMES:
             _fail(f"unknown state name {entry!r}; known: {sorted(STATE_NAMES)}", path)
         return entry, STATE_NAMES[entry]
-    if isinstance(entry, dict):
-        _check_keys(entry, {"label", "alpha", "beta"}, path)
-        try:
-            alpha = complex(entry["alpha"][0], entry["alpha"][1])
-            beta = complex(entry["beta"][0], entry["beta"][1])
-            return str(entry["label"]), make_pure(alpha, beta)
-        except (KeyError, IndexError, TypeError):
-            _fail("state needs label, alpha [re, im], beta [re, im]", path)
-    _fail("expected a state name or object", path)
+    if not isinstance(entry, dict):
+        _fail("expected a state name or object", path)
+    _check_keys(entry, {"label", "alpha", "beta"}, path)
+    if "label" not in entry:
+        _fail("missing required field", f"{path}.label")
+    amplitudes = []
+    for key in ("alpha", "beta"):
+        pair = entry.get(key)
+        if not isinstance(pair, list) or len(pair) != 2:
+            _fail("expected [re, im]", f"{path}.{key}")
+        amplitudes.append(complex(*(_number(x, f"{path}.{key}") for x in pair)))
+    return str(entry["label"]), make_pure(*amplitudes)
 
 
 def _build_config(mem: dict) -> tuple[MemoryConfig, float | None]:
     _check_keys(mem, _MEMORY_KEYS, "memory")
     if "params" in mem and "inventory" in mem:
         _fail("params and inventory are mutually exclusive", "memory")
-    delta_tau = _bounded(mem, "delta_tau", "memory")
+    delta_tau = _number(mem.get("delta_tau", _MISSING), "memory.delta_tau")
 
-    timing = {}
-    for key in ("pass_through_time", "pc_rise_time", "herald_latency",
-                "delay_line_compensation", "coincidence_window"):
-        if key in mem:
-            timing[key] = _bounded(mem, key, "memory")
+    timing = {key: _number(mem[key], f"memory.{key}") for key in (
+        "pass_through_time", "pc_rise_time", "herald_latency", "delay_line_compensation",
+        "coincidence_window") if key in mem}
     if "x_dl_enabled" in mem:
         if not isinstance(mem["x_dl_enabled"], bool):
             _fail("expected a boolean", "memory.x_dl_enabled")
@@ -205,8 +212,7 @@ def _build_config(mem: dict) -> tuple[MemoryConfig, float | None]:
     if "inventory" in mem:
         if not isinstance(mem["inventory"], list) or not mem["inventory"]:
             _fail("expected a non-empty list", "memory.inventory")
-        for knob in ("pc_rotation_error", "fpc_rotation_error",
-                     "delay_static_phase", "circulator_arm_phase"):
+        for knob in _KNOBS:
             if knob in mem:
                 _fail("set rotation_error/static_phase on the inventory "
                       "component instead", f"memory.{knob}")
@@ -217,31 +223,21 @@ def _build_config(mem: dict) -> tuple[MemoryConfig, float | None]:
         if "params" in mem:
             p = mem["params"]
             _check_keys(p, {"g13", "g12", "g22", "g23"}, "memory.params")
-            params = TransmissionParams(
-                _number(p, "g13", "memory.params"), _number(p, "g12", "memory.params"),
-                _number(p, "g22", "memory.params"), _number(p, "g23", "memory.params"))
+            params = TransmissionParams(*(_number(p.get(g, _MISSING), f"memory.params.{g}")
+                                          for g in ("g13", "g12", "g22", "g23")))
             cfg = MemoryConfig.from_params(params, delta_tau=delta_tau, **timing)
         else:
             cfg = MemoryConfig(delta_tau=delta_tau, **timing)
-        if "pc_rotation_error" in mem:
-            eps = _number(mem, "pc_rotation_error", "memory")
-            cfg = replace(cfg, switch_zone=(ComponentSpec(POCKELS_CELL, rotation_error=eps),))
-        if "fpc_rotation_error" in mem or "delay_static_phase" in mem:
-            eps = _number(mem, "fpc_rotation_error", "memory", 0.0)
-            phi = _number(mem, "delay_static_phase", "memory", 0.0)
-            fiber = next(c for c in cfg.delay_zone if c.kind == FIBER_SEGMENT)
-            cfg = replace(cfg, delay_zone=(
-                replace(fiber, static_phase=phi),
-                ComponentSpec(RETROREFLECTOR),
-                ComponentSpec(FPC, rotation_error=eps)))
-        if "circulator_arm_phase" in mem:
-            phi = _number(mem, "circulator_arm_phase", "memory")
-            cfg = replace(cfg, circulator_zone=(
-                ComponentSpec(CIRCULATOR_ARM, static_phase=phi),))
+        for knob, (zone, kind, attr) in _KNOBS.items():
+            if knob in mem:
+                v = _number(mem[knob], f"memory.{knob}")
+                parts = tuple(replace(c, **{attr: v}) if c.kind == kind else c
+                              for c in getattr(cfg, zone))
+                cfg = replace(cfg, **{zone: parts})
 
     if mem.get("wavelength_nm") is None:
         return cfg, None
-    wavelength = _number(mem, "wavelength_nm", "memory")
+    wavelength = _number(mem["wavelength_nm"], "memory.wavelength_nm")
     if wavelength not in ATTENUATION_DB_PER_KM:
         _fail(f"no attenuation default at {wavelength} nm; "
               f"known: {sorted(ATTENUATION_DB_PER_KM)}", "memory.wavelength_nm")
@@ -255,14 +251,12 @@ def _build(raw: dict) -> Scenario:
     cfg, wavelength = _build_config(raw["memory"])
 
     label = raw.get("label", "scenario")
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        _fail("expected a nonnegative integer", "seed")
+    seed = _integer(raw.get("seed", 0), "seed", hi=math.inf)
 
     n_values = raw.get("n_values", list(range(1, 9)))
-    if (not isinstance(n_values, list) or not n_values
-            or any(isinstance(n, bool) or not isinstance(n, int) or n < 0 for n in n_values)):
+    if not isinstance(n_values, list) or not n_values:
         _fail("expected a non-empty list of integers >= 0", "n_values")
+    n_values = tuple(_integer(n, f"n_values[{i}]") for i, n in enumerate(n_values))
 
     states = raw.get("input_states", ["H", "D", "R"])
     if not isinstance(states, list) or not states:
@@ -272,35 +266,31 @@ def _build(raw: dict) -> Scenario:
 
     if "malus_angles_deg" in raw:
         degs = raw["malus_angles_deg"]
-        if not isinstance(degs, list) or len(degs) < 5:
-            _fail("expected a list of at least 5 angles", "malus_angles_deg")
-        for i, a in enumerate(degs):
-            if not _is_number(a) or not math.isfinite(a):
-                _fail("expected a finite number", f"malus_angles_deg[{i}]")
-        angles = tuple(math.radians(float(a)) for a in degs)
+        if not isinstance(degs, list):
+            _fail("expected a list of angles", "malus_angles_deg")
+        angles = tuple(math.radians(_number(a, f"malus_angles_deg[{i}]"))
+                       for i, a in enumerate(degs))
+        if len(set(angles)) < 5 or max(angles) - min(angles) < math.pi - 1e-9:
+            _fail("expected at least 5 distinct angles spanning 180 degrees", "malus_angles_deg")
     else:
-        pts = raw.get("malus_points", 13)
-        if isinstance(pts, bool) or not isinstance(pts, int) or pts < 5:
-            _fail("expected an integer >= 5", "malus_points")
-        angles = tuple(np.linspace(0.0, math.pi, pts))
+        points = _integer(raw.get("malus_points", 13), "malus_points", lo=5)
+        angles = tuple(np.linspace(0.0, math.pi, points))
 
-    def _int_field(key, default, minimum):
-        v = raw.get(key, default)
-        if isinstance(v, bool) or not isinstance(v, int) or v < minimum:
-            _fail(f"expected an integer >= {minimum}", key)
-        return v
-
-    malus_cycles = _int_field("malus_cycles", 1, 0)
-    tomo_cycles = _int_field("tomo_cycles", 1, 0)
-    mc_samples = _int_field("mc_samples", 10000, 2)
+    malus_cycles = _integer(raw.get("malus_cycles", 1), "malus_cycles")
+    tomo_cycles = _integer(raw.get("tomo_cycles", 1), "tomo_cycles")
+    mc_samples = _integer(raw.get("mc_samples", 10000), "mc_samples", lo=2)
 
     source = raw.get("source", {})
     _check_keys(source, _SOURCE_KEYS, "source")
-    pair_rate = _bounded(source, "pair_rate", "source", 2000.0, lo=0.0)
-    detection_eff = _bounded(source, "detection_eff", "source", 1.0, lo=0.0, hi=1.0)
-    acquisition_s = _bounded(source, "acquisition_s", "source", 60.0, lo=0.0)
+    pair_rate = _number(source.get("pair_rate", 2000.0), "source.pair_rate", lo=0.0)
+    detection_eff = _number(source.get("detection_eff", 1.0), "source.detection_eff",
+                            lo=0.0, hi=1.0)
+    acquisition_s = _number(source.get("acquisition_s", 60.0), "source.acquisition_s", lo=0.0)
+    if pair_rate * acquisition_s > _MAX_MEAN_COUNTS:
+        _fail(f"pair_rate x acquisition_s exceeds {_MAX_MEAN_COUNTS:g} pairs",
+              "source.pair_rate")
 
-    return Scenario(label, cfg, input_states, tuple(n_values), angles,
+    return Scenario(label, cfg, input_states, n_values, angles,
                     malus_cycles, tomo_cycles, pair_rate, detection_eff,
                     acquisition_s, seed, mc_samples, wavelength, raw)
 
@@ -323,7 +313,7 @@ def resolve(raw: dict) -> Scenario:
         raise SchemaError("scenario must be a JSON object", field="")
     if "preset" in raw:
         name = raw["preset"]
-        if name not in PRESETS:
+        if not isinstance(name, str) or name not in PRESETS:
             _fail(f"unknown preset {name!r}; known: {sorted(PRESETS)}", "preset")
         raw = _deep_merge(PRESETS[name], raw)
     return _build(raw)
@@ -333,15 +323,23 @@ def preset_scenario(name: str) -> Scenario:
     return resolve({"preset": name})
 
 
+def read_scenario(path: str | os.PathLike) -> dict:
+    """The JSON object of a scenario file, unresolved."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
+                              f"{exc.msg}", field="(file)") from exc
+        except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep
+            raise SchemaError(f"unreadable JSON: {exc}", field="(file)") from exc
+    if not isinstance(raw, dict):
+        _fail("scenario must be a JSON object", "(file)")
+    return raw
+
+
 def load_scenario(path: str | os.PathLike) -> Scenario:
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
-                          f"{exc.msg}", field="(file)") from exc
-    return resolve(raw)
+    return resolve(read_scenario(path))
 
 
 # ---------------------------------------------------------------------------
@@ -437,23 +435,17 @@ def _tomography(sc: Scenario, label: str, state: PureState, seeds: Iterator[int]
 def run(scenario: Scenario, subcommand: str, out_dir: str,
         figure: str | None = None) -> tuple[dict, list[str]]:
     """Execute one pipeline; returns (summary, written file paths)."""
+    if subcommand not in PIPELINES:
+        raise SchemaError(f"unknown subcommand {subcommand!r}", field="subcommand")
+    handler = PIPELINES[subcommand][1]
+    if subcommand == "reproduce":
+        if figure not in FIGURES:
+            raise SchemaError(f"unknown figure {figure!r}; known: {sorted(FIGURES)}",
+                              field="reproduce")
+        handler = FIGURES[figure]
     emitter = _Emitter(scenario, out_dir)
     seeds = (record_seed(scenario.seed, i) for i in itertools.count())
-    handlers = {
-        "simulate": _run_simulate, "decay": _run_decay, "malus": _run_malus,
-        "tomo": _run_tomo, "budget": _run_budget,
-    }
-    if subcommand == "reproduce":
-        figures = {"fig2c": _run_fig2c, "fig3": _run_fig3, "fig4": _run_fig4}
-        if figure not in figures:
-            raise SchemaError(f"unknown figure {figure!r}; known: {sorted(figures)}",
-                              field="reproduce")
-        summary = figures[figure](scenario, emitter, seeds)
-    elif subcommand in handlers:
-        summary = handlers[subcommand](scenario, emitter, seeds)
-    else:
-        raise SchemaError(f"unknown subcommand {subcommand!r}", field="subcommand")
-    return summary, emitter.written
+    return handler(scenario, emitter, seeds), emitter.written
 
 
 def _exit_fidelity(rho, target: PureState) -> float | None:
@@ -643,3 +635,15 @@ def _run_fig4(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
                 rows)
     emitter.json("fig4.json", {"per_n": per_n})
     return {"per_n": per_n}
+
+
+# subcommand -> (help line, handler); reproduce runs the FIGURES entry it names
+PIPELINES = {
+    "simulate": ("storage event tables for each input state and cycle count", _run_simulate),
+    "decay": ("cycle-count scan, per-cycle survival fit, closed-form table", _run_decay),
+    "malus": ("analyzer fringe scan and visibility fit per input state", _run_malus),
+    "tomo": ("projective counts, state reconstruction, Monte Carlo errors", _run_tomo),
+    "budget": ("loss budget: per-cycle efficiency, lifetime, eta table", _run_budget),
+    "reproduce": ("bundled pipelines emitting plot-ready tables", None),
+}
+FIGURES = {"fig2c": _run_fig2c, "fig3": _run_fig3, "fig4": _run_fig4}

@@ -86,6 +86,15 @@ def test_retrieval_time_and_gate():
         assert abs(out.retrieved.time - expected) < 1e-9
 
 
+def test_retrieval_is_the_release_passage_at_any_valid_window():
+    # a 1e-13 ns window is narrower than the rounding of the passage times
+    wide, narrow = short_config(), short_config(coincidence_window=1e-13)
+    for n in range(65):
+        out, ref = simulate_storage(narrow, D, n), simulate_storage(wide, D, n)
+        assert any(e is out.retrieved for e in out.exits)
+        assert (out.retrieved.time, out.retrieved.rho) == (ref.retrieved.time, ref.retrieved.rho)
+
+
 def test_weight_balance_closes():
     cfg = short_config()
     for n in (0, 1, 2, 5):

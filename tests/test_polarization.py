@@ -40,6 +40,15 @@ def test_make_pure_normalizes_and_rejects_zero():
         make_pure(0.0, 0.0)
 
 
+@pytest.mark.parametrize("alpha, beta, want", [
+    (complex(1e308, 1e308), 0j, H),
+    (1.7e308, complex(0.0, -1.7e308), R),
+    (1e-200, 1e-200, D),
+])
+def test_make_pure_normalizes_any_finite_amplitudes(alpha, beta, want):
+    assert abs(make_pure(alpha, beta).overlap(want) - 1.0) < 1e-12
+
+
 def test_purestate_rejects_unnormalized():
     with pytest.raises(InvalidStateError):
         PureState(1.0, 1.0)

@@ -313,7 +313,26 @@ def test_cli_bad_scenario_file(tmp_path, capsys):
             ({"preset": "paper-short", "memory": {"delta_tau": math.nan}}, "memory.delta_tau"),
             ({"preset": "paper-short", "memory": {"delta_tau": math.inf}}, "memory.delta_tau"),
             ({"preset": "paper-short", "memory": {"pc_rise_time": math.nan}},
-             "memory.pc_rise_time")):
+             "memory.pc_rise_time"),
+            ({"preset": "paper-short", "memory": {"pc_rotation_error": math.nan}},
+             "memory.pc_rotation_error"),
+            ({"preset": "paper-short", "memory": {"delay_static_phase": math.inf}},
+             "memory.delay_static_phase"),
+            ({"preset": "paper-short", "memory": {"delta_tau": 10**400}}, "memory.delta_tau"),
+            ({"preset": "paper-improved", "memory": {"inventory": [
+                dict(c, length_m=math.nan) if c["kind"] == "FIBER_SEGMENT" else c
+                for c in PRESETS["paper-improved"]["memory"]["inventory"]]}},
+             "memory.inventory[5].length_m"),
+            ({"preset": "paper-short", "input_states": [
+                {"label": "x", "alpha": [1, 0], "beta": [math.nan, 0]}]}, "input_states[0].beta"),
+            ({"preset": "paper-short", "malus_angles_deg": [0, 10, 20, 30, 40]},
+             "malus_angles_deg"),
+            ({"preset": "paper-short", "source": {"pair_rate": 1e300}}, "source.pair_rate"),
+            ({"preset": "paper-short", "mc_samples": 2**53 + 1}, "mc_samples"),
+            ({"preset": "paper-short", "n_values": [1, -2, 3]}, "n_values[1]"),
+            ({"preset": "paper-short", "seed": 1.5}, "seed"),
+            ({"preset": ["paper-short"]}, "preset"),
+            ([1, 2], "(file)")):
         path = write_scenario(tmp_path, raw)
         rc = main(["budget", "--scenario", path, "--out", str(tmp_path)])
         assert rc == 1
@@ -470,3 +489,53 @@ def test_cli_scenario_file_with_flags(tmp_path, capsys):
     rows = [ln for ln in (tmp_path / "o" / "decay_counts.csv").read_text().splitlines()
             if ln and not ln.startswith("#")]
     assert len(rows) == 1 + 4 * 3  # header + 4 n-values x 3 states
+
+
+def test_cli_flags_override_the_file_preset_and_seed(tmp_path, capsys):
+    path = write_scenario(tmp_path, {"preset": "paper-long", "seed": 4, "n_values": [1, 2, 3]})
+    for flags, preset, seed in (([], "paper-long", 4), (["--seed", "9"], "paper-long", 9),
+                                (["--preset", "paper-short"], "paper-short", 4)):
+        rc = main(["budget", "--scenario", path, "--out", str(tmp_path)] + flags)
+        tail = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        # the file's other fields still override the preset the flag names
+        want = resolve({"preset": preset, "n_values": [1, 2, 3]})
+        assert rc == 0 and (tail["hash"], tail["seed"]) == (want.content_hash()[:16], seed)
+        payload = json.loads((tmp_path / "budget.json").read_text())
+        assert payload["delta_tau"] == want.config.delta_tau
+
+
+def test_cli_normalizes_huge_explicit_amplitudes(tmp_path, capsys):
+    path = write_scenario(tmp_path, {"preset": "paper-short", "n_values": [1], "input_states": [
+        {"label": "big", "alpha": [1e308, 1e308], "beta": [0, 0]}]})
+    rc = main(["simulate", "--scenario", path, "--out", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
+
+
+def test_cli_reports_memory_exhaustion(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.91 TiB")
+
+    monkeypatch.setattr(loopmem.scenario, "reconstruct_with_uncertainty", exhausted)
+    rc = main(["tomo", "--preset", "paper-short", "--out", str(tmp_path)])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 1 and err == {"error": "MemoryError", "message": "Unable to allocate 2.91 TiB"}
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 5000 + b"]" * 5000],
+                         ids=["not-utf8", "nested-too-deep"])
+def test_cli_unreadable_scenario_file(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["budget", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().err)["field"] == "(file)"
+
+
+def test_cli_fringe_fit_at_the_largest_accepted_flux(tmp_path, capsys):
+    # 1e18 pairs: the weights 1/k of the bright angles vanish next to the
+    # zero-count angle's, and the normal matrix of the fringe fit is singular
+    path = write_scenario(tmp_path, {"preset": "paper-short", "input_states": ["D"],
+                                     "source": {"pair_rate": 1e18 / 60}})
+    rc = main(["malus", "--scenario", path, "--out", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
+    fit = json.loads((tmp_path / "malus.json").read_text())["fits"]["D"]
+    assert fit["visibility"] > 0.999

@@ -1,0 +1,99 @@
+"""Fuzz the CLI with scenario files that break one field of a preset at a time.
+
+Every run must exit 0, or exit 1 with one JSON error object on stderr; no
+input may end in a traceback.  Count fields (cycle counts, n_values entries,
+mc_samples, malus_points) get no large in-range values: those cost run time
+or memory, not a crash.
+"""
+
+import copy
+import io
+import json
+import math
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from loopmem.cli import main  # noqa: E402
+from loopmem.scenario import (  # noqa: E402
+    _COMPONENT_KEYS, _MEMORY_KEYS, _SOURCE_KEYS, _TOP_KEYS, PRESETS, resolve,
+)
+
+BAD_VALUES = ("abc", "", True, False, None, math.nan, math.inf, -math.inf,
+              -1, -0.5, 0, 0.5, 1, 1e300, -1e300, 10**400, -(10**400),
+              [], [1, 2], {}, {"bogus": 1})
+
+# the cheap pipelines: small Monte Carlo and three cycle counts in the base
+ARGVS = (["simulate"], ["decay"], ["malus"], ["tomo"], ["budget"],
+         ["reproduce", "fig2c"], ["reproduce", "fig3"], ["reproduce", "fig4"])
+
+
+def _base(preset: str, angles: bool) -> dict:
+    raw = copy.deepcopy(resolve({"preset": preset}).raw)
+    raw.update(mc_samples=20, n_values=[1, 2, 3],
+               source={"pair_rate": 2000.0, "detection_eff": 1.0, "acquisition_s": 60.0},
+               input_states=["H", {"label": "e", "alpha": [0.8, 0.0], "beta": [0.0, 0.6]}])
+    if angles:
+        raw["malus_angles_deg"] = [0, 45, 90, 135, 180]
+    return raw
+
+
+def _paths(raw: dict) -> list[tuple]:
+    """Every node of raw, an unknown key in every object, and every schema key."""
+    paths = [()]
+
+    def walk(node, path):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            paths.append(path + (key,))
+            if isinstance(child, (dict, list)):
+                walk(child, path + (key,))
+        if isinstance(node, dict):
+            paths.append(path + ("bogus",))
+
+    walk(raw, ())
+    paths += [(k,) for k in sorted(_TOP_KEYS)]
+    paths += [("memory", k) for k in sorted(_MEMORY_KEYS)]
+    paths += [("source", k) for k in sorted(_SOURCE_KEYS)]
+    for i in range(len(raw["memory"].get("inventory", []))):
+        paths += [("memory", "inventory", i, k) for k in sorted(_COMPONENT_KEYS)]
+    return list(dict.fromkeys(paths))
+
+
+def _mutate(raw: dict, path: tuple, value):
+    if not path:
+        return value
+    out = copy.deepcopy(raw)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+@st.composite
+def broken_scenarios(draw):
+    base = _base(draw(st.sampled_from(sorted(PRESETS))), draw(st.booleans()))
+    return _mutate(base, draw(st.sampled_from(_paths(base))), draw(st.sampled_from(BAD_VALUES)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(raw=broken_scenarios(), argv=st.sampled_from(ARGVS))
+def test_cli_exits_0_or_reports_json_error(raw, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv + ["--scenario", path, "--out", os.path.join(tmp, "out")])
+    if rc == 0:
+        return
+    assert rc == 1
+    payload = json.loads(err.getvalue())
+    assert isinstance(payload, dict) and {"error", "message"} <= payload.keys()
