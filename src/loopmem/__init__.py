@@ -13,8 +13,8 @@ from .components import (
     circulator_operator, fiber_transmission, pockels_level, pockels_operator,
 )
 from .counting import (
-    CountRecord, DecayScan, MalusScan, ScanDataset, TomographyScan,
-    expected_rate, malus_mean, read_csv, run_scan, sample_counts,
+    CountRecord, DecayScan, MalusScan, ScanDataset, TomographyScan, draw_counts,
+    expected_rate, malus_mean, read_csv, run_scan, run_scans, sample_counts,
     synth_malus_dataset, write_csv,
 )
 from .engine import (

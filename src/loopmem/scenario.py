@@ -27,7 +27,8 @@ from .components import (
     CIRCULATOR_ARM, COUPLER, FIBER_SEGMENT, FPC, POCKELS_CELL, RETROREFLECTOR,
     VALID_KINDS, ComponentSpec,
 )
-from .counting import DecayScan, MalusScan, TomographyScan, format_table, record_seed, run_scan
+from .counting import DecayScan, MalusScan, TomographyScan, format_table, record_seed, run_scans
+from .counting import run_scan  # noqa: F401  bench/tracer.py requires this binding
 from .engine import (MemoryConfig, TransmissionParams, derive_transmission_params,
                      efficiency, simulate_storage)
 from .errors import InvalidStateError, NoSignalError, SchemaError
@@ -155,6 +156,15 @@ def _number(v, path: str, lo: float = -math.inf, hi: float = math.inf) -> float:
     return x
 
 
+def _string(v, path: str) -> str:
+    """A JSON string."""
+    if v is _MISSING:
+        _fail("missing required field", path)
+    if not isinstance(v, str):
+        _fail("expected a string", path)
+    return v
+
+
 def _integer(v, path: str, lo: int = 0, hi: float = _COUNT_CAP) -> int:
     """A JSON integer, not a bool, inside [lo, hi]."""
     if isinstance(v, bool) or not isinstance(v, int) or not lo <= v <= hi:
@@ -184,15 +194,14 @@ def _parse_state(entry, path: str) -> tuple[str, PureState]:
     if not isinstance(entry, dict):
         _fail("expected a state name or object", path)
     _check_keys(entry, {"label", "alpha", "beta"}, path)
-    if "label" not in entry:
-        _fail("missing required field", f"{path}.label")
+    label = _string(entry.get("label", _MISSING), f"{path}.label")
     amplitudes = []
     for key in ("alpha", "beta"):
         pair = entry.get(key)
         if not isinstance(pair, list) or len(pair) != 2:
             _fail("expected [re, im]", f"{path}.{key}")
         amplitudes.append(complex(*(_number(x, f"{path}.{key}") for x in pair)))
-    return str(entry["label"]), make_pure(*amplitudes)
+    return label, make_pure(*amplitudes)
 
 
 def _build_config(mem: dict) -> tuple[MemoryConfig, float | None]:
@@ -250,7 +259,7 @@ def _build(raw: dict) -> Scenario:
         _fail("missing required field", "memory")
     cfg, wavelength = _build_config(raw["memory"])
 
-    label = raw.get("label", "scenario")
+    label = _string(raw.get("label", "scenario"), "label")
     seed = _integer(raw.get("seed", 0), "seed", hi=math.inf)
 
     n_values = raw.get("n_values", list(range(1, 9)))
@@ -396,11 +405,10 @@ def _fit_payload(fit) -> dict:
 _FRINGE_STATES = (("H", H), ("D", D))
 
 
-def _scan(sc: Scenario, state: PureState, plan, seeds: Iterator[int]):
-    """Simulate and sample one scan plan with the scenario source and the next sub-seed."""
-    return run_scan(sc.config, state, plan, pair_rate=sc.pair_rate,
-                    detection_eff=sc.detection_eff, acquisition_s=sc.acquisition_s,
-                    seed=next(seeds))
+def _datasets(sc: Scenario, jobs) -> list:
+    """Simulate and sample (state, plan, seed) jobs in one batch with the scenario source."""
+    return run_scans(sc.config, jobs, pair_rate=sc.pair_rate,
+                     detection_eff=sc.detection_eff, acquisition_s=sc.acquisition_s)
 
 
 def _count_rows(label: str, ds) -> list[tuple]:
@@ -410,25 +418,36 @@ def _count_rows(label: str, ds) -> list[tuple]:
              r.counts, r.acquisition_s, r.seed) for r in ds.records]
 
 
-def _malus_fits(sc: Scenario, states, n_cycles: int,
-                seeds: Iterator[int]) -> tuple[list[tuple], dict]:
-    """Analyzer scan and fringe fit per state: (count rows, fit payload per label)."""
+def _malus_jobs(sc: Scenario, states, n_cycles: int, seeds: Iterator[int]) -> list[tuple]:
+    """One analyzer scan job per state, each with the next sub-seed."""
+    plan = MalusScan(sc.malus_angles, n_cycles)
+    return [(state, plan, next(seeds)) for _, state in states]
+
+
+def _malus_fits(states, datasets) -> tuple[list[tuple], dict]:
+    """Fringe fit per state: (count rows, fit payload per label)."""
     rows: list[tuple] = []
     fits = {}
-    plan = MalusScan(sc.malus_angles, n_cycles)
-    for label, state in states:
-        ds = _scan(sc, state, plan, seeds)
+    for (label, _), ds in zip(states, datasets):
         rows += _count_rows(label, ds)
         fits[label] = _fit_payload(fit_malus(ds.values(), ds.counts()))
     return rows, fits
 
 
-def _tomography(sc: Scenario, label: str, state: PureState, seeds: Iterator[int]):
-    """Projector scan at tomo_cycles, then MLE with Monte Carlo error bars."""
+def _tomography_jobs(sc: Scenario, states, seeds: Iterator[int]) -> tuple[list, list[int]]:
+    """Projector scan jobs at tomo_cycles; each scan's Monte Carlo seed follows its own."""
+    jobs, mc_seeds = [], []
+    for _, state in states:
+        jobs.append((state, TomographyScan(sc.tomo_cycles), next(seeds)))
+        mc_seeds.append(next(seeds))
+    return jobs, mc_seeds
+
+
+def _tomography(sc: Scenario, label: str, state: PureState, ds, mc_seed: int):
+    """MLE with Monte Carlo error bars for one projector scan."""
     mset = MeasurementSet()
-    ds = _scan(sc, state, TomographyScan(sc.tomo_cycles), seeds)
     res = reconstruct_with_uncertainty(counts_from_dataset(ds, mset), mset, state,
-                                       n_samples=sc.mc_samples, seed=next(seeds))
+                                       n_samples=sc.mc_samples, seed=mc_seed)
     return _count_rows(label, ds), res
 
 
@@ -495,8 +514,8 @@ def _run_decay(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
     scan = DecayScan(n_values)
     rows: list[tuple] = []
     fits = {}
-    for label, state in sc.input_states:
-        ds = _scan(sc, state, scan, seeds)
+    datasets = _datasets(sc, [(state, scan, next(seeds)) for _, state in sc.input_states])
+    for (label, _), ds in zip(sc.input_states, datasets):
         rows += _count_rows(label, ds)
         fits[label] = asdict(fit_decay(ds.values(), ds.counts()))
     emitter.csv("decay_counts.csv",
@@ -509,7 +528,8 @@ def _run_decay(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
 
 
 def _run_malus(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
-    rows, fits = _malus_fits(sc, sc.input_states, sc.malus_cycles, seeds)
+    jobs = _malus_jobs(sc, sc.input_states, sc.malus_cycles, seeds)
+    rows, fits = _malus_fits(sc.input_states, _datasets(sc, jobs))
     emitter.csv("malus_counts.csv",
                 ("input_state", "angle_rad", "counts", "acquisition_s", "seed"), rows)
     emitter.json("malus.json", {"fits": fits, "n_cycles": sc.malus_cycles})
@@ -519,8 +539,9 @@ def _run_malus(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
 def _run_tomo(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
     rows: list[tuple] = []
     recon = {}
-    for label, state in sc.input_states:
-        counts, res = _tomography(sc, label, state, seeds)
+    jobs, mc_seeds = _tomography_jobs(sc, sc.input_states, seeds)
+    for (label, state), ds, mc_seed in zip(sc.input_states, _datasets(sc, jobs), mc_seeds):
+        counts, res = _tomography(sc, label, state, ds, mc_seed)
         rows += counts
         recon[label] = {
             "rho": _rho_flat(res.rho.matrix), "fidelity": res.fidelity,
@@ -557,7 +578,7 @@ def _run_fig2c(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
     label, state = sc.input_states[0]
     n_values = tuple(range(1, 9))
     params = derive_transmission_params(sc.config)
-    ds = _scan(sc, state, DecayScan(n_values), seeds)
+    [ds] = _datasets(sc, [(state, DecayScan(n_values), next(seeds))])
     fit = fit_decay(ds.values(), ds.counts())
     scale = sc.pair_rate * sc.detection_eff * sc.acquisition_s
     rows = [(n, efficiency(params, n), efficiency(params, n) * scale, r.counts)
@@ -576,10 +597,13 @@ def _run_fig2c(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
 
 def _run_fig3(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
     """Fringe + tomography bundle at one cycle count."""
-    mrows, fits = _malus_fits(sc, _FRINGE_STATES, sc.malus_cycles, seeds)
+    jobs = _malus_jobs(sc, _FRINGE_STATES, sc.malus_cycles, seeds)
+    tomo_jobs, [mc_seed] = _tomography_jobs(sc, (("R", R),), seeds)
+    *datasets, tomo_ds = _datasets(sc, jobs + tomo_jobs)
+    mrows, fits = _malus_fits(_FRINGE_STATES, datasets)
     emitter.csv("fig3_malus.csv",
                 ("input_state", "angle_rad", "counts", "acquisition_s", "seed"), mrows)
-    rows, res = _tomography(sc, "R", R, seeds)
+    rows, res = _tomography(sc, "R", R, tomo_ds, mc_seed)
     emitter.csv("fig3_tomo.csv", ("setting", "counts", "acquisition_s", "seed"),
                 [row[1:] for row in rows])
     payload = {
@@ -597,24 +621,28 @@ def _run_fig4(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
     """Output-quality-vs-storage-time bundle: visibilities and fidelities per n.
 
     Each n draws its fringe scans, then its H, D and R tomography scans, from
-    the next sub-seeds.  The fidelities are exact maximum-likelihood point
-    estimates, solved for every n and state in one `exact_mle_fidelities`
-    batch after the scans; a tomography without a solution raises
-    `NoSignalError`.  The Monte Carlo error bars are left to the dedicated
-    tomo pipeline to keep this sweep fast.
+    the next sub-seeds; every scan is simulated and sampled in one batch.  The
+    fidelities are exact maximum-likelihood point estimates, solved for every
+    n and state in one `exact_mle_fidelities` batch after the scans; a
+    tomography without a solution raises `NoSignalError`.  The Monte Carlo
+    error bars are left to the dedicated tomo pipeline to keep this sweep fast.
     """
     mset = MeasurementSet()
     states = (("H", H), ("D", D), ("R", R))
-    entries, counts = [], []
+    jobs = []
     for n in sc.n_values:
-        _, fits = _malus_fits(sc, _FRINGE_STATES, n, seeds)
+        jobs += _malus_jobs(sc, _FRINGE_STATES, n, seeds)
+        jobs += [(state, TomographyScan(n), next(seeds)) for _, state in states]
+    datasets = iter(_datasets(sc, jobs))
+    entries, counts = [], []
+    for _ in sc.n_values:
+        _, fits = _malus_fits(_FRINGE_STATES, itertools.islice(datasets, len(_FRINGE_STATES)))
         entry = {}
         for label in ("H", "D"):
             entry[f"visibility_{label.lower()}"] = fits[label]["visibility"]
             entry[f"sigma_v{label.lower()}"] = fits[label]["sigma_visibility"]
         entries.append(entry)
-        for _, state in states:
-            counts.append(counts_from_dataset(_scan(sc, state, TomographyScan(n), seeds), mset))
+        counts += [counts_from_dataset(next(datasets), mset) for _ in states]
     fids, failed = exact_mle_fidelities(counts, mset, [s for _, s in states] * len(entries))
     if failed.any():
         i = int(np.flatnonzero(failed)[0])

@@ -24,9 +24,21 @@ from loopmem.scenario import (  # noqa: E402
     _COMPONENT_KEYS, _MEMORY_KEYS, _SOURCE_KEYS, _TOP_KEYS, PRESETS, resolve,
 )
 
+
+def _nested(depth: int):
+    value = "deep"
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+DEEP = _nested(500)
 BAD_VALUES = ("abc", "", True, False, None, math.nan, math.inf, -math.inf,
               -1, -0.5, 0, 0.5, 1, 1e300, -1e300, 10**400, -(10**400),
-              [], [1, 2], {}, {"bogus": 1})
+              [], [1, 2], {}, {"bogus": 1}, DEEP)
+# a scenario label and an input state's label must be JSON strings
+LABEL_FIELDS = {("label",): "label", ("input_states", 1, "label"): "input_states[1].label"}
+BAD_LABELS = (7, -2.5, 10**400, None, True, [], ["e"], {"label": "e"}, DEEP)
 
 # the cheap pipelines: small Monte Carlo and three cycle counts in the base
 ARGVS = (["simulate"], ["decay"], ["malus"], ["tomo"], ["budget"],
@@ -76,6 +88,17 @@ def _mutate(raw: dict, path: tuple, value):
     return out
 
 
+def _run_cli(raw: dict, argv: list[str]) -> tuple[int, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scenario.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv + ["--scenario", path, "--out", os.path.join(tmp, "out")])
+    return rc, err.getvalue()
+
+
 @st.composite
 def broken_scenarios(draw):
     base = _base(draw(st.sampled_from(sorted(PRESETS))), draw(st.booleans()))
@@ -85,15 +108,20 @@ def broken_scenarios(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(raw=broken_scenarios(), argv=st.sampled_from(ARGVS))
 def test_cli_exits_0_or_reports_json_error(raw, argv):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "scenario.json")
-        with open(path, "w") as fh:
-            json.dump(raw, fh)
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            rc = main(argv + ["--scenario", path, "--out", os.path.join(tmp, "out")])
+    rc, err = _run_cli(raw, argv)
     if rc == 0:
         return
     assert rc == 1
-    payload = json.loads(err.getvalue())
+    payload = json.loads(err)
     assert isinstance(payload, dict) and {"error", "message"} <= payload.keys()
+
+
+@pytest.mark.parametrize("path", LABEL_FIELDS)
+@pytest.mark.parametrize("value", BAD_LABELS, ids=lambda v: type(v).__name__)
+def test_a_label_that_is_not_a_string_is_a_schema_error(path, value):
+    raw = _mutate(_base("paper-short", False), path, value)
+    rc, err = _run_cli(raw, ["budget"])
+    assert rc == 1
+    payload = json.loads(err)
+    assert payload["error"] == "SchemaError"
+    assert payload["field"] == LABEL_FIELDS[path]
