@@ -50,6 +50,11 @@ from .polarization import DensityMatrix, PureState, attenuator, birefringent_pha
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _RESIDUAL_CUTOFF = 1e-16
+# A residual this light does not change the unit input weight in float.  A map
+# that leaks less than this per passage rounds to one that keeps everything
+# (a cell rotation error below 1.05e-8 rad rounds cos to 1 yet lets sin^2 ~
+# 1.1e-16 into the loop), so such a residual is absorbed, not a "never decays".
+_UNIT_ROUNDOFF = 2.0 ** -53
 _LISTED_PASSES = 64  # passages past the release passage whose events are listed one by one
 
 
@@ -525,18 +530,19 @@ def _close(cfg: MemoryConfig, plumb: _Plumbing, branch: _Branch,
            schedule: DriveSchedule) -> tuple[ExitEvent | None, float]:
     """Settle what `branch` leaves after its listed passages: (tail exit, tail ejection).
 
-    A residual at or below the cutoff is absorbed, with no tail.  Otherwise
+    A residual at or below the cutoff is absorbed, with no tail, and so is one
+    within unit round-off that the final-level map keeps in float.  Otherwise
     every later passage runs at the schedule's final drive level and
     plumb.stein sums them exactly; the tail also carries the unlisted light
     events, and what never leaves the loop is absorbed.
     """
     x, y = branch.x, branch.y
     w = _norm2(x, y)
-    if w <= _RESIDUAL_CUTOFF:
+    t_k = cfg.delay_line_compensation + cfg.pass_through_time / 2.0 + (branch.k - 1) * cfg.delta_tau
+    sums = None if w <= _RESIDUAL_CUTOFF else plumb.stein(pockels_level(schedule, t_k))
+    if sums is None and w <= _UNIT_ROUNDOFF:
         branch.absorbed += w
         return None, 0.0
-    t_k = cfg.delay_line_compensation + cfg.pass_through_time / 2.0 + (branch.k - 1) * cfg.delta_tau
-    sums = plumb.stein(pockels_level(schedule, t_k))
     if sums is None:
         raise InvalidStateError(
             f"weight {w} still circulates after passage {branch.k - 1} and never decays: "

@@ -138,8 +138,12 @@ def _check_keys(d: dict, allowed: set, path: str):
 
 
 _MISSING = object()  # marks a required field that is absent
-_COUNT_CAP = 2 ** 53  # the largest integer a float time or an array size holds exactly
 _MAX_MEAN_COUNTS = 1e18  # numpy's Poisson sampler takes means up to about 9.2e18
+# What one valid scenario may cost, at the paper's scale: a few tens of cycles
+# and 10**4 Monte Carlo draws.  At 10**5 passages every preset has decayed to 0.
+_MAX_CYCLES = 10 ** 5
+_MAX_MC_SAMPLES = 10 ** 6
+_MAX_MALUS_POINTS = 10 ** 4
 
 
 def _number(v, path: str, lo: float = -math.inf, hi: float = math.inf) -> float:
@@ -165,7 +169,7 @@ def _string(v, path: str) -> str:
     return v
 
 
-def _integer(v, path: str, lo: int = 0, hi: float = _COUNT_CAP) -> int:
+def _integer(v, path: str, *, hi: float, lo: int = 0) -> int:
     """A JSON integer, not a bool, inside [lo, hi]."""
     if isinstance(v, bool) or not isinstance(v, int) or not lo <= v <= hi:
         _fail(f"expected an integer in [{lo}, {hi}]", path)
@@ -265,7 +269,8 @@ def _build(raw: dict) -> Scenario:
     n_values = raw.get("n_values", list(range(1, 9)))
     if not isinstance(n_values, list) or not n_values:
         _fail("expected a non-empty list of integers >= 0", "n_values")
-    n_values = tuple(_integer(n, f"n_values[{i}]") for i, n in enumerate(n_values))
+    n_values = tuple(_integer(n, f"n_values[{i}]", hi=_MAX_CYCLES)
+                     for i, n in enumerate(n_values))
 
     states = raw.get("input_states", ["H", "D", "R"])
     if not isinstance(states, list) or not states:
@@ -282,12 +287,14 @@ def _build(raw: dict) -> Scenario:
         if len(set(angles)) < 5 or max(angles) - min(angles) < math.pi - 1e-9:
             _fail("expected at least 5 distinct angles spanning 180 degrees", "malus_angles_deg")
     else:
-        points = _integer(raw.get("malus_points", 13), "malus_points", lo=5)
+        points = _integer(raw.get("malus_points", 13), "malus_points", lo=5,
+                          hi=_MAX_MALUS_POINTS)
         angles = tuple(np.linspace(0.0, math.pi, points))
 
-    malus_cycles = _integer(raw.get("malus_cycles", 1), "malus_cycles")
-    tomo_cycles = _integer(raw.get("tomo_cycles", 1), "tomo_cycles")
-    mc_samples = _integer(raw.get("mc_samples", 10000), "mc_samples", lo=2)
+    malus_cycles = _integer(raw.get("malus_cycles", 1), "malus_cycles", hi=_MAX_CYCLES)
+    tomo_cycles = _integer(raw.get("tomo_cycles", 1), "tomo_cycles", hi=_MAX_CYCLES)
+    mc_samples = _integer(raw.get("mc_samples", 10000), "mc_samples", lo=2,
+                          hi=_MAX_MC_SAMPLES)
 
     source = raw.get("source", {})
     _check_keys(source, _SOURCE_KEYS, "source")

@@ -16,15 +16,19 @@ positive semidefinite, and otherwise the optimum is a pure state.
 `exact_mle_bloch` solves that case for many count vectors at once, and
 `exact_mle_fidelities` turns its solutions into fidelities with target
 states: `monte_carlo_uncertainty` uses it for every four-projector error bar.
+
+scipy's L-BFGS is imported on the first `mle_reconstruct` call: the call
+goes through the module attribute `minimize`, which the module `__getattr__`
+binds on first access, so runs without a likelihood fit never load scipy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .counting import DEFAULT_PROJECTORS, ScanDataset
 from .errors import IncompleteSetError, NoSignalError
@@ -36,6 +40,15 @@ _NEWTON_MAXITER = 100
 _NEWTON_GTOL = 1e-10  # tangent gradient per total count
 _MAX_STEP = 0.5  # radians on the unit sphere
 _LL_SLACK = 1e-12  # log-likelihood per total count
+
+
+def __getattr__(name: str):
+    """Bind scipy's `minimize` on first access (PEP 562); no other lazy names."""
+    if name != "minimize":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import minimize
+    globals()["minimize"] = minimize
+    return minimize
 
 
 @dataclass(frozen=True)
@@ -166,8 +179,9 @@ def mle_reconstruct(counts, mset: MeasurementSet | None = None,
     u = np.array([p.alpha for _, p in mset.projectors])
     w = np.array([p.beta for _, p in mset.projectors])
     fun = _profile_objective(k, u, w)
-    res = minimize(fun, _initial_t(k, mset), jac=True, method="L-BFGS-B",
-                   options={"ftol": 1e-13, "gtol": 1e-10, "maxiter": 500})
+    res = sys.modules[__name__].minimize(
+        fun, _initial_t(k, mset), jac=True, method="L-BFGS-B",
+        options={"ftol": 1e-13, "gtol": 1e-10, "maxiter": 500})
 
     t1, t2, t3, t4 = res.x
     t = np.array([[t1, 0.0], [t3 + 1j * t4, t2]], dtype=complex)

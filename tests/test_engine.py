@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from loopmem import engine
+from loopmem.cli import main
 from loopmem.components import (
     CIRCULATOR_ARM, COUPLER, FIBER_SEGMENT, FPC, MIRROR, OFF, ON, POCKELS_CELL,
     RETROREFLECTOR, ComponentSpec,
@@ -409,6 +410,24 @@ def test_undecaying_tail_is_an_error():
         engine._close(cfg, plumb, branch, switch_schedule(0, cfg))
     # the passage-1 release leaves only rounding residue, so the call itself succeeds
     assert simulate_storage(cfg, D, 0).tail is None
+
+
+def test_a_tail_kept_only_by_round_off_is_absorbed(tmp_path):
+    # at eps = 1.04e-8 cos(eps) rounds to 1, so the cell left on keeps the
+    # sin^2(eps) = 1.08e-16 it let in at passage 1, just above the 1e-16 cut
+    eps = 1.04e-8
+    cfg = lossless_config(eps)
+    assert engine._plumbing(cfg).stein(ON) is None
+    for state in (H, D, R):
+        out = simulate_storage(cfg, state, 0)
+        assert out.tail is None and out.absorbed < 1e-15
+        assert abs(out.weight_balance() - 1.0) < 1e-12
+    scenario = tmp_path / "lossless.json"
+    scenario.write_text(json.dumps({
+        "preset": "paper-short", "n_values": [0, 1, 2],
+        "memory": {"params": {"g13": 1.0, "g12": 1.0, "g22": 1.0, "g23": 1.0},
+                   "pc_rotation_error": eps}}))
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_config_hash_is_cached_per_instance():

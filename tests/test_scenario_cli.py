@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -539,3 +541,38 @@ def test_cli_fringe_fit_at_the_largest_accepted_flux(tmp_path, capsys):
     assert rc == 0, capsys.readouterr().err
     fit = json.loads((tmp_path / "malus.json").read_text())["fits"]["D"]
     assert fit["visibility"] > 0.999
+
+
+_LAZY_SCIPY = """
+import sys
+import loopmem, loopmem.cli
+from loopmem.cli import main
+
+assert "scipy" not in sys.modules, "importing loopmem imported scipy"
+out, tomo_scenario = sys.argv[1], sys.argv[2]
+for argv in (["simulate"], ["decay"], ["malus"], ["budget"],
+             ["reproduce", "fig2c"], ["reproduce", "fig4"]):
+    assert main(argv + ["--preset", "paper-short", "--out", out]) == 0, argv
+    assert "scipy" not in sys.modules, f"{argv} imported scipy"
+assert main(["tomo", "--scenario", tomo_scenario, "--out", out]) == 0
+import scipy.optimize
+assert loopmem.tomography.minimize is scipy.optimize.minimize
+try:
+    loopmem.tomography.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("loopmem.tomography.no_such_name resolved")
+"""
+
+
+def test_only_a_likelihood_fit_imports_scipy(tmp_path):
+    # scipy's L-BFGS is bound on the first mle_reconstruct call; a fresh
+    # process shows which pipelines load it
+    tomo = write_scenario(tmp_path, {"preset": "paper-short", "mc_samples": 100})
+    src = str(Path(loopmem.scenario.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY, str(tmp_path / "out"), tomo],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

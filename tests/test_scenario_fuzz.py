@@ -2,8 +2,8 @@
 
 Every run must exit 0, or exit 1 with one JSON error object on stderr; no
 input may end in a traceback.  Count fields (cycle counts, n_values entries,
-mc_samples, malus_points) get no large in-range values: those cost run time
-or memory, not a crash.
+mc_samples, malus_points) are capped by the schema; each gets one large value
+within its cap and its cap + 1 instead of a place in the random pool.
 """
 
 import copy
@@ -125,3 +125,43 @@ def test_a_label_that_is_not_a_string_is_a_schema_error(path, value):
     payload = json.loads(err)
     assert payload["error"] == "SchemaError"
     assert payload["field"] == LABEL_FIELDS[path]
+
+
+# count field -> (cap, pipeline it drives, a large value within the cap).
+# mc_samples runs at 10**5, not at its cap: 10**6 draws peak near 1.1 GB.
+COUNT_CAPS = {
+    "n_values": (10**5, ["simulate"], 10**5),
+    "malus_cycles": (10**5, ["malus"], 10**5),
+    "tomo_cycles": (10**5, ["tomo"], 10**5),
+    "mc_samples": (10**6, ["tomo"], 10**5),
+    "malus_points": (10**4, ["malus"], 10**4),
+}
+
+
+def _with_count(field: str, value: int) -> dict:
+    raw = _base("paper-short", False)
+    raw["input_states"] = ["H"]
+    if field == "n_values":
+        raw["n_values"] = [1, 2, value]
+    else:
+        raw[field] = value
+    return raw
+
+
+@pytest.mark.parametrize("field", COUNT_CAPS)
+def test_a_count_over_its_cap_is_a_schema_error(field):
+    cap, argv, _ = COUNT_CAPS[field]
+    resolve(_with_count(field, cap))
+    rc, err = _run_cli(_with_count(field, cap + 1), argv)
+    assert rc == 1
+    payload = json.loads(err)
+    assert payload["error"] == "SchemaError"
+    assert payload["field"] == ("n_values[2]" if field == "n_values" else field)
+
+
+@pytest.mark.parametrize("field", COUNT_CAPS)
+def test_a_large_count_within_its_cap_runs(field):
+    _, argv, large = COUNT_CAPS[field]
+    rc, err = _run_cli(_with_count(field, large), argv)
+    if rc:  # after 10**5 cycles nothing is retrieved, so there may be no counts to fit
+        assert rc == 1 and json.loads(err)["error"] == "NoSignalError"
