@@ -30,7 +30,8 @@ from .components import (
 from .counting import DecayScan, MalusScan, TomographyScan, format_table, record_seed, run_scans
 from .counting import run_scan  # noqa: F401  bench/tracer.py requires this binding
 from .engine import (MemoryConfig, TransmissionParams, derive_transmission_params,
-                     efficiency, simulate_storage)
+                     efficiency, simulate_sweep)
+from .engine import simulate_storage  # noqa: F401  bench/tracer.py requires this binding
 from .errors import InvalidStateError, NoSignalError, SchemaError
 from .fitting import ATTENUATION_DB_PER_KM, fit_decay, fit_malus, project_budget, route_inventory
 from .polarization import A, D, H, L, PureState, R, V, fidelity, make_pure
@@ -142,6 +143,7 @@ _MAX_MEAN_COUNTS = 1e18  # numpy's Poisson sampler takes means up to about 9.2e1
 # What one valid scenario may cost, at the paper's scale: a few tens of cycles
 # and 10**4 Monte Carlo draws.  At 10**5 passages every preset has decayed to 0.
 _MAX_CYCLES = 10 ** 5
+_MAX_N_VALUES = 10 ** 3
 _MAX_MC_SAMPLES = 10 ** 6
 _MAX_MALUS_POINTS = 10 ** 4
 
@@ -267,8 +269,8 @@ def _build(raw: dict) -> Scenario:
     seed = _integer(raw.get("seed", 0), "seed", hi=math.inf)
 
     n_values = raw.get("n_values", list(range(1, 9)))
-    if not isinstance(n_values, list) or not n_values:
-        _fail("expected a non-empty list of integers >= 0", "n_values")
+    if not isinstance(n_values, list) or not 1 <= len(n_values) <= _MAX_N_VALUES:
+        _fail(f"expected a list of 1 to {_MAX_N_VALUES} integers >= 0", "n_values")
     n_values = tuple(_integer(n, f"n_values[{i}]", hi=_MAX_CYCLES)
                      for i, n in enumerate(n_values))
 
@@ -486,8 +488,7 @@ def _run_simulate(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict
     rows = []
     summary: dict = {}
     for label, state in sc.input_states:
-        for n in sc.n_values:
-            out = simulate_storage(sc.config, state, n)
+        for n, out in zip(sc.n_values, simulate_sweep(sc.config, state, sc.n_values)):
             f_retrieved = _exit_fidelity(out.retrieved.state, state)
             rows.append((label, n, "retrieved", out.retrieved.time,
                          out.retrieved.weight, f_retrieved))

@@ -40,6 +40,7 @@ _NEWTON_MAXITER = 100
 _NEWTON_GTOL = 1e-10  # tangent gradient per total count
 _MAX_STEP = 0.5  # radians on the unit sphere
 _LL_SLACK = 1e-12  # log-likelihood per total count
+_MC_CHUNK = 65536  # Monte Carlo draws resampled and solved at once
 
 
 def __getattr__(name: str):
@@ -356,36 +357,38 @@ def monte_carlo_uncertainty(counts, mset: MeasurementSet, target: PureState, *,
     """Fidelity mean and spread under Poisson resampling of the observed counts.
 
     All draws come from one generator seeded up front, so the result does not
-    depend on evaluation order.  Returns (mean, sample std, n_failed) where
+    depend on evaluation order; they are drawn and solved `_MC_CHUNK` rows at
+    a time, which bounds the memory.  Returns (mean, sample std, n_failed) where
     failed samples (no signal or non-converged fit) are excluded from the
-    statistics but counted.  Four projectors are solved exactly for all
-    draws at once by `exact_mle_fidelities`; larger sets fit each draw with
+    statistics but counted.  Four projectors are solved exactly for a whole
+    chunk at once by `exact_mle_fidelities`; larger sets fit each draw with
     `mle_reconstruct`.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     k = np.asarray(counts, dtype=float)
-    draws = np.random.default_rng(seed).poisson(lam=k, size=(n_samples, len(k)))
-    if len(mset.projectors) == 4:
-        fids, failed = exact_mle_fidelities(draws, mset, (target,))
-        fids = fids[~failed]
-        n_failed = int(failed.sum())
-    else:
-        fids = []
-        n_failed = 0
-        for row in draws:
-            try:
-                r = mle_reconstruct(row.astype(float), mset, target)
-            except NoSignalError:
-                n_failed += 1
-                continue
-            if not r.converged:
-                n_failed += 1
-                continue
-            fids.append(r.fidelity)
-    if len(fids) < 2:
+    rng = np.random.default_rng(seed)
+    fids = []
+    n_failed = 0
+    for start in range(0, n_samples, _MC_CHUNK):
+        draws = rng.poisson(lam=k, size=(min(_MC_CHUNK, n_samples - start), len(k)))
+        if len(mset.projectors) == 4:
+            f, failed = exact_mle_fidelities(draws, mset, (target,))
+        else:  # one likelihood fit per draw, NaN where there is none
+            f = np.full(len(draws), np.nan)
+            for i, row in enumerate(draws):
+                try:
+                    r = mle_reconstruct(row.astype(float), mset, target)
+                except NoSignalError:
+                    continue
+                if r.converged:
+                    f[i] = r.fidelity
+            failed = np.isnan(f)
+        fids.append(f[~failed])
+        n_failed += int(failed.sum())
+    arr = np.concatenate(fids)
+    if len(arr) < 2:
         raise NoSignalError("Monte Carlo resampling produced no usable fits")
-    arr = np.array(fids)
     return float(arr.mean()), float(arr.std(ddof=1)), n_failed
 
 

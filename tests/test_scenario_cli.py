@@ -11,7 +11,7 @@ import pytest
 import loopmem.scenario
 from loopmem.cli import main
 from loopmem.components import POCKELS_CELL
-from loopmem.engine import derive_transmission_params
+from loopmem.engine import derive_transmission_params, simulate_storage
 from loopmem.errors import SchemaError
 from loopmem.polarization import D, H
 from loopmem.scenario import (
@@ -417,6 +417,38 @@ def test_cli_simulate_runs_the_checked_in_low_loss_scenario(tmp_path, capsys):
         rows = list(csv.reader(fh))[2:]
     assert {(row[0], row[1]) for row in rows if row[2] == "tail-exit"} == {
         ("H", "0"), ("D", "0"), ("R", "0")}
+
+
+def test_simulate_sweeps_each_input_state_once(monkeypatch, tmp_path):
+    sweeps = []
+
+    def sweep(cfg, state, n_values):
+        sweeps.append((state, n_values))
+        return simulate_sweep(cfg, state, n_values)
+
+    def per_n(*args):
+        raise AssertionError("simulate propagated one cycle count alone")
+
+    simulate_sweep = loopmem.scenario.simulate_sweep
+    monkeypatch.setattr(loopmem.scenario, "simulate_sweep", sweep)
+    monkeypatch.setattr(loopmem.scenario, "simulate_storage", per_n)
+    sc = preset_scenario("paper-short")
+    run(sc, "simulate", str(tmp_path))
+    assert sweeps == [(state, sc.n_values) for _, state in sc.input_states]
+
+
+def test_simulate_rows_equal_per_n_storage_rows(monkeypatch, tmp_path):
+    sc = resolve({"preset": "paper-short", "n_values": [0, 5, 3, 3, 12, 1, 64, 0, 2],
+                  "memory": {"pc_rotation_error": 0.05}})
+    run(sc, "simulate", str(tmp_path / "sweep"))
+    monkeypatch.setattr(loopmem.scenario, "simulate_sweep", lambda cfg, state, n_values: tuple(
+        simulate_storage(cfg, state, n) for n in n_values))
+    run(sc, "simulate", str(tmp_path / "per-n"))
+    table = "simulate_events.csv"
+    assert (tmp_path / "sweep" / table).read_bytes() == (tmp_path / "per-n" / table).read_bytes()
+    outcomes = [json.loads((tmp_path / d / "simulate.json").read_text())["outcomes"]
+                for d in ("sweep", "per-n")]
+    assert outcomes[0] == outcomes[1]
 
 
 def test_cli_fig4_survives_negative_round_off_in_projections(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Fuzz the CLI with scenario files that break one field of a preset at a time.
 
 Every run must exit 0, or exit 1 with one JSON error object on stderr; no
-input may end in a traceback.  Count fields (cycle counts, n_values entries,
-mc_samples, malus_points) are capped by the schema; each gets one large value
-within its cap and its cap + 1 instead of a place in the random pool.
+input may end in a traceback.  Count fields (cycle counts, n_values entries
+and length, mc_samples, malus_points) are capped by the schema; each gets one
+large value within its cap and its cap + 1 instead of a place in the random
+pool.
 """
 
 import copy
@@ -127,13 +128,12 @@ def test_a_label_that_is_not_a_string_is_a_schema_error(path, value):
     assert payload["field"] == LABEL_FIELDS[path]
 
 
-# count field -> (cap, pipeline it drives, a large value within the cap).
-# mc_samples runs at 10**5, not at its cap: 10**6 draws peak near 1.1 GB.
+# count field -> (cap, pipeline it drives, a large value within the cap)
 COUNT_CAPS = {
     "n_values": (10**5, ["simulate"], 10**5),
     "malus_cycles": (10**5, ["malus"], 10**5),
     "tomo_cycles": (10**5, ["tomo"], 10**5),
-    "mc_samples": (10**6, ["tomo"], 10**5),
+    "mc_samples": (10**6, ["tomo"], 10**6),
     "malus_points": (10**4, ["malus"], 10**4),
 }
 
@@ -165,3 +165,14 @@ def test_a_large_count_within_its_cap_runs(field):
     rc, err = _run_cli(_with_count(field, large), argv)
     if rc:  # after 10**5 cycles nothing is retrieved, so there may be no counts to fit
         assert rc == 1 and json.loads(err)["error"] == "NoSignalError"
+
+
+@pytest.mark.parametrize("length,rc", [(10**3, 0), (10**3 + 1, 1)])
+def test_n_values_holds_at_most_a_thousand_entries(length, rc):
+    raw = _base("paper-short", False)
+    raw.update(input_states=["H"], n_values=list(range(1, length + 1)))
+    code, err = _run_cli(raw, ["simulate"])
+    assert code == rc, err
+    if rc:
+        payload = json.loads(err)
+        assert payload["error"] == "SchemaError" and payload["field"] == "n_values"

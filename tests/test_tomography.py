@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import loopmem.tomography
+
 from loopmem.counting import ScanDataset, TomographyScan, run_scan
 from loopmem.engine import MemoryConfig
 from loopmem.errors import IncompleteSetError, NoSignalError
@@ -364,6 +366,23 @@ def test_mc_fits_overcomplete_sets_draw_by_draw():
     k = 1e3 * np.array([0.5, 0.5, 0.9, 0.1, 0.5, 0.5])
     draws = np.random.default_rng(4).poisson(lam=k, size=(30, 6))
     assert monte_carlo_uncertainty(k, six, D, n_samples=30, seed=4) == per_draw_mc(draws, six, D)
+
+
+@pytest.mark.parametrize("projectors,counts,n_samples", [
+    (MSET.projectors, [0.5, 0.5, 1.5, 1.5], 500),  # draws without signal fail
+    ((("H", H), ("V", V), ("D", D), ("A", A), ("R", R), ("L", L)),
+     [500.0, 500.0, 900.0, 100.0, 500.0, 500.0], 30),
+])
+def test_mc_in_chunks_equals_one_chunk(monkeypatch, projectors, counts, n_samples):
+    mset = MeasurementSet(projectors)
+    whole = monte_carlo_uncertainty(counts, mset, D, n_samples=n_samples, seed=3)
+    monkeypatch.setattr(loopmem.tomography, "_MC_CHUNK", 7)
+    mean, std, n_failed = monte_carlo_uncertainty(counts, mset, D, n_samples=n_samples, seed=3)
+    assert mean == pytest.approx(whole[0], rel=1e-12)
+    assert std == pytest.approx(whole[1], rel=1e-12)
+    assert n_failed == whole[2]
+    if len(projectors) == 4:
+        assert n_failed > 0
 
 
 # --- dataset glue ---
