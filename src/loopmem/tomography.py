@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,6 +41,7 @@ _NEWTON_GTOL = 1e-10  # tangent gradient per total count
 _MAX_STEP = 0.5  # radians on the unit sphere
 _LL_SLACK = 1e-12  # log-likelihood per total count
 _MC_CHUNK = 65536  # Monte Carlo draws resampled and solved at once
+_ASCENT_ROWS = 8192  # rows per `_sphere_ascent` call, which bounds its memory
 
 
 def __getattr__(name: str):
@@ -57,22 +58,21 @@ class MeasurementSet:
     """Labeled projector collection; must fix all four Stokes components."""
 
     projectors: tuple[tuple[str, PureState], ...] = DEFAULT_PROJECTORS
+    _design: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.projectors) < 4:
-            raise IncompleteSetError(
-                f"need at least 4 projectors, got {len(self.projectors)}")
-        if np.linalg.matrix_rank(self.design_matrix(), tol=1e-9) < 4:
+            raise IncompleteSetError(f"need at least 4 projectors, got {len(self.projectors)}")
+        uw = [(p.alpha, p.beta, np.conj(p.alpha) * p.beta) for _, p in self.projectors]
+        a = np.array([[abs(u) ** 2, abs(w) ** 2, 2.0 * z.real, -2.0 * z.imag] for u, w, z in uw])
+        a.flags.writeable = False
+        object.__setattr__(self, "_design", a)
+        if np.linalg.matrix_rank(a, tol=1e-9) < 4:
             raise IncompleteSetError("projector set does not span the state space")
 
     def design_matrix(self) -> np.ndarray:
-        """Rows map x = (rho00, rho11, Re rho01, Im rho01) to <psi|rho|psi>."""
-        rows = []
-        for _, p in self.projectors:
-            u, w = p.alpha, p.beta
-            uw = np.conj(u) * w
-            rows.append([abs(u) ** 2, abs(w) ** 2, 2.0 * uw.real, -2.0 * uw.imag])
-        return np.array(rows, dtype=float)
+        """Rows map x = (rho00, rho11, Re rho01, Im rho01) to <psi|rho|psi>; read-only."""
+        return self._design
 
     def labels(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.projectors)
@@ -208,73 +208,84 @@ def _bloch(rho: np.ndarray) -> np.ndarray:
     return np.array([(rho[0, 0] - rho[1, 1]).real, 2.0 * rho[0, 1].real, 2.0 * rho[0, 1].imag])
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # where q = 0 and k > 0; see below
 def _sphere_ascent(k: np.ndarray, n: np.ndarray, c: np.ndarray,
                    b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Maximize sum k log q - K log sum q, q = c + b n, over unit vectors n.
 
-    Rows of `k` (counts) and `n` (start points) are independent problems.
-    Each iteration takes a Newton step in the tangent plane, or a gradient
-    step where the projected Hessian is not negative definite, no longer
-    than a per-row radius, and retracts it onto the sphere along the great
-    circle.  A step that lowers the likelihood by more than round-off is
-    refused and the radius shrinks.  Returns (n, stuck), stuck marking rows
-    still short of the tolerance after `_NEWTON_MAXITER` iterations.
+    Rows of `k` (counts) and `n` (starts) are independent problems; every
+    operation is elementwise or a sum in a fixed order, so a row's result does
+    not depend on the rows beside it.  Each iteration takes a Newton step in
+    the tangent plane, or a gradient step where the projected Hessian is not
+    negative definite, no longer than a per-row radius, and retracts it along
+    the great circle; a step that lowers the likelihood by more than round-off
+    is refused and the radius shrinks.  The tangent basis of n = (x, y, z) has
+    no branches (Duff et al., "Building an orthonormal basis, revisited", JCGT
+    6(1), 2017): s = copysign(1, z), a = -1 / (s + z), e1 = (1 + s x^2 a,
+    s x y a, -s x), e2 = (x y a, s + y^2 a, -y).  Returns (n, stuck), stuck
+    indexing the rows short of the tolerance after `_NEWTON_MAXITER` iterations.
     """
-    n = n.copy()
-    total = k.sum(axis=1)
-    c_sum, b_sum = c.sum(), b.sum(axis=0)
-    radius = np.full(len(n), _MAX_STEP)
-    active = np.arange(len(n))
+    out = n.copy()
+    # -K log sum q is a fifth term, with count -K, offset sum c and vector sum b
+    b0, b1, b2 = np.vstack((b, b.sum(axis=0))).T[:, :, None, None].copy()  # (5, 1, 1) each
+    k5 = np.vstack((k.T, -k.sum(axis=1)))[:, None]
+    ck = np.append(c, c.sum())[:, None, None] + (k5 == 0)  # + 1 keeps q > 0 where k = 0
+    tol, slack = -_NEWTON_GTOL * k5[4, 0], -_LL_SLACK * k5[4, 0]
 
-    def loglik(kk, tot, nn):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = np.where(kk > 0, c + nn @ b.T, 1.0)
-            return (kk * np.log(q)).sum(axis=1) - tot * np.log(c_sum + nn @ b_sum)
+    def dots(v):  # v . b_i for the five terms, along axis 0
+        return v[0] * b0 + v[1] * b1 + v[2] * b2
 
+    def total(t):  # the sum over the five terms
+        return t[0] + t[1] + t[2] + t[3] + t[4]
+
+    def probe(v):  # q, with round-off below 0 clipped, and the log-likelihood
+        q = np.maximum(dots(v) + ck, 0.0)
+        return q, total(k5 * np.log(q))[0]
+
+    x = n.T.copy()
+    q, ll = probe(x)
+    radius, rows = np.full(len(n), _MAX_STEP), np.arange(len(n))
     for _ in range(_NEWTON_MAXITER):
-        ka, na, tot = k[active], n[active], total[active]
-        q = c + na @ b.T
-        w = np.divide(ka, q, out=np.zeros_like(q), where=ka > 0)  # k/q, 0 where k = 0
-        s = c_sum + na @ b_sum
-        g = w @ b - np.outer(tot / s, b_sum)
-        k_q2 = w * w / np.where(ka > 0, ka, 1.0)  # k/q^2, 0 where k = 0 (q may be 0 there)
-        hess = (np.einsum("mi,ia,ib->mab", -k_q2, b, b)
-                + (tot / s ** 2)[:, None, None] * np.outer(b_sum, b_sum))
-        # orthonormal tangent basis e (m, 2, 3); n is a unit vector
-        axis = np.eye(3)[np.argmin(np.abs(na), axis=1)]
-        e1 = np.cross(na, axis)
-        e1 /= np.linalg.norm(e1, axis=1)[:, None]
-        e = np.stack((e1, np.cross(na, e1)), axis=1)
-        gt = np.einsum("mja,ma->mj", e, g)
-        done = np.linalg.norm(gt, axis=1) <= _NEWTON_GTOL * tot
-        active, e, gt, hess, g, na, ka, tot = (
-            v[~done] for v in (active, e, gt, hess, g, na, ka, tot))
-        if not active.size:
-            break
-        # Riemannian Hessian on the sphere: projected Hessian minus (g . n) I
-        h = np.einsum("mja,mab,mkb->mjk", e, hess, e)
-        h -= (g * na).sum(axis=1)[:, None, None] * np.eye(2)
-        det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
-        concave = (h[:, 0, 0] < 0) & (det > 0)
-        step = gt.copy()
-        hc, gc, dc = h[concave], gt[concave], det[concave]
-        step[concave] = -np.stack((hc[:, 1, 1] * gc[:, 0] - hc[:, 0, 1] * gc[:, 1],
-                                   hc[:, 0, 0] * gc[:, 1] - hc[:, 1, 0] * gc[:, 0]),
-                                  axis=1) / dc[:, None]
-        length = np.linalg.norm(step, axis=1)
-        step *= (np.minimum(length, radius[active]) / length)[:, None]
-        v = np.einsum("mj,mja->ma", step, e)
-        theta = np.linalg.norm(v, axis=1)[:, None]
-        trial = np.cos(theta) * na + np.sin(theta) * v / theta
-        trial /= np.linalg.norm(trial, axis=1)[:, None]
+        w = k5 / q
+        s = np.copysign(1.0, x[2])
+        u = x * (-1.0 / (s + x[2]))
+        u[2] = -1.0
+        e = u[:, None] * x[:2]  # e1 - (1, 0, 0) and e2 - (0, s, 0)
+        e[:, 0] *= s
+        e[0, 0] += 1.0
+        e[1, 1] += s
+        p = dots(e)  # e_j . b_i
+        g = total(w * p)  # tangent gradient
+        done = np.hypot(g[0], g[1]) <= tol
+        if done.any():
+            out[rows[done]] = x[:, done].T
+            x, q, ll, k5, ck, tol, slack, radius, rows, w, e, p, g = (
+                v[..., ~done] for v in (x, q, ll, k5, ck, tol, slack, radius, rows, w, e, p, g))
+            if not rows.size:
+                break
+        # M = -(Riemannian Hessian) = sum_i (k/q^2)_i (e_j . b_i)(e_l . b_i) + (g . n) I with
+        # g . n = -sum_i (k/q)_i c_i; the step is M^-1 g where M is positive definite, else g
+        m = total(((w / q) * p)[:, :, None] * p[:, None])
+        diag = m.reshape(4, -1)[::3]  # (m00, m11); [::-1] turns it into (m11, m00)
+        diag -= total(w * ck)  # ck is c where w = k/q is not 0
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[0, 1]
+        step = np.divide(diag[::-1] * g - m[0, 1] * g[::-1], det, out=g.copy(),
+                         where=(m[0, 0] > 0) & (det > 0))
+        # a start with q = 0 where k > 0 has no gradient, and any step gains
+        np.copyto(step, 1.0, where=ll == -np.inf)
+        length = np.hypot(step[0], step[1])
+        theta = np.minimum(length, radius)
+        trial = np.cos(theta) * x + np.sin(theta) / length * (step[0] * e[:, 0]
+                                                              + step[1] * e[:, 1])
+        sq = trial * trial
+        trial /= np.sqrt(sq[0] + sq[1] + sq[2])
+        q_trial, ll_trial = probe(trial)
         # the slack lets steps whose gain is below round-off through
-        better = loglik(ka, tot, trial) >= loglik(ka, tot, na) - _LL_SLACK * tot
-        n[active[better]] = trial[better]
-        radius[active] = np.where(better, np.minimum(2.0 * radius[active], _MAX_STEP),
-                                  0.25 * radius[active])
-    stuck = np.zeros(len(n), dtype=bool)
-    stuck[active] = True
-    return n, stuck
+        better = ll_trial >= ll - slack
+        x, q, ll = (np.where(better, a, z) for a, z in ((trial, x), (q_trial, q), (ll_trial, ll)))
+        radius = np.minimum(radius * np.where(better, 2.0, 0.25), _MAX_STEP)
+    out[rows] = x.T
+    return out, rows
 
 
 def exact_mle_bloch(draws, mset: MeasurementSet) -> tuple[np.ndarray, np.ndarray]:
@@ -284,11 +295,10 @@ def exact_mle_bloch(draws, mset: MeasurementSet) -> tuple[np.ndarray, np.ndarray
     projectors of `mset`.  Linear inversion of a saturated model is the MLE
     wherever its Bloch vector r has |r| <= 1.  Elsewhere the likelihood,
     concave in (flux, flux * r), peaks on the pure states, which
-    `_sphere_ascent` searches with the flux profiled out: from r / |r|, or,
-    where the linear-inversion flux is not positive and r is undefined, from
-    b^T k / |b^T k|, with q = c + b r the projector probabilities of a state
-    (the unconstrained optimum is outside the states there too, so the peak
-    is again pure).
+    `_sphere_ascent` searches with the flux profiled out from r / |r|, where r
+    is b^T k if the linear-inversion flux is not positive, with q = c + b r the
+    projector probabilities of a state (the unconstrained optimum is outside
+    the states there too, so the peak is again pure).
 
     Returns (r, failed): r has shape (n, 3) in the coordinates of `_bloch`,
     and failed marks rows without a start (no positive flux and b^T k = 0,
@@ -299,32 +309,24 @@ def exact_mle_bloch(draws, mset: MeasurementSet) -> tuple[np.ndarray, np.ndarray
     if a.shape[0] != 4 or k.ndim != 2 or k.shape[1] != 4:
         raise ValueError(f"need rows of 4 counts on 4 projectors, got {k.shape} "
                          f"on {a.shape[0]}")
-    if np.any(k < 0):
+    if (k < 0).any():
         raise ValueError("counts must be nonnegative")
     x = np.linalg.solve(a, k.T).T
     flux = x[:, 0] + x[:, 1]
     ok = flux > 0
-    r = np.full((len(k), 3), np.nan)
-    r[ok] = np.column_stack((x[ok, 0] - x[ok, 1], 2.0 * x[ok, 2], 2.0 * x[ok, 3])) / flux[ok, None]
-    norm = np.linalg.norm(r, axis=1)
-    out = np.flatnonzero(ok & (norm > 1.0))
+    r = np.divide(np.column_stack((x[:, 0] - x[:, 1], 2.0 * x[:, 2], 2.0 * x[:, 3])),
+                  flux[:, None], out=np.empty((len(k), 3)), where=ok[:, None])
     # q = a @ (rho00, rho11, Re rho01, Im rho01) = c + b @ r on unit-trace states
     c = 0.5 * (a[:, 0] + a[:, 1])
     b = 0.5 * np.column_stack((a[:, 0] - a[:, 1], a[:, 2], a[:, 3]))
-    no_flux = np.flatnonzero(~ok)
-    g = k[no_flux] @ b
-    g_norm = np.linalg.norm(g, axis=1)
-    lost = no_flux[g_norm > 0]
-    failed = ~ok
-    failed[lost] = False
-    # a batch of its own for each start: numpy's rounding can depend on the
-    # batch, and a row with positive flux must not change with the rows
-    # beside it; an empty batch is skipped, as it costs a fifth of a millisecond
-    for rows, start in ((out, r[out] / norm[out, None]),
-                        (lost, g[g_norm > 0] / g_norm[g_norm > 0, None])):
-        if rows.size:
-            r[rows], stuck = _sphere_ascent(k[rows], start, c, b)
-            failed[rows[stuck]] = True
+    r[~ok] = k[~ok] @ b
+    norm = np.linalg.norm(r, axis=1)
+    failed = ~ok & (norm == 0)
+    rows = np.flatnonzero((norm > 1.0) | ~ok & ~failed)
+    for i in range(0, rows.size, _ASCENT_ROWS):
+        part = rows[i:i + _ASCENT_ROWS]
+        r[part], stuck = _sphere_ascent(k[part], r[part] / norm[part, None], c, b)
+        failed[part[stuck]] = True
     r[failed] = np.nan
     return r, failed
 
@@ -356,20 +358,18 @@ def monte_carlo_uncertainty(counts, mset: MeasurementSet, target: PureState, *,
                             n_samples: int = 10000, seed: int = 0) -> tuple[float, float, int]:
     """Fidelity mean and spread under Poisson resampling of the observed counts.
 
-    All draws come from one generator seeded up front, so the result does not
-    depend on evaluation order; they are drawn and solved `_MC_CHUNK` rows at
-    a time, which bounds the memory.  Returns (mean, sample std, n_failed) where
-    failed samples (no signal or non-converged fit) are excluded from the
-    statistics but counted.  Four projectors are solved exactly for a whole
-    chunk at once by `exact_mle_fidelities`; larger sets fit each draw with
+    All draws come from one generator seeded up front and are drawn and solved
+    `_MC_CHUNK` rows at a time, which bounds the memory.  Returns (mean, sample
+    std, n_failed); failed samples (no signal or non-converged fit) are counted
+    but left out of the statistics.  Four projectors are solved exactly a
+    chunk at a time by `exact_mle_fidelities`; larger sets fit each draw with
     `mle_reconstruct`.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     k = np.asarray(counts, dtype=float)
     rng = np.random.default_rng(seed)
-    fids = []
-    n_failed = 0
+    fids, n_failed = [], 0
     for start in range(0, n_samples, _MC_CHUNK):
         draws = rng.poisson(lam=k, size=(min(_MC_CHUNK, n_samples - start), len(k)))
         if len(mset.projectors) == 4:

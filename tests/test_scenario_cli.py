@@ -451,6 +451,18 @@ def test_simulate_rows_equal_per_n_storage_rows(monkeypatch, tmp_path):
     assert outcomes[0] == outcomes[1]
 
 
+def test_simulate_reports_a_repeated_cycle_count_once(tmp_path, capsys):
+    path = write_scenario(tmp_path, {"preset": "paper-short",
+                                     "n_values": [0, 5, 3, 3, 12, 1, 64, 0, 2]})
+    assert main(["simulate", "--scenario", path, "--out", str(tmp_path)]) == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])["summary"]
+    with open(tmp_path / "simulate_events.csv", newline="") as fh:
+        absorbed = [(row[0], row[1]) for row in list(csv.reader(fh))[2:] if row[2] == "absorbed"]
+    outcomes = json.loads((tmp_path / "simulate.json").read_text())["outcomes"]
+    assert len(set(absorbed)) == len(absorbed) == len(outcomes) == summary["outcomes"] == 21
+    assert [n for label, n in absorbed if label == "H"] == ["0", "5", "3", "12", "1", "64", "2"]
+
+
 def test_cli_fig4_survives_negative_round_off_in_projections(tmp_path, capsys):
     # without the delay-line flip, D returns orthogonal to the 135 degree
     # analyzer at even cycle counts; at N = 8 that projection rounds to -7.7e-20

@@ -8,9 +8,9 @@ from loopmem.engine import MemoryConfig
 from loopmem.errors import IncompleteSetError, NoSignalError
 from loopmem.polarization import A, D, H, L, R, V, make_pure
 from loopmem.tomography import (
-    MeasurementSet, counts_from_dataset, exact_mle_bloch, exact_mle_fidelities,
-    linear_inversion, mle_reconstruct, monte_carlo_uncertainty,
-    reconstruct_with_uncertainty,
+    _LL_SLACK, _NEWTON_GTOL, _NEWTON_MAXITER, MeasurementSet, _bloch, _sphere_ascent,
+    counts_from_dataset, exact_mle_bloch, exact_mle_fidelities, linear_inversion,
+    mle_reconstruct, monte_carlo_uncertainty, reconstruct_with_uncertainty,
 )
 
 MSET = MeasurementSet()
@@ -383,6 +383,90 @@ def test_mc_in_chunks_equals_one_chunk(monkeypatch, projectors, counts, n_sample
     assert n_failed == whole[2]
     if len(projectors) == 4:
         assert n_failed > 0
+
+
+# --- the sphere ascent ---
+
+def ascent_terms() -> tuple[np.ndarray, np.ndarray]:
+    """(c, b) with q = c + b r the projector probabilities of the state with Bloch vector r."""
+    a = MSET.design_matrix()
+    return 0.5 * (a[:, 0] + a[:, 1]), 0.5 * np.column_stack((a[:, 0] - a[:, 1], a[:, 2], a[:, 3]))
+
+
+def ascent_batch() -> tuple[np.ndarray, np.ndarray]:
+    """40 rows of counts on pure states at flux 10 to 1e5, whose linear inversion
+    lies outside the Bloch ball: 20 start from it, as in `exact_mle_bloch`,
+    and 20 from a random unit vector."""
+    rng = np.random.default_rng(21)
+    rows = []
+    while len(rows) < 20:
+        state = make_pure(complex(*rng.normal(size=2)), complex(*rng.normal(size=2)))
+        k = rng.poisson(exact_counts(pure_rho(state), 10.0 ** rng.uniform(1.0, 5.0))).astype(float)
+        if k[0] + k[1] > 0 and np.linalg.norm(_bloch(linear_inversion(k, MSET)[0])) > 1.0:
+            rows.append(k)
+    k = np.array(rows + rows)
+    r = np.array([_bloch(linear_inversion(row, MSET)[0]) for row in rows])
+    random = rng.normal(size=(20, 3))
+    starts = np.vstack((r, random))
+    return k, starts / np.linalg.norm(starts, axis=1)[:, None]
+
+
+def test_ascent_ends_on_unit_stationary_points_no_worse_than_their_starts():
+    k, starts = ascent_batch()
+    c, b = ascent_terms()
+    n, stuck = _sphere_ascent(k, starts, c, b)
+    assert stuck.size == 0
+    assert np.abs(np.linalg.norm(n, axis=1) - 1.0).max() <= 1e-15
+    for ki, ni, start in zip(k, n, starts):
+        q = c + b @ ni
+        grad = (b.T @ np.divide(ki, q, out=np.zeros(4), where=ki > 0)
+                - ki.sum() * b.sum(axis=0) / q.sum())
+        assert np.linalg.norm(grad - (grad @ ni) * ni) <= _NEWTON_GTOL * ki.sum()
+        # every accepted step loses at most the round-off slack
+        assert (profile_log_likelihood(ki, rho_from_bloch(ni))
+                >= profile_log_likelihood(ki, rho_from_bloch(start))
+                - _NEWTON_MAXITER * _LL_SLACK * ki.sum())
+
+
+def test_ascent_solves_a_row_alone_as_in_a_batch():
+    k, starts = ascent_batch()
+    c, b = ascent_terms()
+    n, _ = _sphere_ascent(k, starts, c, b)
+    for i in range(len(k)):
+        alone, stuck = _sphere_ascent(k[i:i + 1], starts[i:i + 1], c, b)
+        assert np.array_equal(alone[0], n[i]) and stuck.size == 0
+
+
+def test_ascent_converges_from_the_six_poles():
+    # linear inversion gives r = (0, 0, 1.08); at four of the poles a projector
+    # with counts has q = 0, so the start has no likelihood and no gradient
+    k = np.tile([250.0, 250.0, 250.0, 520.0], (6, 1))
+    c, b = ascent_terms()
+    n, stuck = _sphere_ascent(k, np.vstack((np.eye(3), -np.eye(3))), c, b)
+    assert stuck.size == 0
+    r, failed = exact_mle_bloch(k[:1], MSET)
+    assert not failed.any() and np.abs(n - r).max() <= 1e-9
+    assert profile_log_likelihood(k[0], rho_from_bloch(r[0])) >= pure_state_grid_max()(k[0])
+
+
+def test_ascent_rows_short_of_the_tolerance_fail(monkeypatch):
+    monkeypatch.setattr(loopmem.tomography, "_NEWTON_MAXITER", 1)
+    rows = np.array(LBFGS_SHORT_ROWS + [[300.0, 200.0, 260.0, 310.0]])
+    r, failed = exact_mle_bloch(rows, MSET)
+    assert failed.tolist() == [True, True, False]
+    assert np.isnan(r[:2]).all() and np.isfinite(r[2]).all()
+    # about half of these draws land outside the ball, and none converges in one step
+    counts = exact_counts(pure_rho(D), 200.0)
+    draws = np.random.default_rng(4).poisson(lam=counts, size=(300, 4)).astype(float)
+    outside = np.array([np.linalg.norm(_bloch(linear_inversion(row, MSET)[0])) > 1.0
+                        for row in draws])
+    assert 0 < outside.sum() < len(draws)
+    _, failed = exact_mle_bloch(draws, MSET)
+    assert (failed == outside).all()
+    mean, _, n_failed = monte_carlo_uncertainty(counts, MSET, D, n_samples=300, seed=4)
+    assert n_failed == outside.sum()
+    fid = exact_mle_fidelities(draws[~outside], MSET, (D,))[0]
+    assert mean == pytest.approx(fid.mean(), rel=1e-12)
 
 
 # --- dataset glue ---
