@@ -1,11 +1,13 @@
 """Coincidence-count synthesis for simulated storage runs.
 
 Detection model: a heralded source emits pairs at `pair_rate` per second.
-The retrieved signal photon is analyzed by a projector and detected with
-efficiency `detection_eff`, so the mean coincidence rate behind a projector
-P is  pair_rate * detection_eff * tr(rho_retrieved P)  where rho_retrieved
-carries the storage loss in its trace.  Counts over an acquisition window
-are Poisson distributed around rate * acquisition_s.
+The retrieved photon, in the exit state rho = (HH, HV, VV) whose trace
+carries the storage loss, passes a projector psi with `design_row` d and is
+detected with efficiency `detection_eff`, at the mean coincidence rate
+max(pair_rate * detection_eff * q, 0), q = ((d0 HH + d1 VV) + d2 Re HV) +
+d3 Im HV = <psi|rho|psi>; counts are Poisson around rate * acquisition_s.
+`run_scans` computes all its means in one elementwise pass (`_rates`), and
+`expected_rate` is its one-record case: both give the same floats.
 
 Seeding: record i of a scan with master seed s has the sub-seed
 record_seed(s, i) = SeedSequence([s, i]).generate_state(1)[0] and the count
@@ -35,7 +37,7 @@ import numpy as np
 from .engine import MemoryConfig, StorageOutcome, simulate_sweep
 from .engine import simulate_storage  # noqa: F401  bench/tracer.py requires this binding
 from .errors import SchemaError
-from .polarization import D, H, PureState, R, V, make_pure
+from .polarization import D, H, PureState, R, V, design_row, make_pure
 
 DEFAULT_PROJECTORS: tuple[tuple[str, PureState], ...] = (
     ("H", H),
@@ -98,30 +100,42 @@ class DecayScan:
     n_values: tuple[int, ...] = field(default=(1, 2, 3, 4, 5, 6, 7, 8))
 
 
-def expected_rate(outcome: StorageOutcome, projector: PureState,
-                  pair_rate: float, detection_eff: float) -> float:
-    """Mean coincidence rate (1/s) behind `projector` for one storage outcome."""
+@np.errstate(over="ignore", invalid="ignore")  # inf and NaN fail later, as a float's would
+def _rates(rho: np.ndarray, rows: np.ndarray, pair_rate: float, detection_eff: float):
+    """Clipped mean rate (1/s) of each column: an exit's (HH, HV, VV) and a design row."""
     if pair_rate < 0:
         raise ValueError("pair_rate must be nonnegative")
     if not 0.0 <= detection_eff <= 1.0:
         raise ValueError("detection_eff must lie in [0, 1]")
+    q = rows[0] * rho[0].real + rows[1] * rho[2].real
+    q += rows[2] * rho[1].real
+    q += rows[3] * rho[1].imag
     # a projection orthogonal to the state can round to a tiny negative number
-    return max(pair_rate * detection_eff * outcome.retrieved.state.project(projector), 0.0)
+    return np.maximum(pair_rate * detection_eff * q, 0.0)
 
 
-def _poisson_mean(rate: float, acquisition_s: float) -> float:
-    """rate * acquisition_s, checked to be a valid Poisson mean."""
-    if rate < 0 or acquisition_s < 0:
+def expected_rate(outcome: StorageOutcome, projector: PureState,
+                  pair_rate: float, detection_eff: float) -> float:
+    """Mean coincidence rate (1/s) behind `projector` for one storage outcome."""
+    return float(_rates(np.array([outcome.retrieved.rho]).T,
+                        np.array([design_row(projector)]).T, pair_rate, detection_eff)[0])
+
+
+@np.errstate(over="ignore")  # an overflow fails the finiteness check
+def _poisson_means(rates, acquisition_s: float) -> np.ndarray:
+    """rates * acquisition_s, checked to be valid Poisson means."""
+    rates = np.asarray(rates, dtype=float)
+    if (rates < 0).any() or acquisition_s < 0:
         raise ValueError("rate and acquisition_s must be nonnegative")
-    mu = rate * acquisition_s
-    if not math.isfinite(mu):
+    mu = rates * acquisition_s
+    if not np.isfinite(mu).all():
         raise ValueError("count mean is not finite")
     return mu
 
 
 def sample_counts(rate: float, acquisition_s: float, seed: int | None) -> float:
     """Poisson draw around rate * acquisition_s; the exact mean when seed is None."""
-    mu = _poisson_mean(rate, acquisition_s)
+    mu = float(_poisson_means(rate, acquisition_s))
     if seed is None:
         return mu
     return float(np.random.default_rng(seed).poisson(mu))
@@ -305,42 +319,49 @@ def run_scans(cfg: MemoryConfig, jobs: Sequence[ScanJob], *, pair_rate: float = 
     cycle count its jobs need, and every count is drawn in one batch
     (`draw_counts`).  A job's dataset is the one it gives alone.
     """
-    analyzers: dict[float, PureState] = {}
-    plans = []  # per job: (kind, [(label, value, n, projector)])
-    needed: dict[PureState, dict[int, None]] = {}  # input state -> its cycle counts
+    inputs: dict[PureState, int] = {}  # input state -> its number
+    exits: dict[tuple[int, int], int] = {}  # (input number, n) -> column of `rho`
+    projectors: dict[PureState | float, int] = {}  # projector or analyzer angle -> column
+    layouts = []  # per job: (kind, labels, setting values, cycle counts), one per record each
+    at_exit, at_row = [], []  # per record: the columns of its exit state and its projector
     for state, plan, _ in jobs:
         if isinstance(plan, MalusScan):
-            settings = []
-            for theta in plan.angles:
-                if theta not in analyzers:
-                    analyzers[theta] = make_pure(math.cos(theta), math.sin(theta))
-                settings.append(("analyzer_angle_rad", float(theta), plan.n_cycles,
-                                 analyzers[theta]))
-            kind, n_values = "malus", (plan.n_cycles,)
+            at_row += [projectors.setdefault(theta, len(projectors)) for theta in plan.angles]
+            size = len(plan.angles)
+            layout = ("malus", ["analyzer_angle_rad"] * size, plan.angles, [plan.n_cycles] * size)
         elif isinstance(plan, TomographyScan):
-            settings = [(name, float(i), plan.n_cycles, projector)
-                        for i, (name, projector) in enumerate(plan.projectors)]
-            kind, n_values = "tomography", (plan.n_cycles,)
+            at_row += [projectors.setdefault(p, len(projectors)) for _, p in plan.projectors]
+            size = len(plan.projectors)
+            layout = ("tomography", [name for name, _ in plan.projectors], range(size),
+                      [plan.n_cycles] * size)
         elif isinstance(plan, DecayScan):
-            settings = [("n_cycles", float(n), n, state) for n in plan.n_values]
-            kind, n_values = "decay", plan.n_values
+            at_row += [projectors.setdefault(state, len(projectors))] * len(plan.n_values)
+            layout = ("decay", ["n_cycles"] * len(plan.n_values), plan.n_values, plan.n_values)
         else:
             raise TypeError(f"unknown scan plan {type(plan).__name__}")
-        plans.append((kind, settings))
-        needed.setdefault(state, {}).update(dict.fromkeys(n_values))
+        layouts.append(layout)
+        s = inputs.setdefault(state, len(inputs))
+        at_exit += [exits.setdefault((s, n), len(exits)) for n in layout[3]]
 
-    outcomes = {state: dict(zip(n_values, simulate_sweep(cfg, state, tuple(n_values))))
-                for state, n_values in needed.items()}
-    means = []
-    for (state, _, _), (_, settings) in zip(jobs, plans):
-        by_n = outcomes[state]
-        means.append([_poisson_mean(expected_rate(by_n[n], projector, pair_rate, detection_eff),
-                                    acquisition_s) for _, _, n, projector in settings])
+    needed: list[list[int]] = [[] for _ in inputs]  # per input state: its cycle counts
+    for s, n in exits:
+        needed[s].append(n)
+    outcomes = {(s, n): outcome for s, (state, n_values) in enumerate(zip(inputs, needed))
+                for n, outcome in zip(n_values, simulate_sweep(cfg, state, tuple(n_values)))}
+    rho = np.array([outcomes[key].retrieved.rho for key in exits], complex).reshape(-1, 3).T
+    rows = np.array([design_row(p) if isinstance(p, PureState)
+                     else design_row(make_pure(math.cos(p), math.sin(p)))
+                     for p in projectors]).reshape(-1, 4).T
+    means = _poisson_means(_rates(rho[:, at_exit], rows[:, at_row], pair_rate, detection_eff),
+                           acquisition_s)
+    del at_exit, at_row  # before the records are built, where memory peaks
+    ends = np.cumsum([len(ns) for *_, ns in layouts]).tolist()
+    drawn = draw_counts([(seed, means[end - len(ns):end].tolist())
+                         for (_, _, seed), (*_, ns), end in zip(jobs, layouts, ends)])
     datasets = []
-    drawn = draw_counts([(seed, m) for (_, _, seed), m in zip(jobs, means)])
-    for (_, _, seed), (kind, settings), (counts, subs) in zip(jobs, plans, drawn):
-        records = [CountRecord(label, value, k, acquisition_s, n, sub)
-                   for (label, value, n, _), k, sub in zip(settings, counts, subs)]
+    for (_, _, seed), (kind, labels, values, ns), (counts, subs) in zip(jobs, layouts, drawn):
+        records = [CountRecord(label, float(value), k, acquisition_s, n, sub)
+                   for label, value, n, k, sub in zip(labels, values, ns, counts, subs)]
         datasets.append(ScanDataset(tuple(records), pair_rate, detection_eff, acquisition_s,
                                     seed, kind))
     return datasets
@@ -369,9 +390,9 @@ def synth_malus_dataset(angles: tuple[float, ...] | list[float], amplitude: floa
     Used to exercise the fit on fringes of prescribed visibility.  `amplitude`
     is the peak-to-trough sum in counts per second.
     """
-    means = [_poisson_mean(malus_mean(theta, amplitude, visibility, theta0), acquisition_s)
-             for theta in angles]
-    [(counts, subs)] = draw_counts([(seed, means)])
+    means = _poisson_means([malus_mean(theta, amplitude, visibility, theta0) for theta in angles],
+                           acquisition_s)
+    [(counts, subs)] = draw_counts([(seed, means.tolist())])
     records = tuple(CountRecord("analyzer_angle_rad", float(theta), k, acquisition_s, 1, sub)
                     for theta, k, sub in zip(angles, counts, subs))
     return ScanDataset(records, amplitude, 1.0, acquisition_s, seed, "malus")

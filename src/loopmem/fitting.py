@@ -68,10 +68,10 @@ def _counts_array(counts) -> np.ndarray:
     return arr
 
 
-def _wls(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted LS solve; covariance scaled by reduced chi-square."""
+def _wls(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(beta, covariance scaled by reduced chi-square, singular values of weighted x)."""
     sw = np.sqrt(w)
-    beta, *_ = np.linalg.lstsq(x * sw[:, None], y * sw, rcond=None)
+    beta, _, _, sv = np.linalg.lstsq(x * sw[:, None], y * sw, rcond=None)
     resid = y - x @ beta
     dof = x.shape[0] - x.shape[1]
     chi2_red = float(w @ resid**2) / dof if dof > 0 else 0.0
@@ -80,7 +80,7 @@ def _wls(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.nd
         cov = np.linalg.inv(normal) * chi2_red
     except np.linalg.LinAlgError:  # weights 1/k of ~1e17 counts vanish next to a zero count's
         cov = np.linalg.pinv(normal) * chi2_red
-    return beta, cov
+    return beta, cov, sv
 
 
 def fit_malus(angles, counts) -> MalusFit:
@@ -104,9 +104,9 @@ def fit_malus(angles, counts) -> MalusFit:
 
     x = np.column_stack([np.ones_like(th), np.cos(2 * th), np.sin(2 * th)])
     w = 1.0 / np.maximum(k, 1.0)
-    if np.linalg.matrix_rank(x * np.sqrt(w)[:, None], tol=1e-9) < 3:
+    beta, cov, sv = _wls(x, k, w)
+    if np.count_nonzero(sv > 1e-9) < 3:
         raise IncompleteSetError("degenerate analyzer angle grid")
-    beta, cov = _wls(x, k, w)
     a, b, c = (float(v) for v in beta)
     if a <= 0:
         raise NoSignalError("fitted fringe level is not positive")
@@ -148,7 +148,7 @@ def fit_decay(n_values, counts) -> DecayFit:
 
     nk, kk = n[keep], k[keep]
     x = np.column_stack([np.ones_like(nk), nk - 1.0])
-    beta, cov = _wls(x, np.log(kk), kk)
+    beta, cov, _ = _wls(x, np.log(kk), kk)
     gamma = math.exp(beta[1])
     sigma = gamma * math.sqrt(max(cov[1, 1], 0.0))
     clamped = gamma > 1.0

@@ -86,6 +86,13 @@ def make_pure(alpha: complex, beta: complex) -> PureState:
     return PureState(alpha / n, beta / n)
 
 
+def design_row(psi: PureState) -> tuple[float, float, float, float]:
+    """The row d of psi with d . (rho00, rho11, Re rho01, Im rho01) = <psi|rho|psi>."""
+    a, b = psi.alpha, psi.beta
+    z = a.conjugate() * b
+    return abs(a) ** 2, abs(b) ** 2, 2.0 * z.real, -2.0 * z.imag
+
+
 H = make_pure(1, 0)
 V = make_pure(0, 1)
 D = make_pure(1, 1)

@@ -146,6 +146,7 @@ _MAX_CYCLES = 10 ** 5
 _MAX_N_VALUES = 10 ** 3
 _MAX_MC_SAMPLES = 10 ** 6
 _MAX_MALUS_POINTS = 10 ** 4
+_MAX_FIG4_FRINGE = 10 ** 5  # n_values entries x analyzer angles in one fig4 run
 
 
 def _number(v, path: str, lo: float = -math.inf, hi: float = math.inf) -> float:
@@ -282,8 +283,8 @@ def _build(raw: dict) -> Scenario:
 
     if "malus_angles_deg" in raw:
         degs = raw["malus_angles_deg"]
-        if not isinstance(degs, list):
-            _fail("expected a list of angles", "malus_angles_deg")
+        if not isinstance(degs, list) or len(degs) > _MAX_MALUS_POINTS:
+            _fail(f"expected a list of at most {_MAX_MALUS_POINTS} angles", "malus_angles_deg")
         angles = tuple(math.radians(_number(a, f"malus_angles_deg[{i}]"))
                        for i, a in enumerate(degs))
         if len(set(angles)) < 5 or max(angles) - min(angles) < math.pi - 1e-9:
@@ -636,6 +637,9 @@ def _run_fig4(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
     tomography without a solution raises `NoSignalError`.  The Monte Carlo
     error bars are left to the dedicated tomo pipeline to keep this sweep fast.
     """
+    if len(sc.n_values) * len(sc.malus_angles) > _MAX_FIG4_FRINGE:
+        _fail(f"fig4 takes at most {_MAX_FIG4_FRINGE} fringe settings, not "
+              f"{len(sc.n_values)} cycle counts x {len(sc.malus_angles)} angles", "n_values")
     mset = MeasurementSet()
     states = (("H", H), ("D", D), ("R", R))
     jobs = []

@@ -32,7 +32,7 @@ import numpy as np
 
 from .counting import DEFAULT_PROJECTORS, ScanDataset
 from .errors import IncompleteSetError, NoSignalError
-from .polarization import DensityMatrix, PureState, fidelity
+from .polarization import DensityMatrix, PureState, design_row, fidelity
 
 _Q_FLOOR = 1e-12
 _EV_CLIP = 1e-6
@@ -63,8 +63,7 @@ class MeasurementSet:
     def __post_init__(self):
         if len(self.projectors) < 4:
             raise IncompleteSetError(f"need at least 4 projectors, got {len(self.projectors)}")
-        uw = [(p.alpha, p.beta, np.conj(p.alpha) * p.beta) for _, p in self.projectors]
-        a = np.array([[abs(u) ** 2, abs(w) ** 2, 2.0 * z.real, -2.0 * z.imag] for u, w, z in uw])
+        a = np.array([design_row(p) for _, p in self.projectors])
         a.flags.writeable = False
         object.__setattr__(self, "_design", a)
         if np.linalg.matrix_rank(a, tol=1e-9) < 4:
@@ -345,12 +344,14 @@ def exact_mle_fidelities(draws, mset: MeasurementSet,
     which = np.array([distinct.setdefault(t, len(distinct)) for t in targets])
     if len(which) not in (1, len(r)):
         raise ValueError(f"need 1 or {len(r)} targets, got {len(which)}")
-    # one matrix-vector product over all rows per distinct target, so a
-    # single target gets the same arithmetic however many rows share it
+    # r . r_t summed elementwise in a fixed order, so a row's fidelity does
+    # not depend on the rows beside it
     fid = np.empty(len(r))
     for j, t in enumerate(distinct):
         v = t.vector()
-        np.copyto(fid, 0.5 * (1.0 + r @ _bloch(np.outer(v, v.conj()))), where=which == j)
+        rt = _bloch(np.outer(v, v.conj()))
+        dot = (r[:, 0] * rt[0] + r[:, 1] * rt[1]) + r[:, 2] * rt[2]
+        np.copyto(fid, 0.5 * (1.0 + dot), where=which == j)
     return fid, failed
 
 

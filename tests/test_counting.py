@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from loopmem.counting import (
     expected_rate, malus_mean, read_csv, record_seed, run_scan, run_scans, sample_counts,
     synth_malus_dataset, write_csv,
 )
-from loopmem.engine import MemoryConfig, TransmissionParams, efficiency, simulate_storage
+from loopmem.engine import (
+    ExitEvent, MemoryConfig, TransmissionParams, efficiency, simulate_storage,
+)
 from loopmem.errors import SchemaError
-from loopmem.polarization import D, H, R, V, make_pure
+from loopmem.polarization import D, DensityMatrix, H, R, V, make_pure
 
 SHORT = TransmissionParams(0.541, 0.419, 0.50, 0.662)
 IDEAL = MemoryConfig(delta_tau=36.5)
@@ -253,6 +256,48 @@ def test_a_batched_scan_equals_the_scan_alone(seeds):
              for state, plan, seed in jobs]
     assert batched == alone
     assert run_scans(PC, jobs[::-1], pair_rate=1500.0, acquisition_s=30.0) == alone[::-1]
+
+
+def _random_exit(rng) -> ExitEvent:
+    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    rho = m @ m.conj().T
+    rho *= rng.uniform(1e-3, 1.0) / rho.trace().real
+    return ExitEvent(0.0, float(rho.trace().real), (rho[0, 0], rho[0, 1], rho[1, 1]))
+
+
+def test_expected_rate_equals_the_density_matrix_projection():
+    rng = np.random.default_rng(8)
+    for _ in range(500):
+        exit_ = _random_exit(rng)
+        projector = make_pure(complex(*rng.normal(size=2)), complex(*rng.normal(size=2)))
+        hh, hv, vv = exit_.rho
+        rho = DensityMatrix(np.array([[hh, hv], [hv.conjugate(), vv]]))
+        want = max(1500.0 * 0.7 * rho.project(projector), 0.0)
+        got = expected_rate(SimpleNamespace(retrieved=exit_), projector, 1500.0, 0.7)
+        assert got == pytest.approx(want, rel=1e-15, abs=1e-15 * 1500.0 * 0.7 * exit_.weight)
+
+
+def test_a_record_mean_is_the_same_alone_and_in_a_mixed_batch():
+    angles = tuple(np.linspace(0.0, math.pi, 490))
+    plans = ((make_pure(0.8, 0.6j), MalusScan(angles, 2)), (D, MalusScan(angles, 1)),
+             (R, TomographyScan(3)), (make_pure(0.6, 0.8), TomographyScan(0)),
+             (D, TomographyScan(2)), (H, DecayScan((1, 2, 3, 5, 8, 13, 21, 34))))
+    jobs = [(state, plan, None) for state, plan in plans]
+    datasets = run_scans(PC, jobs, pair_rate=1500.0, detection_eff=0.7, acquisition_s=30.0)
+    assert sum(len(ds.records) for ds in datasets) == 1000
+    for (state, plan, _), ds in zip(jobs, datasets):
+        for i, rec in enumerate(ds.records):
+            assert rec.counts == _record_mean(state, plan, i, rec, 1500.0, 0.7, 30.0)
+
+
+def test_run_scans_never_builds_an_exit_density_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("count synthesis built an exit DensityMatrix")
+
+    monkeypatch.setattr(ExitEvent, "state", property(refuse))
+    jobs = _mixed_jobs((3, None, 0, 17, None, 11))
+    datasets = run_scans(PC, jobs, pair_rate=1500.0, acquisition_s=30.0)
+    assert {ds.kind for ds in datasets} == {"decay", "malus", "tomography"}
 
 
 def test_run_scans_rejects_bad_plans_and_rates():

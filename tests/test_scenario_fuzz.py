@@ -2,7 +2,8 @@
 
 Every run must exit 0, or exit 1 with one JSON error object on stderr; no
 input may end in a traceback.  Count fields (cycle counts, n_values entries
-and length, mc_samples, malus_points) are capped by the schema; each gets one
+and length, mc_samples, malus_points, the number of malus_angles_deg, and
+fig4's n_values entries times analyzer angles) are capped; each gets one
 large value within its cap and its cap + 1 instead of a place in the random
 pool.
 """
@@ -172,6 +173,31 @@ def test_n_values_holds_at_most_a_thousand_entries(length, rc):
     raw = _base("paper-short", False)
     raw.update(input_states=["H"], n_values=list(range(1, length + 1)))
     code, err = _run_cli(raw, ["simulate"])
+    assert code == rc, err
+    if rc:
+        payload = json.loads(err)
+        assert payload["error"] == "SchemaError" and payload["field"] == "n_values"
+
+
+@pytest.mark.parametrize("length,rc", [(10**4, 0), (10**4 + 1, 1)])
+def test_malus_angles_deg_holds_at_most_ten_thousand_angles(length, rc):
+    raw = _base("paper-short", False)
+    angles = [180.0 * i / (length - 1) for i in range(length)]
+    raw.update(input_states=["H"], malus_angles_deg=angles)
+    code, err = _run_cli(raw, ["malus"])
+    assert code == rc, err
+    if rc:
+        payload = json.loads(err)
+        assert payload["error"] == "SchemaError" and payload["field"] == "malus_angles_deg"
+
+
+# fig4 scans len(n_values) x malus angles fringe settings, at most 10**5
+@pytest.mark.parametrize("n_values,rc", [([1, 2, 3, 4, 5, 6, 7, 8, 1, 2], 0),
+                                         ([1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3], 1)])
+def test_fig4_holds_at_most_a_hundred_thousand_fringe_settings(n_values, rc):
+    raw = _base("paper-short", False)
+    raw.update(n_values=n_values, malus_points=10**4)
+    code, err = _run_cli(raw, ["reproduce", "fig4"])
     assert code == rc, err
     if rc:
         payload = json.loads(err)

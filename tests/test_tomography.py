@@ -302,6 +302,16 @@ def test_exact_fidelities_take_one_target_for_every_row():
         exact_mle_fidelities(rows, MSET, (D, H))
 
 
+def test_exact_fidelities_solve_a_row_alone_as_in_a_batch():
+    # an elliptical target weighs every Bloch component; H, D and R pick one
+    target = make_pure(0.8, 0.36 + 0.48j)
+    rows = np.random.default_rng(3).poisson([500, 480, 900, 520], size=(40, 4))
+    fid, _ = exact_mle_fidelities(rows, MSET, (target,))
+    for row, f in zip(rows, fid):
+        alone, _ = exact_mle_fidelities(row[None], MSET, (target,))
+        assert alone[0] == f
+
+
 def test_exact_mle_validation():
     six = MeasurementSet((("H", H), ("V", V), ("D", D), ("A", A), ("R", R), ("L", L)))
     with pytest.raises(ValueError):
