@@ -275,6 +275,13 @@ def _pcg64_states(subs: Sequence[int]) -> list[tuple[int, int]]:
 _BATCH_MIN = 8
 
 
+def record_seeds(master: int, n: int) -> list[int]:
+    """record_seed(master, i) for i < n; one hash pass from _BATCH_MIN seeds on."""
+    if n < _BATCH_MIN:
+        return [record_seed(master, i) for i in range(n)]
+    return _record_seeds([master], [n])
+
+
 def draw_counts(jobs: Sequence[tuple[int | None, Sequence[float]]]
                 ) -> list[tuple[list[float], list[int | None]]]:
     """(counts, sub-seeds) for each (master seed, Poisson means) job, drawn in one batch.

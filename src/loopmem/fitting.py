@@ -60,99 +60,132 @@ class BudgetReport:
     delta_tau: float
 
 
-def _counts_array(counts) -> np.ndarray:
-    vals = [c.counts if hasattr(c, "counts") else c for c in counts]
-    arr = np.array(vals, dtype=float)
-    if np.any(arr < 0):
+def _stack_counts(counts, grid: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(counts as one row per scan, rows with a negative count, whether counts was one scan)."""
+    single = np.ndim(counts) == 1
+    if single and not isinstance(counts, np.ndarray):  # records carry their counts
+        counts = [c.counts if hasattr(c, "counts") else c for c in counts]
+    k = np.array(counts, dtype=float, ndmin=2)
+    negative = (k < 0).any(axis=1)
+    if negative[:1].any():  # a scan checks its counts before the grid, which all rows share
         raise ValueError("counts must be nonnegative")
-    return arr
+    if k.ndim != 2 or grid.shape != k.shape[1:]:
+        raise ValueError(f"{name} and counts must have equal length")
+    return k, negative, single
 
 
 def _wls(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(beta, covariance scaled by reduced chi-square, singular values of weighted x)."""
+    """Weighted least squares of each row of y, weights w, on the shared design x.
+
+    Returns, one row each: beta, the inverse normal matrix (x^T W x)^-1,
+    the weighted residual sum of squares and the singular values of the
+    weighted design.  A row's results are bitwise those of the row alone.
+    """
     sw = np.sqrt(w)
-    beta, _, _, sv = np.linalg.lstsq(x * sw[:, None], y * sw, rcond=None)
-    resid = y - x @ beta
-    dof = x.shape[0] - x.shape[1]
-    chi2_red = float(w @ resid**2) / dof if dof > 0 else 0.0
-    normal = x.T @ (x * w[:, None])
+    beta, sv = np.empty((2, len(y), x.shape[1]))
+    # np.linalg.lstsq (LAPACK gelsd) takes one matrix at a time; a stacked SVD
+    # solve would move the recorded fits of tests/fig4_regression.json in
+    # their last digits
+    for i, (xw, yw) in enumerate(zip(x * sw[:, :, None], y * sw)):
+        beta[i], _, _, sv[i] = np.linalg.lstsq(xw, yw, rcond=None)
+    resid = y - (x @ beta[:, :, None])[:, :, 0]
+    chi2 = (w[:, None, :] @ (resid**2)[:, :, None])[:, 0, 0]
+    normal = x.T @ (x * w[:, :, None])
     try:
-        cov = np.linalg.inv(normal) * chi2_red
+        inv = np.linalg.inv(normal)
     except np.linalg.LinAlgError:  # weights 1/k of ~1e17 counts vanish next to a zero count's
-        cov = np.linalg.pinv(normal) * chi2_red
-    return beta, cov, sv
+        inv = np.array([_inv_or_pinv(m) for m in normal])
+    return beta, inv, chi2, sv
 
 
-def fit_malus(angles, counts) -> MalusFit:
+def _inv_or_pinv(m: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(m)
+
+
+def fit_malus(angles, counts) -> MalusFit | tuple[MalusFit, ...]:
     """Visibility fit to an analyzer rotation scan.
 
     The model is linear in (a, b, c) with C = a + b cos 2theta + c sin 2theta,
     so the weighted optimum is found exactly; A = 2a, V = sqrt(b^2+c^2)/a,
     theta0 = atan2(c, b)/2.  Rescaling all counts by a common factor leaves
     V and theta0 unchanged.
+
+    A 2-D `counts` holds one scan per row on the shared angles and returns
+    one fit per row, each the fit of that row alone; a stack raises the
+    error of its first failing row.
     """
     th = np.asarray(angles, dtype=float)
-    k = _counts_array(counts)
-    if th.shape != k.shape:
-        raise ValueError("angles and counts must have equal length")
+    k, negative, single = _stack_counts(counts, th, "angles")
     if len(np.unique(th)) < 5:
         raise ValueError("need at least 5 distinct analyzer angles")
     if th.max() - th.min() < math.pi - 1e-9:
         raise ValueError("analyzer angles must span at least half a turn")
-    if k.sum() <= 0:
-        raise NoSignalError("fringe scan carries no counts")
 
     x = np.column_stack([np.ones_like(th), np.cos(2 * th), np.sin(2 * th)])
-    w = 1.0 / np.maximum(k, 1.0)
-    beta, cov, sv = _wls(x, k, w)
-    if np.count_nonzero(sv > 1e-9) < 3:
-        raise IncompleteSetError("degenerate analyzer angle grid")
-    a, b, c = (float(v) for v in beta)
-    if a <= 0:
-        raise NoSignalError("fitted fringe level is not positive")
+    beta, inv, chi2, sv = _wls(x, k, 1.0 / np.maximum(k, 1.0))
+    fits = []
+    for neg, total, rank, (a, b, c), inv_normal, rss in zip(
+            negative.tolist(), k.sum(axis=1).tolist(), (sv > 1e-9).sum(axis=1).tolist(),
+            beta.tolist(), inv, chi2.tolist()):
+        if neg:
+            raise ValueError("counts must be nonnegative")
+        if total <= 0:
+            raise NoSignalError("fringe scan carries no counts")
+        if rank < 3:
+            raise IncompleteSetError("degenerate analyzer angle grid")
+        if a <= 0:
+            raise NoSignalError("fitted fringe level is not positive")
+        cov = inv_normal * (rss / (len(th) - 3))  # scaled by the reduced chi-square
+        r = math.hypot(b, c)
+        vis = r / a
+        if r > 0:
+            grad = np.array([-vis / a, b / (a * r), c / (a * r)])
+            sigma_v = math.sqrt(max(grad @ cov @ grad, 0.0))
+        else:
+            # flat fringe: direction of the (b, c) perturbation is undefined
+            sigma_v = math.sqrt(max(cov[1, 1], cov[2, 2])) / a
+        fits.append(MalusFit(2.0 * a, min(vis, 1.0), 0.5 * math.atan2(c, b), sigma_v, vis > 1.0))
+    return fits[0] if single else tuple(fits)
 
-    r = math.hypot(b, c)
-    vis = r / a
-    theta0 = 0.5 * math.atan2(c, b)
-    if r > 0:
-        grad = np.array([-vis / a, b / (a * r), c / (a * r)])
-        sigma_v = math.sqrt(max(grad @ cov @ grad, 0.0))
-    else:
-        # flat fringe: direction of the (b, c) perturbation is undefined
-        sigma_v = math.sqrt(max(cov[1, 1], cov[2, 2])) / a
-    clamped = vis > 1.0
-    return MalusFit(2.0 * a, min(vis, 1.0), theta0, sigma_v, clamped)
 
-
-def fit_decay(n_values, counts) -> DecayFit:
+def fit_decay(n_values, counts) -> DecayFit | tuple[DecayFit, ...]:
     """Per-cycle survival fit, linear in the log domain.
 
     Zero-count points carry no log-domain information and are excluded,
     tracked in n_excluded.  gamma estimates above 1 are clamped with a flag.
+    A 2-D `counts` fits each row on the shared n_values, as `fit_malus` does.
     """
     n = np.asarray(n_values, dtype=float)
-    k = _counts_array(counts)
-    if n.shape != k.shape:
-        raise ValueError("n_values and counts must have equal length")
+    k, negative, single = _stack_counts(counts, n, "n_values")
     if len(n) < 3:
         raise ValueError("need at least 3 scan points")
     if np.any(n < 1) or np.any(n != np.round(n)):
         raise ValueError("cycle counts must be integers >= 1")
 
     keep = k > 0
-    excluded = int((~keep).sum())
-    if keep.sum() == 0:
-        raise NoSignalError("decay scan carries no counts")
-    if keep.sum() < 2 or len(np.unique(n[keep])) < 2:
-        raise NoSignalError("too few nonzero points to fit a decay")
-
-    nk, kk = n[keep], k[keep]
-    x = np.column_stack([np.ones_like(nk), nk - 1.0])
-    beta, cov, _ = _wls(x, np.log(kk), kk)
-    gamma = math.exp(beta[1])
-    sigma = gamma * math.sqrt(max(cov[1, 1], 0.0))
-    clamped = gamma > 1.0
-    return DecayFit(math.exp(beta[0]), min(gamma, 1.0), sigma, excluded, clamped)
+    kept = keep.sum(axis=1)
+    spread = np.where(keep, n, -np.inf).max(axis=1) > np.where(keep, n, np.inf).min(axis=1)
+    # an excluded point has weight 0 and log-count 0
+    x = np.column_stack([np.ones_like(n), n - 1.0])
+    beta, inv, chi2, _ = _wls(x, np.log(k, out=np.zeros_like(k), where=keep), k * keep)
+    fits = []
+    for neg, n_kept, spread_, (b0, b1), inv11, rss in zip(
+            negative.tolist(), kept.tolist(), spread.tolist(), beta.tolist(),
+            inv[:, 1, 1].tolist(), chi2.tolist()):
+        if neg:
+            raise ValueError("counts must be nonnegative")
+        if n_kept == 0:
+            raise NoSignalError("decay scan carries no counts")
+        if n_kept < 2 or not spread_:
+            raise NoSignalError("too few nonzero points to fit a decay")
+        gamma = math.exp(b1)
+        chi2_red = rss / (n_kept - 2) if n_kept > 2 else 0.0
+        sigma = gamma * math.sqrt(max(inv11 * chi2_red, 0.0))
+        fits.append(DecayFit(math.exp(b0), min(gamma, 1.0), sigma, len(n) - n_kept, gamma > 1.0))
+    return fits[0] if single else tuple(fits)
 
 
 def default_attenuation_db_per_km(wavelength_nm: float) -> float:

@@ -12,7 +12,6 @@ appear in JSON metadata.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -27,7 +26,7 @@ from .components import (
     CIRCULATOR_ARM, COUPLER, FIBER_SEGMENT, FPC, POCKELS_CELL, RETROREFLECTOR,
     VALID_KINDS, ComponentSpec,
 )
-from .counting import DecayScan, MalusScan, TomographyScan, format_table, record_seed, run_scans
+from .counting import DecayScan, MalusScan, TomographyScan, format_table, record_seeds, run_scans
 from .counting import run_scan  # noqa: F401  bench/tracer.py requires this binding
 from .engine import (MemoryConfig, TransmissionParams, derive_transmission_params,
                      efficiency, simulate_sweep)
@@ -147,6 +146,7 @@ _MAX_N_VALUES = 10 ** 3
 _MAX_MC_SAMPLES = 10 ** 6
 _MAX_MALUS_POINTS = 10 ** 4
 _MAX_FIG4_FRINGE = 10 ** 5  # n_values entries x analyzer angles in one fig4 run
+_MAX_INPUT_STATES = 6  # the paper's six cardinal states
 
 
 def _number(v, path: str, lo: float = -math.inf, hi: float = math.inf) -> float:
@@ -276,8 +276,8 @@ def _build(raw: dict) -> Scenario:
                      for i, n in enumerate(n_values))
 
     states = raw.get("input_states", ["H", "D", "R"])
-    if not isinstance(states, list) or not states:
-        _fail("expected a non-empty list", "input_states")
+    if not isinstance(states, list) or not 1 <= len(states) <= _MAX_INPUT_STATES:
+        _fail(f"expected a list of 1 to {_MAX_INPUT_STATES} states", "input_states")
     input_states = tuple(_parse_state(s, f"input_states[{i}]")
                          for i, s in enumerate(states))
 
@@ -435,13 +435,10 @@ def _malus_jobs(sc: Scenario, states, n_cycles: int, seeds: Iterator[int]) -> li
 
 
 def _malus_fits(states, datasets) -> tuple[list[tuple], dict]:
-    """Fringe fit per state: (count rows, fit payload per label)."""
-    rows: list[tuple] = []
-    fits = {}
-    for (label, _), ds in zip(states, datasets):
-        rows += _count_rows(label, ds)
-        fits[label] = _fit_payload(fit_malus(ds.values(), ds.counts()))
-    return rows, fits
+    """Fringe fits of all states in one stack: (count rows, fit payload per label)."""
+    fits = fit_malus(datasets[0].values(), [ds.counts() for ds in datasets])
+    rows = [row for (label, _), ds in zip(states, datasets) for row in _count_rows(label, ds)]
+    return rows, {label: _fit_payload(fit) for (label, _), fit in zip(states, fits)}
 
 
 def _tomography_jobs(sc: Scenario, states, seeds: Iterator[int]) -> tuple[list, list[int]]:
@@ -473,8 +470,7 @@ def run(scenario: Scenario, subcommand: str, out_dir: str,
                               field="reproduce")
         handler = FIGURES[figure]
     emitter = _Emitter(scenario, out_dir)
-    seeds = (record_seed(scenario.seed, i) for i in itertools.count())
-    return handler(scenario, emitter, seeds), emitter.written
+    return handler(scenario, emitter), emitter.written
 
 
 def _exit_fidelity(rho, target: PureState) -> float | None:
@@ -485,7 +481,7 @@ def _exit_fidelity(rho, target: PureState) -> float | None:
         return None
 
 
-def _run_simulate(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
+def _run_simulate(sc: Scenario, emitter: _Emitter) -> dict:
     rows = []
     summary: dict = {}
     n_values = tuple(dict.fromkeys(sc.n_values))  # outcomes are deterministic: each N once
@@ -517,17 +513,18 @@ def _run_simulate(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict
     return {"outcomes": len(summary)}
 
 
-def _run_decay(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
+def _run_decay(sc: Scenario, emitter: _Emitter) -> dict:
     n_values = tuple(n for n in sc.n_values if n >= 1)
     if len(n_values) < 3:
         raise SchemaError("decay needs at least 3 values of n >= 1", field="n_values")
     scan = DecayScan(n_values)
-    rows: list[tuple] = []
-    fits = {}
-    datasets = _datasets(sc, [(state, scan, next(seeds)) for _, state in sc.input_states])
-    for (label, _), ds in zip(sc.input_states, datasets):
-        rows += _count_rows(label, ds)
-        fits[label] = asdict(fit_decay(ds.values(), ds.counts()))
+    seeds = record_seeds(sc.seed, len(sc.input_states))
+    datasets = _datasets(sc, [(state, scan, seed)
+                              for (_, state), seed in zip(sc.input_states, seeds)])
+    rows = [row for (label, _), ds in zip(sc.input_states, datasets)
+            for row in _count_rows(label, ds)]
+    fits = {label: asdict(fit) for (label, _), fit in
+            zip(sc.input_states, fit_decay(n_values, [ds.counts() for ds in datasets]))}
     emitter.csv("decay_counts.csv",
                 ("input_state", "n_cycles", "counts", "acquisition_s", "seed"), rows)
 
@@ -537,7 +534,8 @@ def _run_decay(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
     return {"fits": fits}
 
 
-def _run_malus(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
+def _run_malus(sc: Scenario, emitter: _Emitter) -> dict:
+    seeds = iter(record_seeds(sc.seed, len(sc.input_states)))
     jobs = _malus_jobs(sc, sc.input_states, sc.malus_cycles, seeds)
     rows, fits = _malus_fits(sc.input_states, _datasets(sc, jobs))
     emitter.csv("malus_counts.csv",
@@ -546,9 +544,10 @@ def _run_malus(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
     return {"fits": fits}
 
 
-def _run_tomo(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
+def _run_tomo(sc: Scenario, emitter: _Emitter) -> dict:
     rows: list[tuple] = []
     recon = {}
+    seeds = iter(record_seeds(sc.seed, 2 * len(sc.input_states)))  # scan and Monte Carlo
     jobs, mc_seeds = _tomography_jobs(sc, sc.input_states, seeds)
     for (label, state), ds, mc_seed in zip(sc.input_states, _datasets(sc, jobs), mc_seeds):
         counts, res = _tomography(sc, label, state, ds, mc_seed)
@@ -565,7 +564,7 @@ def _run_tomo(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
     return {"reconstructions": {k: v["fidelity"] for k, v in recon.items()}}
 
 
-def _run_budget(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
+def _run_budget(sc: Scenario, emitter: _Emitter) -> dict:
     n_max = max(max(sc.n_values), 8)
     report = project_budget(sc.config, wavelength_nm=sc.wavelength_nm, n_max=n_max)
     payload = {
@@ -583,12 +582,13 @@ def _run_budget(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
     return payload
 
 
-def _run_fig2c(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
+def _run_fig2c(sc: Scenario, emitter: _Emitter) -> dict:
     """Efficiency-vs-cycles bundle: closed-form table plus a sampled decay fit."""
     label, state = sc.input_states[0]
     n_values = tuple(range(1, 9))
     params = derive_transmission_params(sc.config)
-    [ds] = _datasets(sc, [(state, DecayScan(n_values), next(seeds))])
+    [seed] = record_seeds(sc.seed, 1)
+    [ds] = _datasets(sc, [(state, DecayScan(n_values), seed)])
     fit = fit_decay(ds.values(), ds.counts())
     scale = sc.pair_rate * sc.detection_eff * sc.acquisition_s
     rows = [(n, efficiency(params, n), efficiency(params, n) * scale, r.counts)
@@ -605,8 +605,9 @@ def _run_fig2c(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
     return payload
 
 
-def _run_fig3(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
+def _run_fig3(sc: Scenario, emitter: _Emitter) -> dict:
     """Fringe + tomography bundle at one cycle count."""
+    seeds = iter(record_seeds(sc.seed, len(_FRINGE_STATES) + 2))  # fringes, R and its errors
     jobs = _malus_jobs(sc, _FRINGE_STATES, sc.malus_cycles, seeds)
     tomo_jobs, [mc_seed] = _tomography_jobs(sc, (("R", R),), seeds)
     *datasets, tomo_ds = _datasets(sc, jobs + tomo_jobs)
@@ -627,35 +628,37 @@ def _run_fig3(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
     return payload
 
 
-def _run_fig4(sc: Scenario, emitter: _Emitter, seeds: Iterator[int]) -> dict:
+def _run_fig4(sc: Scenario, emitter: _Emitter) -> dict:
     """Output-quality-vs-storage-time bundle: visibilities and fidelities per n.
 
     Each n draws its fringe scans, then its H, D and R tomography scans, from
-    the next sub-seeds; every scan is simulated and sampled in one batch.  The
-    fidelities are exact maximum-likelihood point estimates, solved for every
-    n and state in one `exact_mle_fidelities` batch after the scans; a
-    tomography without a solution raises `NoSignalError`.  The Monte Carlo
-    error bars are left to the dedicated tomo pipeline to keep this sweep fast.
+    the next sub-seeds; every scan is simulated and sampled in one batch, and
+    every fringe is fitted in one stack.  The fidelities are exact
+    maximum-likelihood point estimates, solved for every n and state in one
+    `exact_mle_fidelities` batch after the scans; a tomography without a
+    solution raises `NoSignalError`.  The Monte Carlo error bars are left to
+    the dedicated tomo pipeline to keep this sweep fast.
     """
     if len(sc.n_values) * len(sc.malus_angles) > _MAX_FIG4_FRINGE:
         _fail(f"fig4 takes at most {_MAX_FIG4_FRINGE} fringe settings, not "
               f"{len(sc.n_values)} cycle counts x {len(sc.malus_angles)} angles", "n_values")
     mset = MeasurementSet()
     states = (("H", H), ("D", D), ("R", R))
+    per_n = len(_FRINGE_STATES) + len(states)
+    seeds = iter(record_seeds(sc.seed, per_n * len(sc.n_values)))
     jobs = []
     for n in sc.n_values:
         jobs += _malus_jobs(sc, _FRINGE_STATES, n, seeds)
         jobs += [(state, TomographyScan(n), next(seeds)) for _, state in states]
-    datasets = iter(_datasets(sc, jobs))
-    entries, counts = [], []
-    for _ in sc.n_values:
-        _, fits = _malus_fits(_FRINGE_STATES, itertools.islice(datasets, len(_FRINGE_STATES)))
-        entry = {}
-        for label in ("H", "D"):
-            entry[f"visibility_{label.lower()}"] = fits[label]["visibility"]
-            entry[f"sigma_v{label.lower()}"] = fits[label]["sigma_visibility"]
-        entries.append(entry)
-        counts += [counts_from_dataset(next(datasets), mset) for _ in states]
+    datasets = _datasets(sc, jobs)
+    by_n = [datasets[i:i + per_n] for i in range(0, len(datasets), per_n)]
+    fringes = [ds for scans in by_n for ds in scans[:len(_FRINGE_STATES)]]
+    fits = fit_malus(fringes[0].values(), [ds.counts() for ds in fringes])
+    entries = [{"visibility_h": h.visibility, "sigma_vh": h.sigma_visibility,
+                "visibility_d": d.visibility, "sigma_vd": d.sigma_visibility}
+               for h, d in zip(fits[0::2], fits[1::2])]
+    counts = [counts_from_dataset(ds, mset)
+              for scans in by_n for ds in scans[len(_FRINGE_STATES):]]
     fids, failed = exact_mle_fidelities(counts, mset, [s for _, s in states] * len(entries))
     if failed.any():
         i = int(np.flatnonzero(failed)[0])

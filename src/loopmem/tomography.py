@@ -310,7 +310,11 @@ def exact_mle_bloch(draws, mset: MeasurementSet) -> tuple[np.ndarray, np.ndarray
                          f"on {a.shape[0]}")
     if (k < 0).any():
         raise ValueError("counts must be nonnegative")
-    x = np.linalg.solve(a, k.T).T
+    # linear inversion x = a^-1 k, summed elementwise in a fixed order so that
+    # a row's solution does not depend on the rows beside it
+    inv = np.linalg.inv(a)
+    x = ((k[:, :1] * inv[:, 0] + k[:, 1:2] * inv[:, 1])
+         + k[:, 2:3] * inv[:, 2]) + k[:, 3:] * inv[:, 3]
     flux = x[:, 0] + x[:, 1]
     ok = flux > 0
     r = np.divide(np.column_stack((x[:, 0] - x[:, 1], 2.0 * x[:, 2], 2.0 * x[:, 3])),

@@ -9,8 +9,8 @@ from loopmem import scenario
 from loopmem.components import POCKELS_CELL, ComponentSpec
 from loopmem.counting import (
     CountRecord, DecayScan, MalusScan, TomographyScan, _pcg64_states, draw_counts,
-    expected_rate, malus_mean, read_csv, record_seed, run_scan, run_scans, sample_counts,
-    synth_malus_dataset, write_csv,
+    expected_rate, malus_mean, read_csv, record_seed, record_seeds, run_scan, run_scans,
+    sample_counts, synth_malus_dataset, write_csv,
 )
 from loopmem.engine import (
     ExitEvent, MemoryConfig, TransmissionParams, efficiency, simulate_storage,
@@ -176,6 +176,12 @@ def test_batched_sub_seeds_equal_record_seed():
     for master, (counts, subs) in zip(MASTERS, drawn):
         assert subs == [record_seed(master, i) for i in range(301)]
         assert counts == [0.0] * 301
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 40])
+def test_a_run_of_sub_seeds_equals_record_seed(n):
+    for master in MASTERS:
+        assert record_seeds(master, n) == [record_seed(master, i) for i in range(n)]
 
 
 def test_batched_generator_state_equals_default_rng():

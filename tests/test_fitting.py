@@ -148,6 +148,128 @@ def test_decay_closed_loop_with_sampling():
     assert hits >= 97
 
 
+# --- stacked fits: one row per scan on a shared grid ---
+
+def _fringe_stack(seed, rows=17):
+    rng = np.random.default_rng(seed)
+    amplitude = rng.uniform(10.0, 1e6, (rows, 1))
+    visibility = rng.uniform(0.0, 1.0, (rows, 1))
+    theta0 = rng.uniform(0.0, math.pi, (rows, 1))
+    return rng.poisson(amplitude / 2 * (1 + visibility * np.cos(2 * (np.array(ANGLES) - theta0))))
+
+
+def _decay_stack(seed, n, rows=17):
+    rng = np.random.default_rng(seed)
+    level = rng.uniform(3.0, 1e6, (rows, 1))
+    gamma = rng.uniform(0.2, 1.0, (rows, 1))
+    counts = rng.poisson(level * gamma ** (np.array(n) - 1.0))
+    counts[:, :2] = np.maximum(counts[:, :2], 1)  # every row keeps two distinct points
+    return counts
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_each_stacked_fringe_fit_is_its_fit_alone(seed):
+    counts = _fringe_stack(seed)
+    fits = fit_malus(ANGLES, counts)
+    assert isinstance(fits, tuple) and len(fits) == len(counts)
+    for i, row in enumerate(counts):
+        assert fits[i] == fit_malus(ANGLES, row)
+        assert fit_malus(ANGLES, counts[i:i + 1]) == (fits[i],)
+        assert fit_malus(ANGLES, list(row)) == fits[i]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_each_stacked_decay_fit_is_its_fit_alone(seed):
+    n = list(range(1, 25))
+    counts = _decay_stack(seed, n)
+    assert (counts == 0).any(axis=1).sum() >= 3  # rows with excluded points
+    fits = fit_decay(n, counts)
+    assert len(fits) == len(counts)
+    for row, fit in zip(counts, fits):
+        assert fit == fit_decay(n, row)
+        assert fit.n_excluded == int((row == 0).sum())
+
+
+def test_a_decay_row_with_zero_counts_keeps_its_single_fit():
+    n = [1, 2, 3, 4, 5]
+    counts = [[800.0, 400.0, 0.0, 100.0, 50.0], [900.0, 430.0, 210.0, 0.0, 0.0]]
+    fits = fit_decay(n, counts)
+    assert fits == (fit_decay(n, counts[0]), fit_decay(n, counts[1]))
+    assert [f.n_excluded for f in fits] == [1, 2]
+    assert fits[0].gamma_per_cycle == pytest.approx(0.5, abs=1e-12)
+
+
+_FRINGE_ROWS = {
+    "good": fringe_counts(2000.0, 0.8, 0.3),
+    "zero": [0.0] * len(ANGLES),
+    "negative": [-1.0] + [1.0] * (len(ANGLES) - 1),
+    "degenerate": [1e20] * len(ANGLES),  # weights 1/k leave no singular value above 1e-9
+}
+
+
+def _first_error(fit, grid, rows):
+    for row in rows:
+        try:
+            fit(grid, row)
+        except Exception as exc:
+            return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("kinds", [
+    ("good", "zero"), ("good", "degenerate"), ("good", "degenerate", "zero"),
+    ("good", "zero", "degenerate"), ("zero", "negative"), ("good", "negative", "zero"),
+    ("degenerate", "good", "negative"), ("negative", "zero"),
+])
+def test_a_fringe_stack_raises_the_first_failing_rows_error(kinds):
+    rows = [_FRINGE_ROWS[kind] for kind in kinds]
+    want = _first_error(fit_malus, ANGLES, rows)
+    with pytest.raises(want[0]) as err:
+        fit_malus(ANGLES, rows)
+    assert str(err.value) == want[1]
+
+
+@pytest.mark.parametrize("rows", [
+    [[10.0, 5.0, 2.0], [0.0, 0.0, 0.0]],
+    [[10.0, 5.0, 2.0], [10.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+    [[10.0, 5.0, 2.0], [0.0, 0.0, 0.0], [-1.0, 5.0, 2.0]],
+    [[10.0, 5.0, 2.0], [-1.0, 5.0, 2.0], [0.0, 0.0, 0.0]],
+])
+def test_a_decay_stack_raises_the_first_failing_rows_error(rows):
+    want = _first_error(fit_decay, [1, 2, 3], rows)
+    with pytest.raises(want[0]) as err:
+        fit_decay([1, 2, 3], rows)
+    assert str(err.value) == want[1]
+
+
+def test_stacked_grid_checks_match_the_single_scan():
+    with pytest.raises(ValueError, match="equal length"):
+        fit_malus(ANGLES, [[1.0] * 5, [1.0] * 5])
+    with pytest.raises(ValueError, match="5 distinct"):
+        fit_malus((0.0, 0.1, 0.2, 0.1, 0.0), [[1.0] * 5, [-1.0] * 5])
+    with pytest.raises(ValueError, match="nonnegative"):
+        fit_malus((0.0, 0.1, 0.2, 0.1, 0.0), [[-1.0] * 5, [1.0] * 5])
+    with pytest.raises(ValueError, match="integers"):
+        fit_decay([0, 1, 2], [[10.0, 5.0, 2.0]] * 2)
+    assert fit_malus(ANGLES, np.zeros((0, len(ANGLES)))) == ()
+
+
+def test_a_singular_normal_matrix_falls_back_alone():
+    # at 1e18 counts the weights 1/k vanish next to the zero count's 1, and
+    # the normal matrix x^T W x of that row is singular to working precision
+    singular = np.full(len(ANGLES), 1e18)
+    singular[1] = 0.0
+    th = np.array(ANGLES)
+    x = np.column_stack([np.ones_like(th), np.cos(2 * th), np.sin(2 * th)])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(x.T @ (x / np.maximum(singular, 1.0)[:, None]))
+    good = _fringe_stack(9, rows=2)
+    fits = fit_malus(ANGLES, [good[0], singular, good[1]])
+    assert fits == (fit_malus(ANGLES, good[0]), fit_malus(ANGLES, singular),
+                    fit_malus(ANGLES, good[1]))
+    assert fits[1].visibility == 1.0 and math.isfinite(fits[1].sigma_visibility)
+
+
 # --- loss budget ---
 
 def improved_parts(length_m=0.5):

@@ -2,10 +2,10 @@
 
 Every run must exit 0, or exit 1 with one JSON error object on stderr; no
 input may end in a traceback.  Count fields (cycle counts, n_values entries
-and length, mc_samples, malus_points, the number of malus_angles_deg, and
-fig4's n_values entries times analyzer angles) are capped; each gets one
-large value within its cap and its cap + 1 instead of a place in the random
-pool.
+and length, mc_samples, malus_points, the number of malus_angles_deg and
+of input_states, and fig4's n_values entries times analyzer angles) are
+capped; each gets one large value within its cap and its cap + 1 instead of
+a place in the random pool.
 """
 
 import copy
@@ -202,3 +202,15 @@ def test_fig4_holds_at_most_a_hundred_thousand_fringe_settings(n_values, rc):
     if rc:
         payload = json.loads(err)
         assert payload["error"] == "SchemaError" and payload["field"] == "n_values"
+
+
+@pytest.mark.parametrize("states,rc", [(["H", "V", "D", "A", "R", "L"], 0),
+                                       (["H", "V", "D", "A", "R", "L", "H"], 1)])
+def test_input_states_holds_at_most_six_states(states, rc):
+    raw = _base("paper-short", False)
+    raw.update(input_states=states)
+    code, err = _run_cli(raw, ["malus"])
+    assert code == rc, err
+    if rc:
+        payload = json.loads(err)
+        assert payload["error"] == "SchemaError" and payload["field"] == "input_states"

@@ -312,6 +312,21 @@ def test_exact_fidelities_solve_a_row_alone_as_in_a_batch():
         assert alone[0] == f
 
 
+def test_linear_inversion_of_a_row_does_not_depend_on_its_batch():
+    # solved with np.linalg.solve for 1 and for 40 right-hand sides, this
+    # row's linear inversion, the start of its ascent, came back 1 ulp apart
+    # alone and in a batch
+    row = np.array([2345.0, 981.0, 2429.0, 127.0])
+    rng = np.random.default_rng(5)
+    rows = rng.poisson(rng.uniform(0.0, 3000.0, (40, 4))).astype(float)
+    rows[7] = row
+    r, failed = exact_mle_bloch(rows, MSET)
+    assert not failed.any()
+    for i in range(len(rows)):
+        alone, _ = exact_mle_bloch(rows[i:i + 1], MSET)
+        assert np.array_equal(alone[0], r[i])
+
+
 def test_exact_mle_validation():
     six = MeasurementSet((("H", H), ("V", V), ("D", D), ("A", A), ("R", R), ("L", L)))
     with pytest.raises(ValueError):
