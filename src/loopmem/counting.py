@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import math
 import operator
 import os
@@ -405,20 +404,17 @@ def synth_malus_dataset(angles: tuple[float, ...] | list[float], amplitude: floa
     return ScanDataset(records, amplitude, 1.0, acquisition_s, seed, "malus")
 
 
-def format_table(comment: str, columns, rows) -> str:
-    """CSV text: a '# ' comment line, a header, then rows.
+def write_table(fh, comment: str, columns, rows) -> None:
+    """Write CSV into an open text file: a '# ' comment line, a header, then rows.
 
-    Floats are written with repr so they read back exactly, None as an empty
-    cell; cells holding commas or quotes are quoted.
+    The csv module writes floats with repr, so they read back exactly, and None
+    as an empty cell; cells holding commas or quotes are quoted.  `rows` may be
+    any iterable, and is written as it is consumed.
     """
-    buf = io.StringIO()
-    buf.write(f"# {comment}\n")
-    writer = csv.writer(buf, lineterminator="\n")
+    fh.write(f"# {comment}\n")
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else "" if v is None else v
-                         for v in row])
-    return buf.getvalue()
+    writer.writerows(rows)
 
 
 def _meta_line(ds: ScanDataset) -> str:
@@ -430,7 +426,7 @@ def _meta_line(ds: ScanDataset) -> str:
 def write_csv(ds: ScanDataset, path: str | os.PathLike) -> None:
     """Flat record table with a single leading metadata comment line."""
     with open(path, "w", newline="") as fh:
-        fh.write(format_table(_meta_line(ds), _CSV_COLUMNS, map(astuple, ds.records)))
+        write_table(fh, _meta_line(ds), _CSV_COLUMNS, map(astuple, ds.records))
 
 
 def read_csv(path: str | os.PathLike) -> ScanDataset:

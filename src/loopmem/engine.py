@@ -22,7 +22,7 @@ rather than polarization errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -190,18 +190,6 @@ class MemoryConfig:
                 raise GainError("g12 > g22 implies an amplifying entry segment")
             if p.g13 * p.g22 > p.g12 * p.g23 + 1e-12:
                 raise GainError("g13*g22 > g12*g23 implies an amplifying pass-through")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        # the field hash @dataclass would recompute on every engine cache lookup
-        return hash(tuple(getattr(self, f.name) for f in fields(self)))
-
-    def __getstate__(self) -> dict:
-        # str hashes differ between processes, so an unpickled copy hashes afresh
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     @classmethod
     def from_params(cls, params: TransmissionParams, delta_tau: float, **kwargs) -> "MemoryConfig":

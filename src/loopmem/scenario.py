@@ -26,9 +26,9 @@ from .components import (
     CIRCULATOR_ARM, COUPLER, FIBER_SEGMENT, FPC, POCKELS_CELL, RETROREFLECTOR,
     VALID_KINDS, ComponentSpec,
 )
-from .counting import DecayScan, MalusScan, TomographyScan, format_table, record_seeds, run_scans
+from .counting import DecayScan, MalusScan, TomographyScan, record_seeds, run_scans, write_table
 from .counting import run_scan  # noqa: F401  bench/tracer.py requires this binding
-from .engine import (MemoryConfig, TransmissionParams, derive_transmission_params,
+from .engine import (ExitEvent, MemoryConfig, TransmissionParams, derive_transmission_params,
                      efficiency, simulate_sweep)
 from .engine import simulate_storage  # noqa: F401  bench/tracer.py requires this binding
 from .errors import InvalidStateError, NoSignalError, SchemaError
@@ -373,18 +373,23 @@ class _Emitter:
         self.written: list[str] = []
         os.makedirs(out_dir, exist_ok=True)
 
-    def _emit(self, name: str, text: str) -> str:
+    def _emit(self, name: str, write) -> str:
+        """Fill `<name>.tmp` with `write(fh)`, then rename it; a failed write leaves no `.tmp`."""
         path = os.path.join(self.out_dir, name)
         tmp = path + ".tmp"
-        with open(tmp, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w", newline="") as fh:
+                write(fh)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):  # absent once renamed, or if it could not be opened
+                os.remove(tmp)
         self.written.append(path)
         return path
 
     def csv(self, name: str, columns: tuple[str, ...], rows) -> str:
         comment = f"scenario={self.scenario.content_hash()} seed={self.scenario.seed}"
-        return self._emit(name, format_table(comment, columns, rows))
+        return self._emit(name, lambda fh: write_table(fh, comment, columns, rows))
 
     def json(self, name: str, payload: dict) -> str:
         obj = {
@@ -396,7 +401,8 @@ class _Emitter:
             },
         }
         obj.update(payload)
-        return self._emit(name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        return self._emit(name, lambda fh: fh.write(text))
 
 
 def _rho_flat(rho: np.ndarray) -> list[float]:
@@ -473,42 +479,45 @@ def run(scenario: Scenario, subcommand: str, out_dir: str,
     return handler(scenario, emitter), emitter.written
 
 
-def _exit_fidelity(rho, target: PureState) -> float | None:
-    """Conditional fidelity of an exit; None when it is too light to condition on."""
-    try:
-        return fidelity(rho, target)
-    except InvalidStateError:
-        return None
+def _exit_fidelity(ev: ExitEvent, target: PureState, memo: dict) -> float | None:
+    """Conditional fidelity of an exit, memoized; None when it is too light to condition on."""
+    if ev not in memo:
+        try:
+            memo[ev] = fidelity(ev.state, target)
+        except InvalidStateError:
+            memo[ev] = None
+    return memo[ev]
 
 
 def _run_simulate(sc: Scenario, emitter: _Emitter) -> dict:
-    rows = []
     summary: dict = {}
     n_values = tuple(dict.fromkeys(sc.n_values))  # outcomes are deterministic: each N once
-    for label, state in sc.input_states:
-        for n, out in zip(n_values, simulate_sweep(sc.config, state, n_values)):
-            f_retrieved = _exit_fidelity(out.retrieved.state, state)
-            rows.append((label, n, "retrieved", out.retrieved.time,
-                         out.retrieved.weight, f_retrieved))
-            for ev in out.exits:
-                f = f_retrieved if ev is out.retrieved else _exit_fidelity(ev.state, state)
-                rows.append((label, n, "exit", ev.time, ev.weight, f))
-            for t, w in out.ejections:
-                rows.append((label, n, "ejected", t, w, None))
-            if out.tail is not None:
-                rows.append((label, n, "tail-exit", out.tail.time, out.tail.weight,
-                             _exit_fidelity(out.tail.state, state)))
-                if out.tail_ejected > 0:
-                    rows.append((label, n, "tail-ejected", out.tail.time, out.tail_ejected, None))
-            rows.append((label, n, "absorbed", None, out.absorbed, None))
-            summary[f"{label}/N={n}"] = {
-                "retrieved_weight": out.retrieved.weight,
-                "fidelity": f_retrieved,
-                "weight_balance": out.weight_balance(),
-            }
+
+    def rows():  # streamed one sweep at a time; its N share the prefix's ExitEvent objects
+        for label, state in sc.input_states:
+            memo: dict = {}
+            for n, out in zip(n_values, simulate_sweep(sc.config, state, n_values)):
+                f_retrieved = _exit_fidelity(out.retrieved, state, memo)
+                yield label, n, "retrieved", out.retrieved.time, out.retrieved.weight, f_retrieved
+                for ev in out.exits:
+                    yield label, n, "exit", ev.time, ev.weight, _exit_fidelity(ev, state, memo)
+                for t, w in out.ejections:
+                    yield label, n, "ejected", t, w, None
+                if out.tail is not None:
+                    yield (label, n, "tail-exit", out.tail.time, out.tail.weight,
+                           _exit_fidelity(out.tail, state, memo))
+                    if out.tail_ejected > 0:
+                        yield label, n, "tail-ejected", out.tail.time, out.tail_ejected, None
+                yield label, n, "absorbed", None, out.absorbed, None
+                summary[f"{label}/N={n}"] = {
+                    "retrieved_weight": out.retrieved.weight,
+                    "fidelity": f_retrieved,
+                    "weight_balance": out.weight_balance(),
+                }
+
     emitter.csv("simulate_events.csv",
                 ("input_state", "n_cycles", "event", "time_ns", "weight", "fidelity"),
-                rows)
+                rows())
     emitter.json("simulate.json", {"outcomes": summary})
     return {"outcomes": len(summary)}
 

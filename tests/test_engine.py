@@ -1,7 +1,6 @@
 import json
 import math
-import pickle
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -428,19 +427,6 @@ def test_a_tail_kept_only_by_round_off_is_absorbed(tmp_path):
         "memory": {"params": {"g13": 1.0, "g12": 1.0, "g22": 1.0, "g23": 1.0},
                    "pc_rotation_error": eps}}))
     assert main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 0
-
-
-def test_config_hash_is_cached_per_instance():
-    cfg = short_config(switch_zone=(ComponentSpec(POCKELS_CELL, rotation_error=0.05),))
-    fresh = hash(tuple(getattr(cfg, f.name) for f in fields(cfg)))
-    assert hash(cfg) == fresh and vars(cfg)["_hash"] == fresh  # computed once, then kept
-    same = replace(cfg)
-    assert same == cfg and same is not cfg and hash(same) == hash(cfg)
-    other = replace(cfg, delta_tau=40.0)
-    assert other != cfg
-    assert hash(other) == hash(tuple(getattr(other, f.name) for f in fields(other)))
-    copy = pickle.loads(pickle.dumps(cfg))
-    assert copy == cfg and "_hash" not in vars(copy) and hash(copy) == hash(cfg)
 
 
 def test_exit_states_are_trusted_rank_one_states():

@@ -11,11 +11,11 @@ import pytest
 import loopmem.scenario
 from loopmem.cli import main
 from loopmem.components import POCKELS_CELL
-from loopmem.engine import derive_transmission_params, simulate_storage
+from loopmem.engine import derive_transmission_params, simulate_storage, simulate_sweep
 from loopmem.errors import SchemaError
 from loopmem.polarization import D, H
 from loopmem.scenario import (
-    PRESETS, load_scenario, preset_scenario, resolve, run,
+    PRESETS, load_scenario, preset_scenario, read_scenario, resolve, run,
 )
 
 
@@ -461,6 +461,38 @@ def test_simulate_reports_a_repeated_cycle_count_once(tmp_path, capsys):
     outcomes = json.loads((tmp_path / "simulate.json").read_text())["outcomes"]
     assert len(set(absorbed)) == len(absorbed) == len(outcomes) == summary["outcomes"] == 21
     assert [n for label, n in absorbed if label == "H"] == ["0", "5", "3", "12", "1", "64", "2"]
+
+
+def test_simulate_conditions_each_shared_exit_once(monkeypatch, tmp_path):
+    # every N of a sweep repeats the exits of its shared prefix; each is one
+    # ExitEvent object, conditioned once however many rows list it
+    low_loss = read_scenario(Path(__file__).parent.parent / "demos" / "low_loss_tail.json")
+    sc = resolve(dict(low_loss, input_states=["D"], n_values=list(range(1, 201))))
+    calls = []
+
+    def counted(rho, target):
+        calls.append(rho)
+        return fidelity(rho, target)
+
+    fidelity = loopmem.scenario.fidelity
+    monkeypatch.setattr(loopmem.scenario, "fidelity", counted)
+    run(sc, "simulate", str(tmp_path))
+    outcomes = simulate_sweep(sc.config, sc.input_states[0][1], sc.n_values)
+    events = {ev for out in outcomes for ev in (*out.exits, out.tail) if ev is not None}
+    with open(tmp_path / "simulate_events.csv", newline="") as fh:
+        exit_rows = sum(row[2] in ("exit", "tail-exit") for row in list(csv.reader(fh))[2:])
+    assert len(calls) == len(events) < exit_rows
+
+
+def test_simulate_failing_mid_table_leaves_no_file(tmp_path, capsys):
+    # the drive cannot ramp in time for N = 2, so the sweep raises after the
+    # table's header is written
+    path = write_scenario(tmp_path, {"preset": "paper-short", "n_values": [1, 2],
+                                     "memory": {"pc_rise_time": 40.0}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", path, "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "UnschedulableError"
+    assert not (out / "simulate_events.csv").exists() and not list(out.glob("*.tmp"))
 
 
 def test_cli_fig4_survives_negative_round_off_in_projections(tmp_path, capsys):
