@@ -6,8 +6,9 @@ carries the storage loss, passes a projector psi with `design_row` d and is
 detected with efficiency `detection_eff`, at the mean coincidence rate
 max(pair_rate * detection_eff * q, 0), q = ((d0 HH + d1 VV) + d2 Re HV) +
 d3 Im HV = <psi|rho|psi>; counts are Poisson around rate * acquisition_s.
-`run_scans` computes all its means in one elementwise pass (`_rates`), and
-`expected_rate` is its one-record case: both give the same floats.
+`run_scans` makes one engine call per config, for all its input states, and
+computes all its means in one elementwise pass (`_rates`); `expected_rate` is
+its one-record case: both give the same floats.
 
 Seeding: record i of a scan with master seed s has the sub-seed
 record_seed(s, i) = SeedSequence([s, i]).generate_state(1)[0] and the count
@@ -33,7 +34,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .engine import MemoryConfig, StorageOutcome, simulate_sweep
+from .engine import MemoryConfig, StorageOutcome, simulate_sweeps
 from .engine import simulate_storage  # noqa: F401  bench/tracer.py requires this binding
 from .errors import SchemaError
 from .polarization import D, H, PureState, R, V, design_row, make_pure
@@ -321,9 +322,9 @@ def run_scans(cfg: MemoryConfig, jobs: Sequence[ScanJob], *, pair_rate: float = 
               detection_eff: float = 1.0, acquisition_s: float = 60.0) -> list[ScanDataset]:
     """Simulate and sample each (input_state, plan, seed) job; one dataset per job.
 
-    Each input state is propagated once, by one simulate_sweep over every
-    cycle count its jobs need, and every count is drawn in one batch
-    (`draw_counts`).  A job's dataset is the one it gives alone.
+    One engine call (`simulate_sweeps`) propagates every input state once
+    through every cycle count the jobs need, and every count is drawn in one
+    batch (`draw_counts`).  A job's dataset is the one it gives alone.
     """
     inputs: dict[PureState, int] = {}  # input state -> its number
     exits: dict[tuple[int, int], int] = {}  # (input number, n) -> column of `rho`
@@ -349,11 +350,10 @@ def run_scans(cfg: MemoryConfig, jobs: Sequence[ScanJob], *, pair_rate: float = 
         s = inputs.setdefault(state, len(inputs))
         at_exit += [exits.setdefault((s, n), len(exits)) for n in layout[3]]
 
-    needed: list[list[int]] = [[] for _ in inputs]  # per input state: its cycle counts
-    for s, n in exits:
-        needed[s].append(n)
-    outcomes = {(s, n): outcome for s, (state, n_values) in enumerate(zip(inputs, needed))
-                for n, outcome in zip(n_values, simulate_sweep(cfg, state, tuple(n_values)))}
+    n_values = tuple(dict.fromkeys(n for _, n in exits))
+    outcomes = {(s, n): outcome
+                for s, sweep in enumerate(simulate_sweeps(cfg, tuple(inputs), n_values))
+                for n, outcome in zip(n_values, sweep)}
     rho = np.array([outcomes[key].retrieved.rho for key in exits], complex).reshape(-1, 3).T
     rows = np.array([design_row(p) if isinstance(p, PureState)
                      else design_row(make_pure(math.cos(p), math.sin(p)))

@@ -106,14 +106,19 @@ class PathTrace:
 _M_SWAP = {"M1": "M4", "M4": "M1", "M2": "M3", "M3": "M2", "storage": "storage"}
 
 
+def _cycle_count(n) -> int:
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"cycle count must be a non-negative integer, got {n!r}")
+    return int(n)
+
+
 def f8_path_trace(n: int) -> PathTrace:
     """Common-path figure-eight traversal for n storage cycles.
 
     The H component enters via mirror M4 and leaves via M1; the V component
     takes the same elements in reverse order with M1/M4 and M2/M3 exchanged.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"cycle count must be a non-negative integer, got {n!r}")
+    n = _cycle_count(n)
     h = ("M4",) + ("M2", "M3", "storage") * n + ("M2", "M3", "M1")
     v = tuple(_M_SWAP[lbl] for lbl in h)
     return PathTrace(h_path=h, v_path=v)
@@ -214,8 +219,7 @@ def switch_schedule(n: int, cfg: MemoryConfig) -> DriveSchedule:
     and off between the last reflection and the release passage, each ramp
     centered in its inter-passage window.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"cycle count must be a non-negative integer, got {n!r}")
+    n = _cycle_count(n)
     rise = cfg.pc_rise_time
     dt = cfg.delta_tau
     t1 = cfg.delay_line_compensation + cfg.pass_through_time / 2.0
@@ -257,7 +261,7 @@ class ExitEvent:
 
     time: float
     weight: float
-    rho: tuple[complex, complex, complex]
+    rho: tuple[float, complex, float]
 
     @cached_property
     def state(self) -> DensityMatrix:
@@ -279,7 +283,8 @@ class StorageOutcome:
     exits, and tail_ejected the same sum for ejections.  When nothing above
     1e-16 circulates after the listing, tail is None and the unlisted light
     events stay out of the account.  absorbed collects absorptive loss.  Exit
-    weights, tail, ejections, tail_ejected and absorbed sum to 1.
+    weights, tail, ejections, tail_ejected and absorbed sum to 1: balance is
+    that sum as the engine checked it, and weight_balance() sums it anew.
     """
 
     n_cycles: int
@@ -288,7 +293,7 @@ class StorageOutcome:
     ejections: tuple[tuple[float, float], ...]
     absorbed: float
     retrieved: ExitEvent
-    schedule: DriveSchedule
+    balance: float
     tail: ExitEvent | None = None
     tail_ejected: float = 0.0
 
@@ -394,7 +399,7 @@ class _Plumbing:
             cross = _entries(np.diag(np.diag(j)))
             self.first_passage[level] = (_entries(passthrough_amp * (j[1, 0] * _X)), cross)
             self.later_passage[level] = (cross, _entries(j[0, 1] * _X))
-        self._stein = {}
+        self._stein, self._stacks = {}, {}
 
     def stein(self, level: float) -> tuple[tuple[complex, ...], ...] | None:
         """Linear maps that sum every later passage at one fixed drive level.
@@ -422,6 +427,32 @@ class _Plumbing:
             self._stein[level] = rows
         return self._stein[level]
 
+    def stack(self, first: bool, level: float) -> tuple[tuple[np.ndarray, ...], _Op2]:
+        """A branch's listed passages at one drive level, as maps of its start c.
+
+        A branch meets its release passage (passage 1 when `first`) with the
+        amplitude c, then _LISTED_PASSES more.  Row j maps the real parts of c
+        to those of passage j's exit amplitude and of what meets it, leaves,
+        stays and meets the next one: one array per part of c, returned with
+        the map to what meets the passage after the rows.  These end early
+        once that map is exactly zero, since every branch stops there.
+        """
+        key = (first, level, _LISTED_PASSES)
+        if key not in self._stacks:
+            delay, exit_op = np.reshape(self.delay_op, (2, 2)), np.reshape(self.exit_op, (2, 2))
+            c, rows = np.eye(2, dtype=complex), []
+            for j in range(_LISTED_PASSES + 1):
+                passages = self.first_passage if first and j == 0 else self.later_passage
+                release, store = (np.reshape(op, (2, 2)) @ c for op in passages[level])
+                maps = (exit_op @ release, c, release, store, c := delay @ store)
+                # (Re x, Im x, Re y, Im y) -> Re and Im of each entry of m (x, y)
+                rows.append([part for m in maps for a, b in m for part in (
+                    (a.real, -a.imag, b.real, -b.imag), (a.imag, a.real, b.imag, b.real))])
+                if not c.any():
+                    break
+            self._stacks[key] = tuple(np.array(rows).transpose(2, 0, 1).copy()), _entries(c)
+        return self._stacks[key]
+
 
 _plumbing = lru_cache(maxsize=16)(_Plumbing)  # one per config; workloads reuse a handful
 
@@ -435,105 +466,85 @@ def _norm2(x: complex, y: complex) -> float:
     return (x * x.conjugate() + y * y.conjugate()).real
 
 
-@dataclass
-class _Branch:
-    """A propagation in progress: the amplitude meeting passage k, and all that left before.
+class _Account:
+    """A propagation's events and running sums, booked passage by passage: listed
+    sums the listed events, quiet the (HH, HV, VV) of unlisted exits and
+    quiet_ejected the unlisted ejections."""
 
-    quiet sums the (HH, HV, VV) entries of the exits too light to list, and
-    quiet_ejected the weight of the ejections too light to list.
-    """
+    def __init__(self, absorbed=0.0, listed=0.0, quiet=(0.0, 0j, 0.0), quiet_ejected=0.0):
+        self.exits, self.ejections = [], []
+        self.absorbed, self.listed, self.quiet, self.quiet_ejected = (
+            absorbed, listed, quiet, quiet_ejected)
 
-    x: complex
-    y: complex
-    k: int
-    absorbed: float
-    exits: list[ExitEvent] = field(default_factory=list)
-    ejections: list[tuple[float, float]] = field(default_factory=list)
-    quiet: tuple[complex, complex, complex] = (0j, 0j, 0j)
-    quiet_ejected: float = 0.0
-
-    def fork(self) -> "_Branch":
-        return _Branch(self.x, self.y, self.k, self.absorbed, list(self.exits),
-                       list(self.ejections), self.quiet, self.quiet_ejected)
-
-
-def _run(cfg: MemoryConfig, plumb: _Plumbing, branch: _Branch, schedule: DriveSchedule,
-         k_release: int, last_k: int) -> ExitEvent | None:
-    """Propagate `branch` through passages branch.k..last_k under `schedule`.
-
-    Stops early, leaving the residual for _close, once the exit of release
-    passage k_release has left and the circulating weight is below the cutoff.
-    Returns that retrieved exit, or None if it has not left yet.
-    """
-    t_half = cfg.pass_through_time / 2.0
-    t1 = cfg.delay_line_compensation + t_half
-    exits, ejections = branch.exits, branch.ejections
-    x, y, k, absorbed = branch.x, branch.y, branch.k, branch.absorbed
-    (q_hh, q_hv, q_vv), q_ej = branch.quiet, branch.quiet_ejected
-    retrieved = None
-    while k <= last_k:
-        t_k = t1 + (k - 1) * cfg.delta_tau
-        w_in = _norm2(x, y)
-        if w_in <= _RESIDUAL_CUTOFF and retrieved is not None:
-            break
-        passages = plumb.first_passage if k == 1 else plumb.later_passage
-        release, store = passages[pockels_level(schedule, t_k)]
-        out_x, out_y = _apply(release, x, y)
-        stay_x, stay_y = _apply(store, x, y)
-        w_out = _norm2(out_x, out_y)
-        w_stay = _norm2(stay_x, stay_y)
-        absorbed += max(w_in - w_out - w_stay, 0.0)
-
-        t_exit = t_k + t_half
-        rel_x, rel_y = _apply(plumb.exit_op, out_x, out_y)
-        # |v><v| of the exit amplitude v = (rel_x, rel_y); its trace is the exit weight
-        yc = rel_y.conjugate()
-        hh, hv, vv = rel_x * rel_x.conjugate(), rel_x * yc, rel_y * yc
-        w_rel = (hh + vv).real
-        lost = w_out - w_rel
-        if lost > 0:
-            ej = lost * plumb.exit_ej_share
-            if ej > _RESIDUAL_CUTOFF:
-                ejections.append((t_exit, ej))
-            else:
-                q_ej += ej
-            absorbed += lost - ej
-        if w_rel > _RESIDUAL_CUTOFF or k == k_release:
-            event = ExitEvent(t_exit, w_rel, (hh, hv, vv))
-            exits.append(event)
-            if k == k_release:
-                retrieved = event
+    def eject(self, t: float, lost: float, share: float):
+        if (ej := lost * share) > _RESIDUAL_CUTOFF:
+            self.ejections.append((t, ej))
+            self.listed += ej
         else:
-            q_hh, q_hv, q_vv = q_hh + hh, q_hv + hv, q_vv + vv
+            self.quiet_ejected += ej
+        self.absorbed += lost - ej
 
-        x, y = _apply(plumb.delay_op, stay_x, stay_y)
-        absorbed += max(w_stay - _norm2(x, y), 0.0)
-        k += 1
-    branch.x, branch.y, branch.k, branch.absorbed = x, y, k, absorbed
-    branch.quiet, branch.quiet_ejected = (q_hh, q_hv, q_vv), q_ej
-    return retrieved
+    def passage(self, share, t, w_in, w_out, w_stay, w_next, exr, exi, eyr, eyi, retrieved=False):
+        """Book a passage: weights in, out, kept and on, and its exit amplitude v."""
+        self.absorbed += max(w_in - w_out - w_stay, 0.0)
+        hh, vv = exr * exr + exi * exi, eyr * eyr + eyi * eyi  # |v><v|, trace the exit weight
+        hv = complex(exr * eyr + exi * eyi, exi * eyr - exr * eyi)
+        if (lost := w_out - (w_rel := hh + vv)) > 0:
+            self.eject(t, lost, share)
+        if w_rel > _RESIDUAL_CUTOFF or retrieved:
+            self.exits.append(ExitEvent(t, w_rel, (hh, hv, vv)))
+            self.listed += w_rel
+        else:
+            q_hh, q_hv, q_vv = self.quiet
+            self.quiet = (q_hh + hh, q_hv + hv, q_vv + vv)
+        self.absorbed += max(w_stay - w_next, 0.0)
 
 
-def _close(cfg: MemoryConfig, plumb: _Plumbing, branch: _Branch,
-           schedule: DriveSchedule) -> tuple[ExitEvent | None, float]:
-    """Settle what `branch` leaves after its listed passages: (tail exit, tail ejection).
+def _prefix(cfg: MemoryConfig, plumb: _Plumbing, state: PureState, levels: list[float],
+            marks: set[int]) -> dict:
+    """Propagate one input through the passages its branches share (levels[k - 1] at
+    passage k) as two complex scalars.  Returns, per n in marks, the start of the branch
+    of n cycles: (x, y, the account, exits and ejections listed by then, its sums)."""
+    acc, starts, share = _Account(), {}, plumb.exit_ej_share
+    t_half, dt = cfg.pass_through_time / 2.0, cfg.delta_tau
+    t1 = cfg.delay_line_compensation + t_half
+    (ea, eb, ec, ed), (da, db, dc, dd) = plumb.exit_op, plumb.delay_op
+    x, y = _apply(plumb.entry_op, state.alpha, state.beta)  # the amplitude in the H/V basis
+    if (lost := 1.0 - (w := _norm2(x, y))) > 0:
+        acc.eject(cfg.delay_line_compensation, lost, plumb.entry_ej_share)
+    for k, level in enumerate(levels + [None], 1):
+        if k - 1 in marks:
+            starts[k - 1] = (x, y, acc, len(acc.exits), len(acc.ejections),
+                             (acc.absorbed, acc.listed, acc.quiet, acc.quiet_ejected))
+        if level is None:
+            return starts
+        (ra, rb, rc, rd), (sa, sb, sc, sd) = (
+            plumb.first_passage if k == 1 else plumb.later_passage)[level]
+        out_x, out_y = ra * x + rb * y, rc * x + rd * y
+        stay_x, stay_y = sa * x + sb * y, sc * x + sd * y
+        rel_x, rel_y = ea * out_x + eb * out_y, ec * out_x + ed * out_y
+        x, y = da * stay_x + db * stay_y, dc * stay_x + dd * stay_y
+        w_in, w = w, _norm2(x, y)
+        acc.passage(share, t1 + (k - 1) * dt + t_half, w_in, _norm2(out_x, out_y),
+                    _norm2(stay_x, stay_y), w, rel_x.real, rel_x.imag, rel_y.real, rel_y.imag)
 
-    A residual at or below the cutoff is absorbed, with no tail, and so is one
-    within unit round-off that the final-level map keeps in float.  Otherwise
-    every later passage runs at the schedule's final drive level and
-    plumb.stein sums them exactly; the tail also carries the unlisted light
-    events, and what never leaves the loop is absorbed.
+
+def _close(plumb: _Plumbing, level: float, t: float, x: complex, y: complex,
+           acc: _Account) -> tuple[ExitEvent | None, float]:
+    """Settle what circulates past the listing, from the exit at t on: (tail exit, ejection).
+
+    At most the cutoff, or unit round-off that the map at `level` keeps in
+    float, is absorbed.  Otherwise plumb.stein sums every later passage
+    exactly, into a tail that also carries the account's unlisted events.
     """
-    x, y = branch.x, branch.y
     w = _norm2(x, y)
-    t_k = cfg.delay_line_compensation + cfg.pass_through_time / 2.0 + (branch.k - 1) * cfg.delta_tau
-    sums = None if w <= _RESIDUAL_CUTOFF else plumb.stein(pockels_level(schedule, t_k))
+    sums = None if w <= _RESIDUAL_CUTOFF else plumb.stein(level)
     if sums is None and w <= _UNIT_ROUNDOFF:
-        branch.absorbed += w
+        acc.absorbed += w
         return None, 0.0
     if sums is None:
         raise InvalidStateError(
-            f"weight {w} still circulates after passage {branch.k - 1} and never decays: "
+            f"weight {w} still circulates at {t} ns and never decays: "
             "at the final drive level the round trip keeps it all (spectral radius >= 1)")
     xc, yc = x.conjugate(), y.conjugate()
     a, b, c, d = x * xc, x * yc, y * xc, y * yc  # row-major entries of x x^+
@@ -541,60 +552,74 @@ def _close(cfg: MemoryConfig, plumb: _Plumbing, branch: _Branch,
     hh, vv, released = max(hh.real, 0.0), max(vv.real, 0.0), released.real
     lost = max(released - hh - vv, 0.0)
     ej = lost * plumb.exit_ej_share
-    branch.absorbed += lost - ej + max(w - released, 0.0)
-    q_hh, q_hv, q_vv = branch.quiet
-    hh, hv, vv = hh + q_hh, hv + q_hv, vv + q_vv
-    tail = ExitEvent(t_k + cfg.pass_through_time / 2.0, (hh + vv).real, (hh, hv, vv))
-    return tail, branch.quiet_ejected + ej
+    acc.absorbed += lost - ej + max(w - released, 0.0)
+    hh, hv, vv = (entry + quiet for entry, quiet in zip((hh, hv, vv), acc.quiet))
+    return ExitEvent(t, hh + vv, (hh, hv, vv)), acc.quiet_ejected + ej
+
+
+def simulate_sweeps(cfg: MemoryConfig, input_states: tuple[PureState, ...],
+                    n_values: tuple[int, ...]) -> tuple[tuple[StorageOutcome, ...], ...]:
+    """Per input state, the outcome simulate_storage gives for each n in n_values, in order.
+
+    Every n >= 1 drives the cell OFF at passage 1 and ON through passage n, so
+    each state propagates passages 1..n once for all of them.  From its
+    release passage n + 1 on (n = 0: passage 1), each n is a branch; as
+    propagation is linear in the amplitude, one numpy pass over _Plumbing.stack
+    gives every branch of every state the weights and exit amplitudes it books.
+    """
+    n_values = tuple(map(_cycle_count, n_values))
+    n_set, n_max, dt = set(n_values), max(n_values, default=0), cfg.delta_tau
+    t_half = cfg.pass_through_time / 2.0
+    t1 = cfg.delay_line_compensation + t_half
+    # n >= 2 ramps the cell on between passages 1 and 2 and off between n and n + 1,
+    # n = 1 never drives it and n = 0 keeps it on: so the largest n's levels at
+    # passages 1 and 2 are all shared levels, and a branch stays at its release level
+    schedules = {n: switch_schedule(n, cfg) for n in {0, 1, n_max} & n_set}
+    level = {n: pockels_level(s, t1 + n * dt) for n, s in schedules.items()}
+    shared = [pockels_level(schedules[n_max], t1 + k * dt) for k in range(min(n_max, 2))]
+    shared += shared[-1:] * (n_max - 2)
+    plumb = _plumbing(cfg)
+    prefixes = [_prefix(cfg, plumb, state, shared, n_set) for state in input_states]
+    groups: dict[tuple[bool, float], list[int]] = {}
+    for n in sorted(n_set):
+        groups.setdefault((n == 0, level[n if n < 2 else n_max]), []).append(n)
+    outcomes = {}
+    for (first, lvl), ns in groups.items():
+        branches = [(s, n) for s in range(len(input_states)) for n in ns]
+        (m0, m1, m2, m3), residual = plumb.stack(first, lvl)
+        starts = [prefixes[s][n] for s, n in branches]
+        xs, ys = np.array([[st[0] for st in starts], [st[1] for st in starts]])[..., None, None]
+        # real products and sums only: numpy's complex multiply may fuse with FMA in
+        # its vector loop and not in its remainder, so a branch would depend on its batch
+        v = ((xs.real * m0 + xs.imag * m1) + ys.real * m2) + ys.imag * m3
+        sq = v[..., 4:] ** 2
+        w = ((sq[..., 0::4] + sq[..., 1::4]) + sq[..., 2::4]) + sq[..., 3::4]
+        rows = np.concatenate((w, v[..., :4]), axis=2).tolist()  # per branch and passage
+        for (s, n), (x, y, prefix, n_exits, n_ejections, sums), passages in zip(
+                branches, starts, rows):
+            acc, tail, tail_ejected = _Account(*sums), None, 0.0
+            for j, row in enumerate(passages):
+                acc.passage(plumb.exit_ej_share, t1 + (n + j) * dt + t_half, *row, j == 0)
+                if row[3] <= _RESIDUAL_CUTOFF:  # nothing circulates on
+                    acc.absorbed += row[3]
+                    break
+            else:
+                tail, tail_ejected = _close(plumb, lvl, t1 + (n + len(passages)) * dt + t_half,
+                                            *_apply(residual, x, y), acc)
+            balance = acc.listed + acc.absorbed + tail_ejected + (tail.weight if tail else 0.0)
+            if abs(balance - 1.0) > 1e-9:
+                raise InvalidStateError(f"probability not conserved: accounted {balance}")
+            outcomes[s, n] = StorageOutcome(
+                n, input_states[s], tuple(prefix.exits[:n_exits] + acc.exits),
+                tuple(prefix.ejections[:n_ejections] + acc.ejections), acc.absorbed,
+                acc.exits[0], balance, tail, tail_ejected)
+    return tuple(tuple(outcomes[s, n] for n in n_values) for s in range(len(input_states)))
 
 
 def simulate_sweep(cfg: MemoryConfig, input_state: PureState,
                    n_values: tuple[int, ...]) -> tuple[StorageOutcome, ...]:
-    """Propagate one heralded photon through each cycle count in n_values.
-
-    Returns one outcome per entry of n_values, in order, each the one
-    simulate_storage gives for that n.  Every n >= 1 drives the cell OFF at
-    passage 1 and ON through passage n, so passages 1..n are propagated once
-    for all of them; each n branches off at its release passage n + 1 and runs
-    its own tail.  n = 0 runs alone.
-    """
-    schedules = {}
-    for n in n_values:
-        schedules[int(n)] = switch_schedule(n, cfg)
-    plumb = _plumbing(cfg)
-    t_arrive = cfg.delay_line_compensation
-
-    # the amplitude (x, y) in the H/V basis, propagated as two complex scalars
-    x, y = _apply(plumb.entry_op, input_state.alpha, input_state.beta)
-    prefix = _Branch(x, y, k=1, absorbed=0.0)
-    lost = 1.0 - _norm2(x, y)
-    if lost > 0:
-        ej = lost * plumb.entry_ej_share
-        if ej > _RESIDUAL_CUTOFF:
-            prefix.ejections.append((t_arrive, ej))
-        else:
-            prefix.quiet_ejected += ej
-        prefix.absorbed += lost - ej
-
-    outcomes = {}
-    n_last = max(schedules, default=0)
-    for n, schedule in sorted(schedules.items()):
-        if n < n_last:
-            _run(cfg, plumb, prefix, schedule, n + 1, n)  # passages every larger n shares
-            branch = prefix.fork()
-        else:
-            branch = prefix  # nothing branches later, so the prefix runs on into this tail
-        retrieved = _run(cfg, plumb, branch, schedule, n + 1, n + 1 + _LISTED_PASSES)
-        tail, tail_ejected = _close(cfg, plumb, branch, schedule)
-        outcome = StorageOutcome(
-            n_cycles=n, input_state=input_state, exits=tuple(branch.exits),
-            ejections=tuple(branch.ejections), absorbed=branch.absorbed, retrieved=retrieved,
-            schedule=schedule, tail=tail, tail_ejected=tail_ejected)
-        balance = outcome.weight_balance()
-        if abs(balance - 1.0) > 1e-9:
-            raise InvalidStateError(f"probability not conserved: accounted {balance}")
-        outcomes[n] = outcome
-    return tuple(outcomes[int(n)] for n in n_values)
+    """Outcomes of one input state at each cycle count in n_values (see simulate_sweeps)."""
+    return simulate_sweeps(cfg, (input_state,), n_values)[0]
 
 
 def simulate_storage(cfg: MemoryConfig, input_state: PureState, n: int) -> StorageOutcome:

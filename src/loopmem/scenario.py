@@ -512,7 +512,7 @@ def _run_simulate(sc: Scenario, emitter: _Emitter) -> dict:
                 summary[f"{label}/N={n}"] = {
                     "retrieved_weight": out.retrieved.weight,
                     "fidelity": f_retrieved,
-                    "weight_balance": out.weight_balance(),
+                    "weight_balance": out.balance,
                 }
 
     emitter.csv("simulate_events.csv",

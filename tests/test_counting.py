@@ -329,19 +329,19 @@ def test_synth_malus_dataset_draws_each_record_from_its_seed():
 def test_fig4_sweeps_each_state_once_and_draws_in_one_batch(monkeypatch, tmp_path):
     sweeps, batches = [], []
 
-    def sweep(cfg, state, n_values):
-        sweeps.append((state, n_values))
-        return simulate_sweep(cfg, state, n_values)
+    def sweep(cfg, states, n_values):
+        sweeps.append((states, n_values))
+        return simulate_sweeps(cfg, states, n_values)
 
     def draw(jobs):
         batches.append([len(means) for _, means in jobs])
         return draw_counts(jobs)
 
-    simulate_sweep = loopmem.counting.simulate_sweep
-    monkeypatch.setattr(loopmem.counting, "simulate_sweep", sweep)
+    simulate_sweeps = loopmem.counting.simulate_sweeps
+    monkeypatch.setattr(loopmem.counting, "simulate_sweeps", sweep)
     monkeypatch.setattr(loopmem.counting, "draw_counts", draw)
     sc = scenario.preset_scenario("paper-short")
     scenario.run(sc, "reproduce", str(tmp_path), "fig4")
-    assert sweeps == [(H, sc.n_values), (D, sc.n_values), (R, sc.n_values)]
+    assert sweeps == [((H, D, R), tuple(dict.fromkeys(sc.n_values)))]  # one engine call
     n_angles = len(sc.malus_angles)
     assert batches == [[n_angles, n_angles, 4, 4, 4] * len(sc.n_values)]

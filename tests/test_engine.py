@@ -14,10 +14,10 @@ from loopmem.components import (
 )
 from loopmem.engine import (
     MemoryConfig, TransmissionParams, derive_transmission_params, efficiency,
-    f8_path_trace, simulate_storage, simulate_sweep, switch_schedule,
+    f8_path_trace, simulate_storage, simulate_sweep, simulate_sweeps, switch_schedule,
 )
 from loopmem.errors import GainError, InvalidStateError, UnschedulableError
-from loopmem.polarization import D, H, R, V, DensityMatrix, fidelity
+from loopmem.polarization import D, H, R, V, DensityMatrix, fidelity, make_pure
 from loopmem.scenario import resolve
 
 SHORT = TransmissionParams(0.541, 0.419, 0.50, 0.662)
@@ -286,33 +286,67 @@ def test_lossy_phased_switch_matches_recorded_outcomes():
     assert tails == {"inventory/N=0", "low-loss/N=0"}
 
 
+def assert_same_outcome(out, ref):
+    """Equal to the last bit: every event, weight and state entry."""
+    assert (out.n_cycles, out.input_state) == (ref.n_cycles, ref.input_state)
+    assert [(ev.time, ev.weight) for ev in out.exits] == [(ev.time, ev.weight) for ev in ref.exits]
+    for ev, ev_ref in zip(out.exits, ref.exits):
+        assert np.array_equal(ev.state.matrix, ev_ref.state.matrix)
+    assert out.ejections == ref.ejections
+    assert out.absorbed == ref.absorbed and out.tail_ejected == ref.tail_ejected
+    assert out.balance == ref.balance
+    assert (out.tail is None) == (ref.tail is None)
+    if out.tail is not None:
+        assert (out.tail.time, out.tail.weight) == (ref.tail.time, ref.tail.weight)
+        assert np.array_equal(out.tail.state.matrix, ref.tail.state.matrix)
+    assert (out.retrieved.time, out.retrieved.rho) == (ref.retrieved.time, ref.retrieved.rho)
+    assert not any(isinstance(v, list) for v in vars(out).values())
+
+
 def test_sweep_matches_one_propagation_per_n():
     configs = regression_configs()
     for preset in ("paper-short", "paper-long"):
         configs[preset] = resolve({"preset": preset, "memory": {"pc_rotation_error": 0.05}}).config
     n_values = (5, 0, 3, 3, 64, 1)
+    elliptic = make_pure(0.8, 0.36 - 0.48j)
     for cfg in configs.values():
-        for state in (H, D, R):
+        # every state in one call: each branch comes out as it does alone
+        swept = simulate_sweeps(cfg, (H, D, R, elliptic), n_values)
+        for state, batch in zip((H, D, R, elliptic), swept):
             sweep = simulate_sweep(cfg, state, n_values)
             assert [out.n_cycles for out in sweep] == list(n_values)
-            for n, out in zip(n_values, sweep):
+            for n, out, in_batch in zip(n_values, sweep, batch):
                 (alone,) = simulate_sweep(cfg, state, (n,))
-                assert [ev.time for ev in out.exits] == [ev.time for ev in alone.exits]
-                for ev, ev_alone in zip(out.exits, alone.exits):
-                    assert np.array_equal(ev.state.matrix, ev_alone.state.matrix)
-                assert out.ejections == alone.ejections
-                assert out.absorbed == alone.absorbed and out.tail_ejected == alone.tail_ejected
-                assert (out.tail is None) == (alone.tail is None)
-                if out.tail is not None:
-                    assert out.tail.time == alone.tail.time
-                    assert np.array_equal(out.tail.state.matrix, alone.tail.state.matrix)
-                assert out.retrieved.time == alone.retrieved.time
-                assert not any(isinstance(v, list) for v in vars(out).values())
+                assert_same_outcome(out, alone)
+                assert_same_outcome(in_batch, alone)
+                assert abs(out.balance - out.weight_balance()) < 1e-13
     assert simulate_sweep(short_config(), D, ()) == ()
+    assert simulate_sweeps(short_config(), (), (1, 2)) == ()
+    assert simulate_sweeps(short_config(), (H, D), ()) == ((), ())
     with pytest.raises(ValueError):
         simulate_sweep(short_config(), D, (3, -1))
     with pytest.raises(UnschedulableError):
         simulate_sweep(short_config(pc_rise_time=40.0), D, (1, 2))
+
+
+def test_a_sweep_builds_one_schedule_per_class(monkeypatch):
+    # N = 0 arms the cell early, N = 1 never drives it, and every N >= 2 differs
+    # only in its last ramp, which the largest N's schedule places
+    built = []
+
+    def schedule(n, cfg):
+        built.append(n)
+        return switch_schedule(n, cfg)
+
+    monkeypatch.setattr(engine, "switch_schedule", schedule)
+    cfg = short_config(switch_zone=(ComponentSpec(POCKELS_CELL, rotation_error=0.05),))
+    sweep = simulate_sweep(cfg, D, (5, 0, 3, 3, 64, 1, 2))
+    assert sorted(built) == [0, 1, 64]
+    assert not hasattr(sweep[0], "schedule")
+    built.clear()
+    sweep = simulate_sweep(cfg, D, (7, 2))
+    assert built == [7]
+    assert_same_outcome(sweep[1], simulate_storage(cfg, D, 2))
 
 
 def lossless_config(eps):
@@ -404,9 +438,8 @@ def test_undecaying_tail_is_an_error():
     plumb = engine._plumbing(cfg)
     assert plumb.stein(ON) is None
     assert plumb.stein(OFF) is not None
-    branch = engine._Branch(0.6 + 0j, 0.8j, k=66, absorbed=0.0)
     with pytest.raises(InvalidStateError, match="never decays"):
-        engine._close(cfg, plumb, branch, switch_schedule(0, cfg))
+        engine._close(plumb, ON, 2870.0, 0.6 + 0j, 0.8j, engine._Account())
     # the passage-1 release leaves only rounding residue, so the call itself succeeds
     assert simulate_storage(cfg, D, 0).tail is None
 

@@ -433,8 +433,33 @@ def test_simulate_sweeps_each_input_state_once(monkeypatch, tmp_path):
     monkeypatch.setattr(loopmem.scenario, "simulate_sweep", sweep)
     monkeypatch.setattr(loopmem.scenario, "simulate_storage", per_n)
     sc = preset_scenario("paper-short")
-    run(sc, "simulate", str(tmp_path))
+    run(sc, "simulate", str(tmp_path))  # streams one state's sweep at a time
     assert sweeps == [(state, sc.n_values) for _, state in sc.input_states]
+
+    calls = []
+
+    def batch(cfg, states, n_values):
+        calls.append((states, n_values))
+        return simulate_sweeps(cfg, states, n_values)
+
+    simulate_sweeps = loopmem.counting.simulate_sweeps
+    monkeypatch.setattr(loopmem.counting, "simulate_sweeps", batch)
+    run(sc, "decay", str(tmp_path))
+    assert calls == [(tuple(state for _, state in sc.input_states), sc.n_values)]  # one call
+
+
+def test_simulate_reports_the_balance_the_engine_checked(monkeypatch, tmp_path):
+    def resum(outcome):
+        raise AssertionError("simulate summed an outcome's weights again")
+
+    sc = resolve({"preset": "paper-improved", "n_values": [0, 1, 5]})
+    expected = {f"{label}/N={out.n_cycles}": out.balance for label, state in sc.input_states
+                for out in simulate_sweep(sc.config, state, sc.n_values)}
+    monkeypatch.setattr(loopmem.engine.StorageOutcome, "weight_balance", resum)
+    run(sc, "simulate", str(tmp_path))
+    outcomes = json.loads((tmp_path / "simulate.json").read_text())["outcomes"]
+    assert {key: o["weight_balance"] for key, o in outcomes.items()} == expected
+    assert all(abs(b - 1.0) < 1e-12 for b in expected.values())
 
 
 def test_simulate_rows_equal_per_n_storage_rows(monkeypatch, tmp_path):
