@@ -6,9 +6,11 @@ carries the storage loss, passes a projector psi with `design_row` d and is
 detected with efficiency `detection_eff`, at the mean coincidence rate
 max(pair_rate * detection_eff * q, 0), q = ((d0 HH + d1 VV) + d2 Re HV) +
 d3 Im HV = <psi|rho|psi>; counts are Poisson around rate * acquisition_s.
-`run_scans` makes one engine call per config, for all its input states, and
-computes all its means in one elementwise pass (`_rates`); `expected_rate` is
-its one-record case: both give the same floats.
+`run_scans` makes one engine call per config, for all its input states,
+reads the retrieved exits' entries from the arrays the engine booked (it
+builds no outcome or exit object), and computes all its means in one
+elementwise pass (`_rates`); `expected_rate` is its one-record case: both
+give the same floats.
 
 Seeding: record i of a scan with master seed s has the sub-seed
 record_seed(s, i) = SeedSequence([s, i]).generate_state(1)[0] and the count
@@ -102,14 +104,14 @@ class DecayScan:
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and NaN fail later, as a float's would
 def _rates(rho: np.ndarray, rows: np.ndarray, pair_rate: float, detection_eff: float):
-    """Clipped mean rate (1/s) of each column: an exit's (HH, HV, VV) and a design row."""
+    """Clipped mean rate (1/s) of each column: an exit's (HH, VV, Re HV, Im HV) and a design row."""
     if pair_rate < 0:
         raise ValueError("pair_rate must be nonnegative")
     if not 0.0 <= detection_eff <= 1.0:
         raise ValueError("detection_eff must lie in [0, 1]")
-    q = rows[0] * rho[0].real + rows[1] * rho[2].real
-    q += rows[2] * rho[1].real
-    q += rows[3] * rho[1].imag
+    q = rows[0] * rho[0] + rows[1] * rho[1]
+    q += rows[2] * rho[2]
+    q += rows[3] * rho[3]
     # a projection orthogonal to the state can round to a tiny negative number
     return np.maximum(pair_rate * detection_eff * q, 0.0)
 
@@ -117,7 +119,8 @@ def _rates(rho: np.ndarray, rows: np.ndarray, pair_rate: float, detection_eff: f
 def expected_rate(outcome: StorageOutcome, projector: PureState,
                   pair_rate: float, detection_eff: float) -> float:
     """Mean coincidence rate (1/s) behind `projector` for one storage outcome."""
-    return float(_rates(np.array([outcome.retrieved.rho]).T,
+    hh, hv, vv = outcome.retrieved.rho
+    return float(_rates(np.array([[hh.real], [vv.real], [hv.real], [hv.imag]]),
                         np.array([design_row(projector)]).T, pair_rate, detection_eff)[0])
 
 
@@ -323,14 +326,15 @@ def run_scans(cfg: MemoryConfig, jobs: Sequence[ScanJob], *, pair_rate: float = 
     """Simulate and sample each (input_state, plan, seed) job; one dataset per job.
 
     One engine call (`simulate_sweeps`) propagates every input state once
-    through every cycle count the jobs need, and every count is drawn in one
-    batch (`draw_counts`).  A job's dataset is the one it gives alone.
+    through every cycle count the jobs need; its retrieved exits are read as
+    arrays, and every count is drawn in one batch (`draw_counts`).  A job's
+    dataset is the one it gives alone.
     """
     inputs: dict[PureState, int] = {}  # input state -> its number
-    exits: dict[tuple[int, int], int] = {}  # (input number, n) -> column of `rho`
+    exits: list[tuple[int, int]] = []  # per record: (input number, n) of its exit
     projectors: dict[PureState | float, int] = {}  # projector or analyzer angle -> column
     layouts = []  # per job: (kind, labels, setting values, cycle counts), one per record each
-    at_exit, at_row = [], []  # per record: the columns of its exit state and its projector
+    at_row = []  # per record: the column of its projector
     for state, plan, _ in jobs:
         if isinstance(plan, MalusScan):
             at_row += [projectors.setdefault(theta, len(projectors)) for theta in plan.angles]
@@ -348,19 +352,18 @@ def run_scans(cfg: MemoryConfig, jobs: Sequence[ScanJob], *, pair_rate: float = 
             raise TypeError(f"unknown scan plan {type(plan).__name__}")
         layouts.append(layout)
         s = inputs.setdefault(state, len(inputs))
-        at_exit += [exits.setdefault((s, n), len(exits)) for n in layout[3]]
+        exits += [(s, n) for n in layout[3]]
 
-    n_values = tuple(dict.fromkeys(n for _, n in exits))
-    outcomes = {(s, n): outcome
-                for s, sweep in enumerate(simulate_sweeps(cfg, tuple(inputs), n_values))
-                for n, outcome in zip(n_values, sweep)}
-    rho = np.array([outcomes[key].retrieved.rho for key in exits], complex).reshape(-1, 3).T
+    column = {n: i for i, n in enumerate(dict.fromkeys(n for _, n in exits))}
+    sweeps = simulate_sweeps(cfg, tuple(inputs), tuple(column))
+    rho = np.concatenate([sweep.retrieved_rho for sweep in sweeps] or [np.zeros((4, 0))], axis=1)
+    at_exit = [s * len(column) + column[n] for s, n in exits]
     rows = np.array([design_row(p) if isinstance(p, PureState)
                      else design_row(make_pure(math.cos(p), math.sin(p)))
                      for p in projectors]).reshape(-1, 4).T
     means = _poisson_means(_rates(rho[:, at_exit], rows[:, at_row], pair_rate, detection_eff),
                            acquisition_s)
-    del at_exit, at_row  # before the records are built, where memory peaks
+    del exits, at_exit, at_row  # before the records are built, where memory peaks
     ends = np.cumsum([len(ns) for *_, ns in layouts]).tolist()
     drawn = draw_counts([(seed, means[end - len(ns):end].tolist())
                          for (_, _, seed), (*_, ns), end in zip(jobs, layouts, ends)])

@@ -31,9 +31,10 @@ from .counting import run_scan  # noqa: F401  bench/tracer.py requires this bind
 from .engine import (ExitEvent, MemoryConfig, TransmissionParams, derive_transmission_params,
                      efficiency, simulate_sweep)
 from .engine import simulate_storage  # noqa: F401  bench/tracer.py requires this binding
-from .errors import InvalidStateError, NoSignalError, SchemaError
+from .errors import NoSignalError, SchemaError
 from .fitting import ATTENUATION_DB_PER_KM, fit_decay, fit_malus, project_budget, route_inventory
-from .polarization import A, D, H, L, PureState, R, V, fidelity, make_pure
+from .polarization import _NORM_TOL, _PSD_TOL, A, D, H, L, PureState, R, V, design_row, make_pure
+from .polarization import fidelity  # noqa: F401  bench/tracer.py requires this binding
 from .tomography import (MeasurementSet, counts_from_dataset, exact_mle_fidelities,
                          reconstruct_with_uncertainty)
 from .tomography import mle_reconstruct  # noqa: F401  bench/tracer.py requires this binding
@@ -368,9 +369,12 @@ class _Emitter:
     """Deterministic file writer; stamps hash+seed, isolates timestamps."""
 
     def __init__(self, scenario: Scenario, out_dir: str):
-        self.scenario = scenario
         self.out_dir = out_dir
         self.written: list[str] = []
+        content_hash = scenario.content_hash()  # one JSON dump and SHA-256 per run
+        self.stamp = f"scenario={content_hash} seed={scenario.seed}"
+        self.metadata = {"scenario_hash": content_hash, "seed": scenario.seed,
+                         "label": scenario.label}
         os.makedirs(out_dir, exist_ok=True)
 
     def _emit(self, name: str, write) -> str:
@@ -388,18 +392,11 @@ class _Emitter:
         return path
 
     def csv(self, name: str, columns: tuple[str, ...], rows) -> str:
-        comment = f"scenario={self.scenario.content_hash()} seed={self.scenario.seed}"
-        return self._emit(name, lambda fh: write_table(fh, comment, columns, rows))
+        return self._emit(name, lambda fh: write_table(fh, self.stamp, columns, rows))
 
     def json(self, name: str, payload: dict) -> str:
-        obj = {
-            "metadata": {
-                "scenario_hash": self.scenario.content_hash(),
-                "seed": self.scenario.seed,
-                "label": self.scenario.label,
-                "generated_at": datetime.now(timezone.utc).isoformat(),
-            },
-        }
+        obj = {"metadata": dict(self.metadata,
+                                generated_at=datetime.now(timezone.utc).isoformat())}
         obj.update(payload)
         text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
         return self._emit(name, lambda fh: fh.write(text))
@@ -479,14 +476,21 @@ def run(scenario: Scenario, subcommand: str, out_dir: str,
     return handler(scenario, emitter), emitter.written
 
 
-def _exit_fidelity(ev: ExitEvent, target: PureState, memo: dict) -> float | None:
-    """Conditional fidelity of an exit, memoized; None when it is too light to condition on."""
-    if ev not in memo:
-        try:
-            memo[ev] = fidelity(ev.state, target)
-        except InvalidStateError:
-            memo[ev] = None
-    return memo[ev]
+def _exit_fidelity(ev: ExitEvent, row: tuple[float, ...]) -> float | None:
+    """Conditional fidelity of an exit to the input state whose design_row is `row`.
+
+    The counting._rates kernel on the exit's (HH, VV, Re HV, Im HV), divided
+    by its weight HH + VV; None where fidelity(ev.state, ...) raises: weight
+    below the conditioning floor, or trace above 1 beyond tolerance.
+    """
+    hh, hv, vv = ev.rho
+    w = hh + vv
+    if not _NORM_TOL <= w <= 1.0 + _PSD_TOL:
+        return None
+    q = row[0] * hh + row[1] * vv
+    q += row[2] * hv.real
+    q += row[3] * hv.imag
+    return q / w
 
 
 def _run_simulate(sc: Scenario, emitter: _Emitter) -> dict:
@@ -495,17 +499,17 @@ def _run_simulate(sc: Scenario, emitter: _Emitter) -> dict:
 
     def rows():  # streamed one sweep at a time; its N share the prefix's ExitEvent objects
         for label, state in sc.input_states:
-            memo: dict = {}
+            row = design_row(state)
             for n, out in zip(n_values, simulate_sweep(sc.config, state, n_values)):
-                f_retrieved = _exit_fidelity(out.retrieved, state, memo)
+                f_retrieved = _exit_fidelity(out.retrieved, row)
                 yield label, n, "retrieved", out.retrieved.time, out.retrieved.weight, f_retrieved
                 for ev in out.exits:
-                    yield label, n, "exit", ev.time, ev.weight, _exit_fidelity(ev, state, memo)
+                    yield label, n, "exit", ev.time, ev.weight, _exit_fidelity(ev, row)
                 for t, w in out.ejections:
                     yield label, n, "ejected", t, w, None
                 if out.tail is not None:
                     yield (label, n, "tail-exit", out.tail.time, out.tail.weight,
-                           _exit_fidelity(out.tail, state, memo))
+                           _exit_fidelity(out.tail, row))
                     if out.tail_ejected > 0:
                         yield label, n, "tail-ejected", out.tail.time, out.tail_ejected, None
                 yield label, n, "absorbed", None, out.absorbed, None

@@ -13,7 +13,8 @@ from loopmem.counting import (
     sample_counts, synth_malus_dataset, write_csv,
 )
 from loopmem.engine import (
-    ExitEvent, MemoryConfig, TransmissionParams, efficiency, simulate_storage,
+    ExitEvent, MemoryConfig, StorageOutcome, TransmissionParams, efficiency, simulate_storage,
+    simulate_sweeps,
 )
 from loopmem.errors import SchemaError
 from loopmem.polarization import D, DensityMatrix, H, R, V, make_pure
@@ -304,6 +305,36 @@ def test_run_scans_never_builds_an_exit_density_matrix(monkeypatch):
     jobs = _mixed_jobs((3, None, 0, 17, None, 11))
     datasets = run_scans(PC, jobs, pair_rate=1500.0, acquisition_s=30.0)
     assert {ds.kind for ds in datasets} == {"decay", "malus", "tomography"}
+
+
+def test_run_scans_builds_no_outcome_or_exit_event(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("count synthesis built an engine object")
+
+    jobs = _mixed_jobs((3, None, 0, 17, None, 11))
+    with monkeypatch.context() as patched:
+        patched.setattr(StorageOutcome, "__init__", refuse)
+        patched.setattr(ExitEvent, "__init__", refuse)
+        datasets = run_scans(PC, jobs, pair_rate=1500.0, acquisition_s=30.0)
+    assert datasets == run_scans(PC, jobs, pair_rate=1500.0, acquisition_s=30.0)
+    # what a sweep builds when indexed is what simulate_storage gives at that N
+    n_values = (0, 7, 3, 12, 1, 3, 64)
+    for state, sweep in zip((H, D, R), simulate_sweeps(PC, (H, D, R), n_values)):
+        for n, out in zip(n_values, sweep):
+            ref = simulate_storage(PC, state, n)
+            for name in ("n_cycles", "input_state", "ejections", "absorbed", "balance",
+                         "tail_ejected"):
+                assert getattr(out, name) == getattr(ref, name)
+            for ev, ev_ref in zip((*out.exits, out.retrieved), (*ref.exits, ref.retrieved)):
+                assert (ev.time, ev.weight, ev.rho) == (ev_ref.time, ev_ref.weight, ev_ref.rho)
+            assert len(out.exits) == len(ref.exits) and out.tail is ref.tail is None
+        # the exits of the passages the N share are built once
+        shared = {}
+        for out in sweep:
+            before = out.exits[:next(i for i, ev in enumerate(out.exits) if ev is out.retrieved)]
+            for ev in before:
+                assert shared.setdefault(ev.time, ev) is ev
+        assert len(shared) > 1 and sweep[-1].exits[0] is sweep[3].exits[0]
 
 
 def test_run_scans_rejects_bad_plans_and_rates():

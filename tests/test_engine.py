@@ -320,9 +320,9 @@ def test_sweep_matches_one_propagation_per_n():
                 assert_same_outcome(out, alone)
                 assert_same_outcome(in_batch, alone)
                 assert abs(out.balance - out.weight_balance()) < 1e-13
-    assert simulate_sweep(short_config(), D, ()) == ()
+    assert tuple(simulate_sweep(short_config(), D, ())) == ()
     assert simulate_sweeps(short_config(), (), (1, 2)) == ()
-    assert simulate_sweeps(short_config(), (H, D), ()) == ((), ())
+    assert [tuple(sweep) for sweep in simulate_sweeps(short_config(), (H, D), ())] == [(), ()]
     with pytest.raises(ValueError):
         simulate_sweep(short_config(), D, (3, -1))
     with pytest.raises(UnschedulableError):
@@ -347,6 +347,34 @@ def test_a_sweep_builds_one_schedule_per_class(monkeypatch):
     sweep = simulate_sweep(cfg, D, (7, 2))
     assert built == [7]
     assert_same_outcome(sweep[1], simulate_storage(cfg, D, 2))
+
+
+def test_the_conservation_check_fires(monkeypatch):
+    # branch maps with 0.1 % gain book more weight than came in
+    stack = engine._Plumbing.stack
+
+    def gaining(self, first, level):
+        maps, residual = stack(self, first, level)
+        return maps * 1.001, residual
+
+    monkeypatch.setattr(engine._Plumbing, "stack", gaining)
+    cfg = short_config(switch_zone=(ComponentSpec(POCKELS_CELL, rotation_error=0.05),))
+    with pytest.raises(InvalidStateError, match="probability not conserved"):
+        simulate_sweeps(cfg, (H, D), tuple(range(1, 65)))
+    with pytest.raises(InvalidStateError, match="probability not conserved"):
+        simulate_sweeps(cfg, (D,), (3,))
+
+
+def test_a_long_prefix_is_booked_in_chunks_alike(monkeypatch):
+    # the shared passages are booked a chunk at a time; the running sums carry over
+    configs = regression_configs()
+    n_values = (0, 3, 12, 64, 5, 10, 11)
+    swept = {name: simulate_sweeps(cfg, (H, D, R), n_values) for name, cfg in configs.items()}
+    monkeypatch.setattr(engine, "_CHUNK", 5)
+    for name, cfg in configs.items():
+        for sweep, chunked in zip(swept[name], simulate_sweeps(cfg, (H, D, R), n_values)):
+            for out, out_chunked in zip(sweep, chunked):
+                assert_same_outcome(out_chunked, out)
 
 
 def lossless_config(eps):
@@ -439,7 +467,9 @@ def test_undecaying_tail_is_an_error():
     assert plumb.stein(ON) is None
     assert plumb.stein(OFF) is not None
     with pytest.raises(InvalidStateError, match="never decays"):
-        engine._close(plumb, ON, 2870.0, 0.6 + 0j, 0.8j, engine._Account())
+        # x = 0.6, y = 0.8j
+        engine._close(plumb, ON, np.array([2870.0]), np.array([[0.6], [0.0]]),
+                      np.array([[0.0], [0.8]]), np.zeros((5, 1)))
     # the passage-1 release leaves only rounding residue, so the call itself succeeds
     assert simulate_storage(cfg, D, 0).tail is None
 

@@ -12,8 +12,8 @@ import loopmem.scenario
 from loopmem.cli import main
 from loopmem.components import POCKELS_CELL
 from loopmem.engine import derive_transmission_params, simulate_storage, simulate_sweep
-from loopmem.errors import SchemaError
-from loopmem.polarization import D, H
+from loopmem.errors import InvalidStateError, SchemaError
+from loopmem.polarization import D, H, fidelity
 from loopmem.scenario import (
     PRESETS, load_scenario, preset_scenario, read_scenario, resolve, run,
 )
@@ -488,25 +488,45 @@ def test_simulate_reports_a_repeated_cycle_count_once(tmp_path, capsys):
     assert [n for label, n in absorbed if label == "H"] == ["0", "5", "3", "12", "1", "64", "2"]
 
 
-def test_simulate_conditions_each_shared_exit_once(monkeypatch, tmp_path):
-    # every N of a sweep repeats the exits of its shared prefix; each is one
-    # ExitEvent object, conditioned once however many rows list it
-    low_loss = read_scenario(Path(__file__).parent.parent / "demos" / "low_loss_tail.json")
-    sc = resolve(dict(low_loss, input_states=["D"], n_values=list(range(1, 201))))
-    calls = []
+@pytest.mark.parametrize("overrides", [
+    # the low-loss device repeats each exit of the shared passages for every larger N
+    dict(read_scenario(Path(__file__).parent.parent / "demos" / "low_loss_tail.json"),
+         input_states=["D"], n_values=list(range(1, 201))),
+    # at N = 40 the exits weigh nothing, so their fidelity cells stay blank
+    {"preset": "paper-short", "input_states": ["D"], "n_values": [40]},
+])
+def test_simulate_builds_no_exit_density_matrix(monkeypatch, tmp_path, overrides):
+    def refuse(self):
+        raise AssertionError("simulate built an exit DensityMatrix")
 
-    def counted(rho, target):
-        calls.append(rho)
-        return fidelity(rho, target)
-
-    fidelity = loopmem.scenario.fidelity
-    monkeypatch.setattr(loopmem.scenario, "fidelity", counted)
-    run(sc, "simulate", str(tmp_path))
-    outcomes = simulate_sweep(sc.config, sc.input_states[0][1], sc.n_values)
-    events = {ev for out in outcomes for ev in (*out.exits, out.tail) if ev is not None}
+    sc = resolve(overrides)
+    with monkeypatch.context() as patched:
+        patched.setattr(loopmem.engine.ExitEvent, "state", property(refuse))
+        run(sc, "simulate", str(tmp_path))
     with open(tmp_path / "simulate_events.csv", newline="") as fh:
-        exit_rows = sum(row[2] in ("exit", "tail-exit") for row in list(csv.reader(fh))[2:])
-    assert len(calls) == len(events) < exit_rows
+        rows = list(csv.reader(fh))[2:]
+    ((_, state),) = sc.input_states
+
+    def cell(ev):  # the fidelity cell through the DensityMatrix path
+        try:
+            return fidelity(ev.state, state)
+        except InvalidStateError:
+            return None
+
+    expected = []  # per row, in the table's order
+    for out in simulate_sweep(sc.config, state, sc.n_values):
+        expected += [cell(out.retrieved)] + [cell(ev) for ev in out.exits]
+        expected += [None] * len(out.ejections)
+        if out.tail is not None:
+            expected += [cell(out.tail)] + [None] * (out.tail_ejected > 0)
+        expected.append(None)  # absorbed
+    assert len(rows) == len(expected)
+    blank = [f is None for row, f in zip(rows, expected) if row[2] in ("retrieved", "exit")]
+    assert any(blank) == (sc.n_values == (40,))
+    for row, f in zip(rows, expected):
+        assert (row[5] == "") == (f is None)
+        if f is not None:
+            assert abs(float(row[5]) - f) <= 1e-15
 
 
 def test_simulate_failing_mid_table_leaves_no_file(tmp_path, capsys):
