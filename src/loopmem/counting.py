@@ -7,10 +7,10 @@ detected with efficiency `detection_eff`, at the mean coincidence rate
 max(pair_rate * detection_eff * q, 0), q = ((d0 HH + d1 VV) + d2 Re HV) +
 d3 Im HV = <psi|rho|psi>; counts are Poisson around rate * acquisition_s.
 `run_scans` makes one engine call per config, for all its input states,
-reads the retrieved exits' entries from the arrays the engine booked (it
-builds no outcome or exit object), and computes all its means in one
-elementwise pass (`_rates`); `expected_rate` is its one-record case: both
-give the same floats.
+which returns only the retrieved exits' entries (`retrieved_exits`: the
+leakage is not booked and no outcome or exit object is built), and computes
+all its means in one elementwise pass (`_rates`); `expected_rate` is its
+one-record case: both give the same floats.
 
 Seeding: record i of a scan with master seed s has the sub-seed
 record_seed(s, i) = SeedSequence([s, i]).generate_state(1)[0] and the count
@@ -36,7 +36,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .engine import MemoryConfig, StorageOutcome, simulate_sweeps
+from .engine import MemoryConfig, StorageOutcome, retrieved_exits
 from .engine import simulate_storage  # noqa: F401  bench/tracer.py requires this binding
 from .errors import SchemaError
 from .polarization import D, H, PureState, R, V, design_row, make_pure
@@ -325,10 +325,11 @@ def run_scans(cfg: MemoryConfig, jobs: Sequence[ScanJob], *, pair_rate: float = 
               detection_eff: float = 1.0, acquisition_s: float = 60.0) -> list[ScanDataset]:
     """Simulate and sample each (input_state, plan, seed) job; one dataset per job.
 
-    One engine call (`simulate_sweeps`) propagates every input state once
-    through every cycle count the jobs need; its retrieved exits are read as
-    arrays, and every count is drawn in one batch (`draw_counts`).  A job's
-    dataset is the one it gives alone.
+    One engine call (`retrieved_exits`) propagates every input state once
+    through every cycle count the jobs need and returns only the retrieved
+    exits' entries, the same floats simulate_sweeps books; every count is
+    drawn in one batch (`draw_counts`).  A job's dataset is the one it gives
+    alone.
     """
     inputs: dict[PureState, int] = {}  # input state -> its number
     exits: list[tuple[int, int]] = []  # per record: (input number, n) of its exit
@@ -355,8 +356,7 @@ def run_scans(cfg: MemoryConfig, jobs: Sequence[ScanJob], *, pair_rate: float = 
         exits += [(s, n) for n in layout[3]]
 
     column = {n: i for i, n in enumerate(dict.fromkeys(n for _, n in exits))}
-    sweeps = simulate_sweeps(cfg, tuple(inputs), tuple(column))
-    rho = np.concatenate([sweep.retrieved_rho for sweep in sweeps] or [np.zeros((4, 0))], axis=1)
+    rho = retrieved_exits(cfg, tuple(inputs), tuple(column)).reshape(4, -1)
     at_exit = [s * len(column) + column[n] for s, n in exits]
     rows = np.array([design_row(p) if isinstance(p, PureState)
                      else design_row(make_pure(math.cos(p), math.sin(p)))

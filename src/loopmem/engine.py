@@ -260,8 +260,8 @@ class ExitEvent:
     """Photon leaving at the output port: arrival time, weight and (lossy) state.
 
     rho holds the entries (HH, HV, VV) of the unnormalized density matrix and
-    weight its trace; the state is built on first read, since scans read only
-    the retrieved exit.
+    weight its trace; the state is built on first read, since most readers
+    need only rho.
     """
 
     time: float
@@ -482,6 +482,13 @@ def _coefficients(rows) -> np.ndarray:
                       [part for c in row for part in (c.real, c.imag)]] for row in rows])[..., None]
 
 
+def _exit_entries(amp: np.ndarray) -> np.ndarray:
+    """Entries (HH, VV, Re HV, Im HV) of the exit state from its amplitude's (Re x, Im x, Re y, Im y)."""
+    sq, re, im = amp * amp, amp[:2] * amp[2], amp[:2] * amp[3]
+    hh, vv = sq[0::2] + sq[1::2]
+    return np.array((hh, vv, re[0] + im[1], re[1] - im[0]))
+
+
 def _cdot(coefs: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """Per row of coefs, the real and imaginary parts of sum_k c_k z_k (one column per z).
 
@@ -523,11 +530,8 @@ class _Book:
 
     def __init__(self, rows: np.ndarray, share, forced=()):
         w_in, w_out, w_stay, w_next = rows[:4]
-        amp = rows[4:]
-        sq, re, im = amp * amp, amp[:2] * amp[2], amp[:2] * amp[3]
-        hh, vv = sq[0::2] + sq[1::2]
-        self.rho = np.array((hh, vv, re[0] + im[1], re[1] - im[0]))
-        self.weight = w = hh + vv
+        self.rho = rho = _exit_entries(rows[4:])
+        self.weight = w = rho[0] + rho[1]
         lost = np.maximum(w_out - w, 0.0)  # left for the exit port, not through it
         self.ejected = ej = lost * share
         self.listed = listed = w > _RESIDUAL_CUTOFF
@@ -556,18 +560,17 @@ class _Prefix:
 
     Each state's amplitude is propagated as two complex scalars.  Its rows
     are the entry (row 0, whose loss is ejected at the entry share) and
-    passage k (row k, at drive level levels[k - 1]); they are booked a chunk
-    at a time.  Per n in marks (sorted), amps keeps the amplitude that meets
-    passage n + 1 as (Re x, Im x, Re y, Im y) and mark_sums the running sums
-    there; exits and ejections keep each chunk's listed events: its first
-    row and rows per state, then the events' rows in the chunk and values.
+    passage k (row k, through the operators passages[k - 1]); they are
+    booked a chunk at a time.  Per n in marks (sorted), amps keeps the
+    amplitude that meets passage n + 1 as (Re x, Im x, Re y, Im y) and
+    mark_sums the running sums there; exits and ejections keep each chunk's
+    listed events: its first row and rows per state, then the events' rows
+    in the chunk and values.
     """
 
-    def __init__(self, plumb: _Plumbing, states, levels: list[float], marks: list[int]):
-        self.plumb, self.marks, self.mark_set = plumb, marks, set(marks)
+    def __init__(self, plumb: _Plumbing, states, passages: list, marks: list[int]):
+        self.plumb, self.passages, self.marks, self.mark_set = plumb, passages, marks, set(marks)
         self.mark_rows = np.array(marks, dtype=int)
-        self.passages = [(plumb.first_passage if k == 0 else plumb.later_passage)[level]
-                         for k, level in enumerate(levels)]
         self.now = []  # per state: the amplitude and weight meeting the next passage
         for state in states:
             x, y = _apply(plumb.entry_op, state.alpha, state.beta)
@@ -667,14 +670,12 @@ class Sweep(Sequence):
 
     Indexing builds the StorageOutcome of that n.  The exits and ejections
     of the passages the branches share are built once, on the first index,
-    and every outcome that lists one holds the same object.  retrieved_rho
-    holds the entries (HH, VV, Re HV, Im HV) of each n's retrieved exit, one
-    column per n, for readers that need nothing else.
+    and every outcome that lists one holds the same object.
     """
 
     def __init__(self, cfg: MemoryConfig, booked: tuple, s: int, state: PureState,
-                 n_values: tuple[int, ...], marks: list[int], retrieved_rho: np.ndarray):
-        self.input_state, self.n_values, self.retrieved_rho = state, n_values, retrieved_rho
+                 n_values: tuple[int, ...], marks: list[int]):
+        self.input_state, self.n_values = state, n_values
         self._cfg, self._booked, self._s, self._marks, self._read = cfg, booked, s, marks, None
 
     def __len__(self) -> int:
@@ -743,54 +744,61 @@ class Sweep(Sequence):
         return self._read
 
 
-def simulate_sweeps(cfg: MemoryConfig, input_states: tuple[PureState, ...],
-                    n_values: tuple[int, ...]) -> tuple[Sweep, ...]:
-    """Per input state, a Sweep of the outcomes simulate_storage gives for each n in n_values.
-
-    Every n >= 1 drives the cell OFF at passage 1 and ON through passage n, so
-    each state propagates passages 1..n once for all of them, as two complex
-    scalars (_Prefix).  From its release passage n + 1 on (n = 0: passage 1),
-    each n is a branch; as propagation is linear in the amplitude, one numpy
-    pass over _Plumbing.stack gives every branch of every state its passage
-    rows.  One _Book books the last shared rows and every branch's rows, as
-    a passage-by-passage loop would: the 1e-16 listing cut, the stop once
-    nothing above it circulates, the ejected/absorbed split, the exact tail
-    of a branch still circulating (_close) and the balance check.  A Sweep
-    builds each outcome only when it is indexed.
-    """
+def _sweep_plan(cfg: MemoryConfig, n_values) -> tuple:
+    """The setup of a sweep: n_values checked, the index of each in marks (the distinct n,
+    sorted), marks, the plumbing, the (release, store) operator pair of each shared passage
+    1..max(n), the branch groups (first, level, i, j, *_Plumbing.stack(first, level)): the n
+    in marks[i:j] release at one level, from passage 1 when first; and when passage 1 is."""
     n_values = tuple(map(_cycle_count, n_values))
     marks = sorted(set(n_values))
-    n_max, dt = max(marks, default=0), cfg.delta_tau
-    t_half = cfg.pass_through_time / 2.0
-    t1 = cfg.delay_line_compensation + t_half
+    n_max, t1 = max(marks, default=0), cfg.delay_line_compensation + cfg.pass_through_time / 2.0
     # n >= 2 ramps the cell on between passages 1 and 2 and off between n and n + 1,
     # n = 1 never drives it and n = 0 keeps it on: so the largest n's levels at
     # passages 1 and 2 are all shared levels, and a branch stays at its release level
     schedules = {n: switch_schedule(n, cfg) for n in {0, 1, n_max} & set(marks)}
-    level = {n: pockels_level(s, t1 + n * dt) for n, s in schedules.items()}
-    shared = [pockels_level(schedules[n_max], t1 + k * dt) for k in range(min(n_max, 2))]
+    level = {n: pockels_level(s, t1 + n * cfg.delta_tau) for n, s in schedules.items()}
+    shared = [pockels_level(schedules[n_max], t1 + k * cfg.delta_tau) for k in range(min(n_max, 2))]
     shared += shared[-1:] * (n_max - 2)
     plumb = _plumbing(cfg)
-    prefix, n_states = _Prefix(plumb, input_states, shared, marks), len(input_states)
+    passages = [(plumb.later_passage if k else plumb.first_passage)[lvl] for k, lvl in enumerate(shared)]
+    # the marks of each class (n = 0, n = 1, n >= 2), a class sharing the group of
+    # the one before when it releases at the same level
+    cuts = (0, bisect.bisect_left(marks, 1), bisect.bisect_left(marks, 2), len(marks))
+    groups = []
+    for first, n, i, j in zip((True, False, False), (0, 1, n_max), cuts, cuts[1:]):
+        if i < j and groups and groups[-1][:2] == [first, level[n]]:
+            groups[-1][3] = j
+        elif i < j:
+            groups.append([first, level[n], i, j])
+    groups = [(*group, *plumb.stack(*group[:2])) for group in groups]
+    return n_values, [bisect.bisect_left(marks, n) for n in n_values], marks, plumb, passages, groups, t1
+
+
+def simulate_sweeps(cfg: MemoryConfig, input_states: tuple[PureState, ...],
+                    n_values: tuple[int, ...]) -> tuple[Sweep, ...]:
+    """Per input state, a Sweep of the outcomes simulate_storage gives for each n in n_values.
+
+    Each state propagates the passages every n shares once, as two complex
+    scalars (_Prefix).  From its release passage n + 1 on (n = 0: passage 1)
+    each n is a branch, and one numpy pass over _Plumbing.stack gives every
+    branch of every state its passage rows.  One _Book books them all as a
+    passage-by-passage loop would: the 1e-16 listing cut, the stop once
+    nothing above it circulates, the ejected/absorbed split, the exact tail
+    of a branch still circulating (_close) and the balance check.  A Sweep
+    builds each outcome only when it is indexed.
+    """
+    n_values, mark_at, marks, plumb, passages, groups, t1 = _sweep_plan(cfg, n_values)
+    prefix, n_states = _Prefix(plumb, input_states, passages, marks), len(input_states)
+    n_max = len(passages)  # max(marks), or 0
     lo, hi = 0, min(_CHUNK, n_max + 1)
     while hi <= n_max:  # every chunk of shared rows but the last is booked on its own
         block = prefix.propagate(lo, hi)
         prefix.settle(_Book(block, prefix.shares(lo, hi, block.shape[1])), lo, hi)
         lo, hi = hi, min(hi + _CHUNK, n_max + 1)
     parts = [prefix.propagate(lo, hi)]
-    # the marks of each class (n = 0, n = 1, n >= 2), a class sharing the group of
-    # the one before when it releases at the same level
-    cuts = (0, bisect.bisect_left(marks, 1), bisect.bisect_left(marks, 2), len(marks))
-    groups = []  # per group: first, level, marks[i:j]
-    for first, n, i, j in zip((True, False, False), (0, 1, n_max), cuts, cuts[1:]):
-        if i < j and groups and groups[-1][:2] == [first, level[n]]:
-            groups[-1][3] = j
-        elif i < j:
-            groups.append([first, level[n], i, j])
     amps = np.reshape([np.frombuffer(a) for a in prefix.amps], (n_states, len(marks), 4))
     spans, at = [], parts[0].shape[1]  # per group: its first row, branches and rows each
-    for first, lvl, i, j in groups:
-        maps, residual = plumb.stack(first, lvl)
+    for first, lvl, i, j, maps, _ in groups:
         amp = amps[:, i:j].reshape(-1, 4).T  # (Re x, Im x, Re y, Im y) of each branch
         # real products and sums only: numpy's complex multiply may fuse with FMA in
         # its vector loop and not in its remainder, so a branch would depend on its batch
@@ -800,26 +808,26 @@ def simulate_sweeps(cfg: MemoryConfig, input_states: tuple[PureState, ...],
         w = ((sq[0::4] + sq[1::4]) + sq[2::4]) + sq[3::4]
         b, p = v.shape[1:]
         parts.append(np.concatenate((w, v[:4])).reshape(8, b * p))
-        spans.append((at, b, p, amp, residual))
+        spans.append((at, b, p, amp))
         at += b * p
     rows = np.concatenate(parts, axis=1)
     book = _Book(rows, prefix.shares(lo, hi, at), [slice(o, o + b * p, p) for o, b, p, *_ in spans])
     prefix.settle(book, lo, hi)
-    booked, retrieved = [], []
-    for (first, lvl, i, j), (o, b, p, amp, residual) in zip(groups, spans):
+    booked = []
+    for (first, lvl, i, j, _, residual), (o, b, p, amp) in zip(groups, spans):
         sums = book.sums(o, b, p, prefix.mark_sums[:, i:j].reshape(b, _SUMS))
         w_next = rows[3, o:o + b * p].reshape(b, p)
         quiet = w_next <= _RESIDUAL_CUTOFF  # nothing above the cut circulates on
         stop, each = quiet.argmax(axis=1), np.arange(b)
         count = stop + 1
         closes = (~quiet.any(axis=1)).nonzero()[0]  # still circulating after the rows
-        if len(closes):
-            count[closes] = p
+        count[closes] = p
         end = sums[each, count]
         absorbed = end[:, _ABSORBED] + w_next[each, stop]
         balance, tail = end[:, _LISTED] + absorbed, None
         if len(closes):
-            settled = _close(plumb, lvl, t1 + (np.tile(marks[i:j], n_states)[closes] + p) * dt + t_half,
+            t = t1 + (np.tile(marks[i:j], n_states)[closes] + p) * cfg.delta_tau
+            settled = _close(plumb, lvl, t + cfg.pass_through_time / 2.0,
                              *_cdot(residual, amp[0::2, closes], amp[1::2, closes]).transpose(1, 0, 2),
                              end[closes, _QUIET].T)
             absorbed[closes] = end[closes, _ABSORBED] + settled[0]
@@ -830,12 +838,34 @@ def simulate_sweeps(cfg: MemoryConfig, input_states: tuple[PureState, ...],
             bad = balance[np.abs(balance - 1.0) > 1e-9][0]
             raise InvalidStateError(f"probability not conserved: accounted {bad}")
         booked.append((i, o, p, count, absorbed, balance, tail))
-        retrieved.append(book.rho[:, o:o + b * p:p].reshape(4, n_states, j - i))
-    retrieved = np.concatenate([np.zeros((4, n_states, 0))] + retrieved, axis=2)
-    index = {n: m for m, n in enumerate(marks)}
-    at = [index[n] for n in n_values]
-    return tuple(Sweep(cfg, (prefix, book, booked), s, state, n_values, at, retrieved[:, s, at])
+    return tuple(Sweep(cfg, (prefix, book, booked), s, state, n_values, mark_at)
                  for s, state in enumerate(input_states))
+
+
+def retrieved_exits(cfg: MemoryConfig, input_states: tuple[PureState, ...],
+                    n_values: tuple[int, ...]) -> np.ndarray:
+    """(HH, VV, Re HV, Im HV) of each state's retrieved exit at each n, as (4, states, n) floats:
+    bitwise simulate_sweeps' retrieved.rho, with its errors, but only the amplitude meeting each
+    release passage is propagated (_Prefix's arithmetic), then the stack's release row."""
+    n_values, mark_at, marks, plumb, passages, groups, t1 = _sweep_plan(cfg, n_values)
+    n_states, (da, db, dc, dd), amps = len(input_states), plumb.delay_op, array("d")
+    for state in input_states:
+        x, y = _apply(plumb.entry_op, state.alpha, state.beta)
+        for k, n in zip([0] + marks, marks):
+            for _, (sa, sb, sc, sd) in passages[k:n]:
+                stay_x, stay_y = sa * x + sb * y, sc * x + sd * y
+                x, y = da * stay_x + db * stay_y, dc * stay_x + dd * stay_y
+            amps.extend((x.real, x.imag, y.real, y.imag))
+    amps, rho = np.reshape(amps, (n_states, len(marks), 4)), np.empty((4, n_states, len(marks)))
+    for first, lvl, i, j, maps, residual in groups:
+        amp = amps[:, i:j].reshape(-1, 4).T
+        v = amp[:, None, :] * maps[:, :4, :, 0]  # simulate_sweeps' sums, release row only
+        rho[:, :, i:j] = _exit_entries(((v[0] + v[1]) + v[2]) + v[3]).reshape(4, n_states, j - i)
+        if plumb.stein(lvl) is None:  # only then can _close find weight that never decays
+            t = t1 + (np.tile(marks[i:j], n_states) + maps.shape[-1]) * cfg.delta_tau
+            _close(plumb, lvl, t + cfg.pass_through_time / 2.0,
+                   *_cdot(residual, amp[0::2], amp[1::2]).transpose(1, 0, 2), np.zeros((5, len(t))))
+    return rho[:, :, mark_at]
 
 
 def simulate_sweep(cfg: MemoryConfig, input_state: PureState,

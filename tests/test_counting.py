@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import loopmem.counting
-from loopmem import scenario
+from loopmem import engine, scenario
 from loopmem.components import POCKELS_CELL, ComponentSpec
 from loopmem.counting import (
     CountRecord, DecayScan, MalusScan, TomographyScan, _pcg64_states, draw_counts,
@@ -16,7 +16,7 @@ from loopmem.engine import (
     ExitEvent, MemoryConfig, StorageOutcome, TransmissionParams, efficiency, simulate_storage,
     simulate_sweeps,
 )
-from loopmem.errors import SchemaError
+from loopmem.errors import InvalidStateError, SchemaError, UnschedulableError
 from loopmem.polarization import D, DensityMatrix, H, R, V, make_pure
 
 SHORT = TransmissionParams(0.541, 0.419, 0.50, 0.662)
@@ -313,8 +313,8 @@ def test_run_scans_builds_no_outcome_or_exit_event(monkeypatch):
 
     jobs = _mixed_jobs((3, None, 0, 17, None, 11))
     with monkeypatch.context() as patched:
-        patched.setattr(StorageOutcome, "__init__", refuse)
-        patched.setattr(ExitEvent, "__init__", refuse)
+        for built in (StorageOutcome, ExitEvent, engine.Sweep, engine._Book):  # nothing is booked
+            patched.setattr(built, "__init__", refuse)
         datasets = run_scans(PC, jobs, pair_rate=1500.0, acquisition_s=30.0)
     assert datasets == run_scans(PC, jobs, pair_rate=1500.0, acquisition_s=30.0)
     # what a sweep builds when indexed is what simulate_storage gives at that N
@@ -335,6 +335,24 @@ def test_run_scans_builds_no_outcome_or_exit_event(monkeypatch):
             for ev in before:
                 assert shared.setdefault(ev.time, ev) is ev
         assert len(shared) > 1 and sweep[-1].exits[0] is sweep[3].exits[0]
+
+
+def test_run_scans_raises_what_the_sweep_raises(monkeypatch):
+    # count synthesis skips the booking, but not its schedule and tail checks
+    unschedulable = MemoryConfig.from_params(SHORT, delta_tau=36.5, pc_rise_time=40.0)
+    low_loss = MemoryConfig.from_params(  # with the cell left on, it leaks for thousands of passages
+        TransmissionParams(0.98, 0.98, 0.99, 0.99), delta_tau=36.5,
+        switch_zone=(ComponentSpec(POCKELS_CELL, rotation_error=0.01),))
+    # as if the round trip at every level kept its weight forever
+    monkeypatch.setattr(engine._Plumbing, "stein", lambda self, level: None)
+    for cfg, n_values, error in ((unschedulable, (1, 2), UnschedulableError),
+                                 (low_loss, (0, 3), InvalidStateError)):
+        with pytest.raises(error) as swept:
+            simulate_sweeps(cfg, (H, D), n_values)
+        with pytest.raises(error) as scanned:
+            run_scans(cfg, [(H, DecayScan(n_values), 1), (D, TomographyScan(n_values[0]), 2)])
+        assert str(scanned.value) == str(swept.value)
+    assert "never decays" in str(scanned.value)
 
 
 def test_run_scans_rejects_bad_plans_and_rates():
@@ -362,14 +380,14 @@ def test_fig4_sweeps_each_state_once_and_draws_in_one_batch(monkeypatch, tmp_pat
 
     def sweep(cfg, states, n_values):
         sweeps.append((states, n_values))
-        return simulate_sweeps(cfg, states, n_values)
+        return retrieved_exits(cfg, states, n_values)
 
     def draw(jobs):
         batches.append([len(means) for _, means in jobs])
         return draw_counts(jobs)
 
-    simulate_sweeps = loopmem.counting.simulate_sweeps
-    monkeypatch.setattr(loopmem.counting, "simulate_sweeps", sweep)
+    retrieved_exits = loopmem.counting.retrieved_exits
+    monkeypatch.setattr(loopmem.counting, "retrieved_exits", sweep)
     monkeypatch.setattr(loopmem.counting, "draw_counts", draw)
     sc = scenario.preset_scenario("paper-short")
     scenario.run(sc, "reproduce", str(tmp_path), "fig4")

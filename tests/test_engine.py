@@ -329,6 +329,29 @@ def test_sweep_matches_one_propagation_per_n():
         simulate_sweep(short_config(pc_rise_time=40.0), D, (1, 2))
 
 
+def test_retrieved_exits_are_the_booked_retrieved_entries(monkeypatch):
+    # count synthesis propagates only the amplitude that meets each release
+    # passage, and books nothing; its entries are the booked ones to the bit
+    configs = regression_configs()  # the low-loss lumped device among them
+    for preset in ("paper-short", "paper-long", "paper-improved"):
+        configs[preset] = resolve({"preset": preset}).config
+    elliptic = make_pure(0.8, 0.36 - 0.48j)
+    state_sets = ((H, D, R, elliptic), (elliptic, R), (D,), ())
+    n_sets = ((5, 0, 3, 3, 64, 1), (12, 2, 2, 0), tuple(range(1, 65)), (1,), (0,), ())
+    for chunk in (engine._CHUNK, 5):
+        monkeypatch.setattr(engine, "_CHUNK", chunk)
+        for cfg in configs.values():
+            for states in state_sets:
+                for n_values in n_sets:
+                    got = engine.retrieved_exits(cfg, states, n_values)
+                    assert got.shape == (4, len(states), len(n_values))
+                    for s, sweep in enumerate(simulate_sweeps(cfg, states, n_values)):
+                        for i, out in enumerate(sweep):
+                            hh, hv, vv = out.retrieved.rho
+                            want = np.array([hh, vv, hv.real, hv.imag])
+                            assert got[:, s, i].tobytes() == want.tobytes()
+
+
 def test_a_sweep_builds_one_schedule_per_class(monkeypatch):
     # N = 0 arms the cell early, N = 1 never drives it, and every N >= 2 differs
     # only in its last ramp, which the largest N's schedule places

@@ -440,10 +440,10 @@ def test_simulate_sweeps_each_input_state_once(monkeypatch, tmp_path):
 
     def batch(cfg, states, n_values):
         calls.append((states, n_values))
-        return simulate_sweeps(cfg, states, n_values)
+        return retrieved_exits(cfg, states, n_values)
 
-    simulate_sweeps = loopmem.counting.simulate_sweeps
-    monkeypatch.setattr(loopmem.counting, "simulate_sweeps", batch)
+    retrieved_exits = loopmem.counting.retrieved_exits
+    monkeypatch.setattr(loopmem.counting, "retrieved_exits", batch)
     run(sc, "decay", str(tmp_path))
     assert calls == [(tuple(state for _, state in sc.input_states), sc.n_values)]  # one call
 
