@@ -20,7 +20,7 @@ from .counting import (
 from .engine import (
     ExitEvent, MemoryConfig, PathTrace, StorageOutcome, TransmissionParams,
     derive_transmission_params, efficiency, f8_path_trace, simulate_storage,
-    simulate_sweep, simulate_sweeps, switch_schedule,
+    simulate_sweep, switch_schedule,
 )
 from .errors import (
     GainError, IncompleteSetError, InvalidStateError, LoopMemError,

@@ -8,9 +8,10 @@ max(pair_rate * detection_eff * q, 0), q = ((d0 HH + d1 VV) + d2 Re HV) +
 d3 Im HV = <psi|rho|psi>; counts are Poisson around rate * acquisition_s.
 `run_scans` makes one engine call per config, for all its input states,
 which returns only the retrieved exits' entries (`retrieved_exits`: the
-leakage is not booked and no outcome or exit object is built), and computes
-all its means in one elementwise pass (`_rates`); `expected_rate` is its
-one-record case: both give the same floats.
+release step `simulate_sweep` books, with no leakage booked and no outcome
+or exit object built), and computes all its means in one elementwise pass
+(`_rates`); `expected_rate` is its one-record case: both give the same
+floats.
 
 Seeding: record i of a scan with master seed s has the sub-seed
 record_seed(s, i) = SeedSequence([s, i]).generate_state(1)[0] and the count
@@ -327,9 +328,9 @@ def run_scans(cfg: MemoryConfig, jobs: Sequence[ScanJob], *, pair_rate: float = 
 
     One engine call (`retrieved_exits`) propagates every input state once
     through every cycle count the jobs need and returns only the retrieved
-    exits' entries, the same floats simulate_sweeps books; every count is
-    drawn in one batch (`draw_counts`).  A job's dataset is the one it gives
-    alone.
+    exits' entries, the floats of simulate_sweep's retrieved.rho; every
+    count is drawn in one batch (`draw_counts`).  A job's dataset is the one
+    it gives alone.
     """
     inputs: dict[PureState, int] = {}  # input state -> its number
     exits: list[tuple[int, int]] = []  # per record: (input number, n) of its exit

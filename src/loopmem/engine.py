@@ -21,10 +21,7 @@ rather than polarization errors.
 
 from __future__ import annotations
 
-import bisect
 import math
-from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
@@ -290,9 +287,8 @@ class StorageOutcome:
     events stay out of the account.  absorbed collects absorptive loss.  Exit
     weights, tail, ejections, tail_ejected and absorbed sum to 1: balance is
     that sum as the engine checked it, and weight_balance() sums it anew.
-    The engine books outcomes as arrays; one is built only when a Sweep is
-    indexed, and outcomes of one sweep hold the same ExitEvent for each exit
-    of the passages their cycle counts share.
+    Outcomes of one sweep hold the same ExitEvent for each exit of the
+    passages their cycle counts share.
     """
 
     n_cycles: int
@@ -407,19 +403,19 @@ class _Plumbing:
             cross = _entries(np.diag(np.diag(j)))
             self.first_passage[level] = (_entries(passthrough_amp * (j[1, 0] * _X)), cross)
             self.later_passage[level] = (cross, _entries(j[0, 1] * _X))
-        self._stein, self._stacks = {}, {}
+        self._stein = {}
 
-    def stein(self, level: float) -> np.ndarray | None:
+    def stein(self, level: float) -> tuple[tuple[complex, ...], ...] | None:
         """Linear maps that sum every later passage at one fixed drive level.
 
         Passages from the delay side at this level send the circulating
         amplitude x through M = delay.store and out through E = exit.release,
         so from x on they leave S = sum_j M^j x x^+ M^+j, the solution of the
-        Stein equation S = x x^+ + M S M^+.  Four rows map the row-major
-        entries of x x^+ to the entries HH, HV and VV of the summed exit state
-        E S E^+ and to the summed released weight tr(release S release^+);
-        they are returned as _coefficients.  None when M does not decay
-        (spectral radius >= 1).  Built once per level, with one 4x4 solve.
+        Stein equation S = x x^+ + M S M^+.  The four rows returned map the
+        row-major entries of x x^+ to the entries HH, HV and VV of the summed
+        exit state E S E^+ and to the summed released weight
+        tr(release S release^+).  None when M does not decay (spectral
+        radius >= 1).  Built once per level, with one 4x4 solve.
         """
         if level not in self._stein:
             release, store = (np.reshape(op, (2, 2)) for op in self.later_passage[level])
@@ -431,37 +427,9 @@ class _Plumbing:
                 ee, rr = np.kron(e, e.conj()), np.kron(release, release.conj())
                 lhs = np.stack((ee[0], ee[1], ee[3], rr[0] + rr[3]))
                 sol = np.linalg.solve((np.eye(4) - np.kron(m, m.conj())).T, lhs.T).T
-                rows = _coefficients(sol.tolist())
+                rows = tuple(map(tuple, sol.tolist()))
             self._stein[level] = rows
         return self._stein[level]
-
-    def stack(self, first: bool, level: float) -> tuple[np.ndarray, np.ndarray]:
-        """A branch's listed passages at one drive level, as maps of its start c.
-
-        A branch meets its release passage (passage 1 when `first`) with the
-        amplitude c, then _LISTED_PASSES more.  Row j maps the real parts of c
-        to those of passage j's exit amplitude and of what meets it, leaves,
-        stays and meets the next one: a (4, 20, 1, rows) array, one (20, 1,
-        rows) map per part of c, returned with the map to what meets the
-        passage after the rows (as _coefficients).  The rows end early once
-        that map is exactly zero, since every branch stops there.
-        """
-        key = (first, level, _LISTED_PASSES)
-        if key not in self._stacks:
-            delay, exit_op = np.reshape(self.delay_op, (2, 2)), np.reshape(self.exit_op, (2, 2))
-            c, rows = np.eye(2, dtype=complex), []
-            for j in range(_LISTED_PASSES + 1):
-                passages = self.first_passage if first and j == 0 else self.later_passage
-                release, store = (np.reshape(op, (2, 2)) @ c for op in passages[level])
-                maps = (exit_op @ release, c, release, store, c := delay @ store)
-                # (Re x, Im x, Re y, Im y) -> Re and Im of each entry of m (x, y)
-                rows.append([part for m in maps for a, b in m for part in (
-                    (a.real, -a.imag, b.real, -b.imag), (a.imag, a.real, b.imag, b.real))])
-                if not c.any():
-                    break
-            self._stacks[key] = (np.array(rows).transpose(2, 1, 0)[:, :, None].copy(),
-                                 _coefficients(c.tolist()))
-        return self._stacks[key]
 
 
 _plumbing = lru_cache(maxsize=16)(_Plumbing)  # one per config; workloads reuse a handful
@@ -476,279 +444,110 @@ def _norm2(x: complex, y: complex) -> float:
     return (x * x.conjugate() + y * y.conjugate()).real
 
 
-def _coefficients(rows) -> np.ndarray:
-    """Rows of complex coefficients c_k, laid out for _cdot."""
-    return np.array([[[part for c in row for part in (c.real, -c.imag)],
-                      [part for c in row for part in (c.real, c.imag)]] for row in rows])[..., None]
+def _release(plumb: _Plumbing, release: _Op2, x: complex, y: complex) -> tuple:
+    """The release step of a passage that the amplitude (x, y) meets.
 
-
-def _exit_entries(amp: np.ndarray) -> np.ndarray:
-    """Entries (HH, VV, Re HV, Im HV) of the exit state from its amplitude's (Re x, Im x, Re y, Im y)."""
-    sq, re, im = amp * amp, amp[:2] * amp[2], amp[:2] * amp[3]
-    hh, vv = sq[0::2] + sq[1::2]
-    return np.array((hh, vv, re[0] + im[1], re[1] - im[0]))
-
-
-def _cdot(coefs: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Per row of coefs, the real and imaginary parts of sum_k c_k z_k (one column per z).
-
-    z_k = re[k] + i im[k].  The products and sums are those of Python's
-    complex arithmetic, in its order, on real arrays: numpy's complex
-    multiply may fuse with FMA in its vector loop and not in its remainder,
-    so a branch would depend on its batch.
+    Returns the amplitude that leaves for the exit port, then the entries
+    HH, HV and VV of the exit state |v><v|, v = exit.release (x, y), whose
+    trace HH + VV is the exit weight.
     """
-    terms = np.empty((2, 2 * len(re), re.shape[1]))
-    terms[0, 0::2], terms[0, 1::2], terms[1, 0::2], terms[1, 1::2] = re, im, im, re
-    prod = coefs * terms
-    pairs = prod[..., 0::2, :] + prod[..., 1::2, :]  # c_k z_k, real part then imaginary
-    out = pairs[..., 0, :]
-    for k in range(1, len(re)):
-        out = out + pairs[..., k, :]
-    return out
+    (ra, rb, rc, rd), (ea, eb, ec, ed) = release, plumb.exit_op
+    out_x, out_y = ra * x + rb * y, rc * x + rd * y
+    vx, vy = ea * out_x + eb * out_y, ec * out_x + ed * out_y
+    vyc = vy.conjugate()
+    return out_x, out_y, (vx * vx.conjugate()).real, vx * vyc, (vy * vyc).real
 
 
-# The running sums of a booking: absorbed weight, listed weight, then the quiet
-# sums: the entries (HH, VV, Re HV, Im HV) of unlisted exits and the weight of
-# unlisted ejections.
-_ABSORBED, _LISTED, _QUIET, _SUMS = 0, 1, slice(2, 7), 7
-_CHUNK = 4096  # shared passages booked at once, which bounds a long sweep's memory
+class _Account:
+    """A propagation booked passage by passage.
 
-
-class _Book:
-    """Passage rows booked as arrays, in the order a passage-by-passage loop books them.
-
-    rows (8, R) holds per passage the weights that meet it, leave it for the
-    exit port, stay in the loop and meet the next passage, then the real and
-    imaginary parts of its exit amplitude (H, then V).  share is the ejected
-    fraction of each row's loss, and the rows in forced (slices) list their
-    exit whatever its weight (a branch's release).  Per row the book keeps
-    the exit's entries rho = (HH, VV, Re HV, Im HV) and weight, the ejected
-    weight, whether each is listed (above _RESIDUAL_CUTOFF; unlisted ones add
-    to the quiet sums), and steps: the three additions the passage makes, in
-    order, to each running sum.
+    x, y is the amplitude that meets the next passage and w its weight.  The
+    running sums are absorbed, listed (the weight of the listed exits and
+    ejections), quiet (HH, HV and VV summed over the exits too light to list)
+    and quiet_ejected (the ejections too light to list).
     """
 
-    def __init__(self, rows: np.ndarray, share, forced=()):
-        w_in, w_out, w_stay, w_next = rows[:4]
-        self.rho = rho = _exit_entries(rows[4:])
-        self.weight = w = rho[0] + rho[1]
-        lost = np.maximum(w_out - w, 0.0)  # left for the exit port, not through it
-        self.ejected = ej = lost * share
-        self.listed = listed = w > _RESIDUAL_CUTOFF
-        for at in forced:
-            listed[at] = True
-        self.ejection_listed = ej_listed = ej > _RESIDUAL_CUTOFF
-        self.steps = steps = np.zeros((len(w), 3, _SUMS))
-        steps[:, :, _ABSORBED] = np.maximum(
-            (w_in - w_out - w_stay, lost - ej, w_stay - w_next), 0.0).T
-        steps[:, 0, _LISTED], steps[:, 0, 6] = ej * ej_listed, ej * ~ej_listed
-        steps[:, 1, _LISTED] = w * listed
-        steps[:, 1, 2:6] = (self.rho * ~listed).T
+    __slots__ = ("x", "y", "w", "absorbed", "listed", "quiet", "quiet_ejected", "exits",
+                 "ejections")
 
-    def sums(self, lo: int, b: int, p: int, start: np.ndarray) -> np.ndarray:
-        """Running sums over rows lo.. as b sequences of p rows, from start (b, _SUMS).
-
-        np.cumsum adds in order, as the loop would; the result
-        (b, p + 1, _SUMS) holds the sums before the first row and after each.
-        """
-        steps = self.steps[lo:lo + b * p].reshape(b, 3 * p, _SUMS)
-        return np.cumsum(np.concatenate((start[:, None], steps), axis=1), axis=1)[:, ::3]
-
-
-class _Prefix:
-    """The passages the branches of a sweep share, for every input state.
-
-    Each state's amplitude is propagated as two complex scalars.  Its rows
-    are the entry (row 0, whose loss is ejected at the entry share) and
-    passage k (row k, through the operators passages[k - 1]); they are
-    booked a chunk at a time.  Per n in marks (sorted), amps keeps the
-    amplitude that meets passage n + 1 as (Re x, Im x, Re y, Im y) and
-    mark_sums the running sums there; exits and ejections keep each chunk's
-    listed events: its first row and rows per state, then the events' rows
-    in the chunk and values.
-    """
-
-    def __init__(self, plumb: _Plumbing, states, passages: list, marks: list[int]):
-        self.plumb, self.passages, self.marks, self.mark_set = plumb, passages, marks, set(marks)
-        self.mark_rows = np.array(marks, dtype=int)
-        self.now = []  # per state: the amplitude and weight meeting the next passage
-        for state in states:
-            x, y = _apply(plumb.entry_op, state.alpha, state.beta)
-            self.now.append((x, y, _norm2(x, y)))
-        self.amps = [array("d") for _ in states]
-        self.carry = np.zeros((len(states), _SUMS))
-        self.mark_sums = np.zeros((len(states), len(marks), _SUMS))
+    def __init__(self, x: complex, y: complex, w: float, absorbed=0.0, listed=0.0,
+                 quiet=(0.0, 0j, 0.0), quiet_ejected=0.0):
+        self.x, self.y, self.w = x, y, w
+        self.absorbed, self.listed, self.quiet, self.quiet_ejected = (
+            absorbed, listed, quiet, quiet_ejected)
         self.exits, self.ejections = [], []
 
-    def propagate(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo..hi - 1 of every state, state by state, as an (8, rows) block."""
-        passages, marks = self.passages, self.mark_set
-        (ea, eb, ec, ed), (da, db, dc, dd) = self.plumb.exit_op, self.plumb.delay_op
-        rows = array("d")
-        for s, (x, y, w) in enumerate(self.now):
-            amps = self.amps[s]
-            if lo == 0:
-                rows.extend((lost := 1.0 - w, lost, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-                if 0 in marks:
-                    amps.extend((x.real, x.imag, y.real, y.imag))
-            for k in range(max(lo, 1), hi):
-                (ra, rb, rc, rd), (sa, sb, sc, sd) = passages[k - 1]
-                out_x, out_y = ra * x + rb * y, rc * x + rd * y
-                stay_x, stay_y = sa * x + sb * y, sc * x + sd * y
-                rel_x, rel_y = ea * out_x + eb * out_y, ec * out_x + ed * out_y
-                x, y = da * stay_x + db * stay_y, dc * stay_x + dd * stay_y
-                w_in, w = w, (x * x.conjugate() + y * y.conjugate()).real  # _norm2, inlined
-                rows.extend((w_in, (out_x * out_x.conjugate() + out_y * out_y.conjugate()).real,
-                             (stay_x * stay_x.conjugate() + stay_y * stay_y.conjugate()).real, w,
-                             rel_x.real, rel_x.imag, rel_y.real, rel_y.imag))
-                if k in marks:
-                    amps.extend((x.real, x.imag, y.real, y.imag))
-            self.now[s] = x, y, w
-        return np.frombuffer(rows).reshape(-1, 8).T
+    def branch(self) -> "_Account":
+        """An account that goes on from here with no events of its own yet."""
+        return _Account(self.x, self.y, self.w, self.absorbed, self.listed, self.quiet,
+                        self.quiet_ejected)
 
-    def shares(self, lo: int, hi: int, size: int) -> np.ndarray:
-        """The ejected share of each of size rows whose first are rows lo..hi - 1."""
-        share = np.full(size, self.plumb.exit_ej_share)
-        if lo == 0:
-            share[:len(self.now) * hi:hi] = self.plumb.entry_ej_share
-        return share
+    def eject(self, t: float, lost: float, share: float):
+        if (ej := lost * share) > _RESIDUAL_CUTOFF:
+            self.ejections.append((t, ej))
+            self.listed += ej
+        else:
+            self.quiet_ejected += ej
+        self.absorbed += lost - ej
 
-    def settle(self, book: _Book, lo: int, hi: int):
-        """Take the running sums and listed events of rows lo..hi - 1, booked first in book."""
-        p, size = hi - lo, len(self.now) * (hi - lo)
-        sums = book.sums(0, len(self.now), p, self.carry)
-        self.carry = sums[:, -1]
-        i, j = bisect.bisect_left(self.marks, lo), bisect.bisect_left(self.marks, hi)
-        self.mark_sums[:, i:j] = sums[:, self.mark_rows[i:j] - (lo - 1)]
-        at = book.listed[:size].nonzero()[0]
-        self.exits.append((lo, p, at, book.weight[at], book.rho[:, at]))
-        at = book.ejection_listed[:size].nonzero()[0]
-        self.ejections.append((lo, p, at, book.ejected[at]))
+    def passage(self, plumb: _Plumbing, ops: tuple[_Op2, _Op2], t: float, retrieved=False):
+        """Book the passage whose exit leaves at t, through the (release, store) pair ops.
+
+        Its exit is listed when it weighs more than the cutoff or is retrieved.
+        """
+        release, (sa, sb, sc, sd) = ops
+        (da, db, dc, dd), x, y = plumb.delay_op, self.x, self.y
+        out_x, out_y, hh, hv, vv = _release(plumb, release, x, y)
+        stay_x, stay_y = sa * x + sb * y, sc * x + sd * y
+        self.x, self.y = x, y = da * stay_x + db * stay_y, dc * stay_x + dd * stay_y
+        # _norm2 of what leaves, stays and meets the next passage, inlined
+        w_out = (out_x * out_x.conjugate() + out_y * out_y.conjugate()).real
+        w_stay = (stay_x * stay_x.conjugate() + stay_y * stay_y.conjugate()).real
+        w_in, self.w = self.w, (x * x.conjugate() + y * y.conjugate()).real
+        self.absorbed += max(w_in - w_out - w_stay, 0.0)
+        if (lost := w_out - (w := hh + vv)) > 0:
+            self.eject(t, lost, plumb.exit_ej_share)
+        if w > _RESIDUAL_CUTOFF or retrieved:
+            self.exits.append(ExitEvent(t, w, (hh, hv, vv)))
+            self.listed += w
+        else:
+            q_hh, q_hv, q_vv = self.quiet
+            self.quiet = (q_hh + hh, q_hv + hv, q_vv + vv)
+        self.absorbed += max(w_stay - self.w, 0.0)
 
 
-def _close(plumb: _Plumbing, level: float, t: np.ndarray, re: np.ndarray, im: np.ndarray,
-           quiet: np.ndarray):
-    """Settle what still circulates past the listed passages of a set of branches.
+def _close(plumb: _Plumbing, level: float, t: float,
+           acc: _Account) -> tuple[ExitEvent | None, float]:
+    """Settle what circulates past the listing, from the exit at t on: (tail exit, ejection).
 
-    re and im hold the parts of the amplitude (x, y) that meets the passage
-    at t, and quiet a branch's quiet sums, one column per branch.  At most
-    the cutoff, or unit round-off that the map at `level` keeps in float, is
-    absorbed.  Otherwise plumb.stein sums every later passage exactly, into
-    a tail that also carries the quiet events.  Returns per branch the
-    weight absorbed, whether it has a tail, the tail's (HH, VV, Re HV,
-    Im HV, weight) and the tail's ejected weight (zeros without a tail).
+    At most the cutoff, or unit round-off that the map at `level` keeps in
+    float, is absorbed.  Otherwise plumb.stein sums every later passage
+    exactly, into a tail that also carries the account's unlisted events.
     """
-    # x x*, x y*, y x* and y y*, the row-major entries of x x^+, as Python's complex product
-    left_re, left_im = re[[0, 0, 1, 1]], im[[0, 0, 1, 1]]
-    right_re, right_im = re[[0, 1, 0, 1]], -im[[0, 1, 0, 1]]
-    outer_re = left_re * right_re - left_im * right_im
-    outer_im = left_re * right_im + left_im * right_re
-    w = outer_re[0] + outer_re[3]
-    sums = plumb.stein(level)
-    tailed = (w > _RESIDUAL_CUTOFF) & (sums is not None)
-    if (stuck := ~tailed & (w > _UNIT_ROUNDOFF)).any():
-        k = stuck.argmax()
+    x, y, w = acc.x, acc.y, acc.w
+    sums = None if w <= _RESIDUAL_CUTOFF else plumb.stein(level)
+    if sums is None and w <= _UNIT_ROUNDOFF:
+        acc.absorbed += w
+        return None, 0.0
+    if sums is None:
         raise InvalidStateError(
-            f"weight {w[k]} still circulates at {t[k]} ns and never decays: "
+            f"weight {w} still circulates at {t} ns and never decays: "
             "at the final drive level the round trip keeps it all (spectral radius >= 1)")
-    tail, tail_ejected = np.zeros((5, len(w))), np.zeros(len(w))
-    if not tailed.any():
-        return w, tailed, tail, tail_ejected
-    (hh, _), (hvr, hvi), (vv, _), (released, _) = _cdot(sums, outer_re, outer_im)
-    hh, vv = np.maximum(hh, 0.0), np.maximum(vv, 0.0)
-    lost = np.maximum(released - hh - vv, 0.0)
+    xc, yc = x.conjugate(), y.conjugate()
+    a, b, c, d = x * xc, x * yc, y * xc, y * yc  # row-major entries of x x^+
+    hh, hv, vv, released = [r0 * a + r1 * b + r2 * c + r3 * d for r0, r1, r2, r3 in sums]
+    hh, vv, released = max(hh.real, 0.0), max(vv.real, 0.0), released.real
+    lost = max(released - hh - vv, 0.0)
     ej = lost * plumb.exit_ej_share
-    absorbed = np.where(tailed, lost - ej + np.maximum(w - released, 0.0), w)
-    tail[:4] = np.where(tailed, (hh + quiet[0], vv + quiet[1], hvr + quiet[2], hvi + quiet[3]), 0.0)
-    tail[4] = tail[0] + tail[1]
-    tail_ejected[:] = np.where(tailed, quiet[4] + ej, 0.0)
-    return absorbed, tailed, tail, tail_ejected
-
-
-class Sweep(Sequence):
-    """One input state's outcomes at each n of a simulate_sweeps call, booked as arrays.
-
-    Indexing builds the StorageOutcome of that n.  The exits and ejections
-    of the passages the branches share are built once, on the first index,
-    and every outcome that lists one holds the same object.
-    """
-
-    def __init__(self, cfg: MemoryConfig, booked: tuple, s: int, state: PureState,
-                 n_values: tuple[int, ...], marks: list[int]):
-        self.input_state, self.n_values = state, n_values
-        self._cfg, self._booked, self._s, self._marks, self._read = cfg, booked, s, marks, None
-
-    def __len__(self) -> int:
-        return len(self.n_values)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        n = self.n_values[i]
-        time, exit_at, exits, ejection_at, ejections, rows, branches = self._read or self._events()
-        first, count, p, absorbed, balance, tail, tail_ejected = branches[self._marks[i]]
-        exits = exits[:bisect.bisect_right(exit_at, n)]
-        ejections = ejections[:bisect.bisect_right(ejection_at, n)]
-        retrieved = len(exits)
-        for k, (w, hh, vv, hvr, hvi, ej, listed, ej_listed) in enumerate(
-                rows[first:first + count], n + 1):
-            if ej_listed:
-                ejections.append((time(k), ej))
-            if listed:
-                exits.append(ExitEvent(time(k), w, (hh, complex(hvr, hvi), vv)))
-        if tail is not None:
-            hh, vv, hvr, hvi, w = tail
-            tail = ExitEvent(time(n + 1 + p), w, (hh, complex(hvr, hvi), vv))
-        return StorageOutcome(n, self.input_state, tuple(exits), tuple(ejections), absorbed,
-                              exits[retrieved], balance, tail, tail_ejected)
-
-    def _events(self):
-        """Turn the booked arrays into Python values once: the time of each passage, the
-        listed exits and ejections of the shared passages with their passages, per row of
-        the book weight, rho, ejected weight and whether the exit and ejection are listed,
-        and per mark this state's branch: first row, rows booked, rows in its group,
-        absorbed weight, balance, tail entries (None without a tail) and tail ejected."""
-        (prefix, book, groups), s, cfg = self._booked, self._s, self._cfg
-        t_half = cfg.pass_through_time / 2.0
-        t1, dt = cfg.delay_line_compensation + t_half, cfg.delta_tau
-
-        def time(k: int) -> float:  # passage k lets light out; 0 is the entry
-            return t1 + (k - 1) * dt + t_half if k else cfg.delay_line_compensation
-
-        exit_at, exits, ejection_at, ejections = [], [], [], []
-        for lo, p, at, weight, rho in prefix.exits:
-            mine = at // p == s
-            for k, w, (hh, vv, hvr, hvi) in zip((lo + at[mine] % p).tolist(), weight[mine].tolist(),
-                                                rho[:, mine].T.tolist()):
-                exit_at.append(k)
-                exits.append(ExitEvent(time(k), w, (hh, complex(hvr, hvi), vv)))
-        for lo, p, at, ejected in prefix.ejections:
-            mine = at // p == s
-            for k, ej in zip((lo + at[mine] % p).tolist(), ejected[mine].tolist()):
-                ejection_at.append(k)
-                ejections.append((time(k), ej))
-        rows = np.vstack((book.weight, book.rho, book.ejected, book.listed,
-                          book.ejection_listed)).T.tolist()
-        branches = {}
-        for i, o, p, count, absorbed, balance, tail in groups:
-            n = len(count) // len(prefix.now)
-            mine = slice(s * n, (s + 1) * n)
-            tails = (zip(tail[0][mine].tolist(), tail[1][:, mine].T.tolist(), tail[2][mine].tolist())
-                     if tail is not None else [(False, None, 0.0)] * n)
-            for b, (booked_rows, a, bal, (tailed, entries, tail_ej)) in enumerate(zip(
-                    count[mine].tolist(), absorbed[mine].tolist(), balance[mine].tolist(), tails),
-                    s * n):
-                branches[i + b % n] = (o + b * p, booked_rows, p, a, bal,
-                                       entries if tailed else None, tail_ej)
-        self._read = time, exit_at, exits, ejection_at, ejections, rows, branches
-        return self._read
+    acc.absorbed += lost - ej + max(w - released, 0.0)
+    hh, hv, vv = (entry + quiet for entry, quiet in zip((hh, hv, vv), acc.quiet))
+    return ExitEvent(t, hh + vv, (hh, hv, vv)), acc.quiet_ejected + ej
 
 
 def _sweep_plan(cfg: MemoryConfig, n_values) -> tuple:
-    """The setup of a sweep: n_values checked, the index of each in marks (the distinct n,
-    sorted), marks, the plumbing, the (release, store) operator pair of each shared passage
-    1..max(n), the branch groups (first, level, i, j, *_Plumbing.stack(first, level)): the n
-    in marks[i:j] release at one level, from passage 1 when first; and when passage 1 is."""
+    """The setup of a sweep: n_values checked, marks (the distinct n, sorted), the
+    plumbing, the (release, store) pair of each shared passage 1..max(n), and per mark
+    the drive level its branch stays at with the pair of its release passage n + 1."""
     n_values = tuple(map(_cycle_count, n_values))
     marks = sorted(set(n_values))
     n_max, t1 = max(marks, default=0), cfg.delay_line_compensation + cfg.pass_through_time / 2.0
@@ -761,117 +560,79 @@ def _sweep_plan(cfg: MemoryConfig, n_values) -> tuple:
     shared += shared[-1:] * (n_max - 2)
     plumb = _plumbing(cfg)
     passages = [(plumb.later_passage if k else plumb.first_passage)[lvl] for k, lvl in enumerate(shared)]
-    # the marks of each class (n = 0, n = 1, n >= 2), a class sharing the group of
-    # the one before when it releases at the same level
-    cuts = (0, bisect.bisect_left(marks, 1), bisect.bisect_left(marks, 2), len(marks))
-    groups = []
-    for first, n, i, j in zip((True, False, False), (0, 1, n_max), cuts, cuts[1:]):
-        if i < j and groups and groups[-1][:2] == [first, level[n]]:
-            groups[-1][3] = j
-        elif i < j:
-            groups.append([first, level[n], i, j])
-    groups = [(*group, *plumb.stack(*group[:2])) for group in groups]
-    return n_values, [bisect.bisect_left(marks, n) for n in n_values], marks, plumb, passages, groups, t1
+    release = {n: (lvl, (plumb.later_passage if n else plumb.first_passage)[lvl])
+               for n, lvl in level.items()}
+    releases = [release[n if n < 2 else n_max] for n in marks]
+    return n_values, marks, plumb, passages, releases
 
 
-def simulate_sweeps(cfg: MemoryConfig, input_states: tuple[PureState, ...],
-                    n_values: tuple[int, ...]) -> tuple[Sweep, ...]:
-    """Per input state, a Sweep of the outcomes simulate_storage gives for each n in n_values.
+def simulate_sweep(cfg: MemoryConfig, input_state: PureState,
+                   n_values: tuple[int, ...]) -> tuple[StorageOutcome, ...]:
+    """The outcome simulate_storage gives for each n in n_values, in order.
 
-    Each state propagates the passages every n shares once, as two complex
-    scalars (_Prefix).  From its release passage n + 1 on (n = 0: passage 1)
-    each n is a branch, and one numpy pass over _Plumbing.stack gives every
-    branch of every state its passage rows.  One _Book books them all as a
-    passage-by-passage loop would: the 1e-16 listing cut, the stop once
-    nothing above it circulates, the ejected/absorbed split, the exact tail
-    of a branch still circulating (_close) and the balance check.  A Sweep
-    builds each outcome only when it is indexed.
+    Every n >= 1 drives the cell OFF at passage 1 and ON through passage n,
+    so the state propagates passages 1..n once for every n, as two complex
+    scalars.  Each n then branches off at its release passage n + 1 (n = 0:
+    passage 1) and books its listed passages and its tail on its own.
+    Outcomes hold the same ExitEvent for each exit of the shared passages.
     """
-    n_values, mark_at, marks, plumb, passages, groups, t1 = _sweep_plan(cfg, n_values)
-    prefix, n_states = _Prefix(plumb, input_states, passages, marks), len(input_states)
-    n_max = len(passages)  # max(marks), or 0
-    lo, hi = 0, min(_CHUNK, n_max + 1)
-    while hi <= n_max:  # every chunk of shared rows but the last is booked on its own
-        block = prefix.propagate(lo, hi)
-        prefix.settle(_Book(block, prefix.shares(lo, hi, block.shape[1])), lo, hi)
-        lo, hi = hi, min(hi + _CHUNK, n_max + 1)
-    parts = [prefix.propagate(lo, hi)]
-    amps = np.reshape([np.frombuffer(a) for a in prefix.amps], (n_states, len(marks), 4))
-    spans, at = [], parts[0].shape[1]  # per group: its first row, branches and rows each
-    for first, lvl, i, j, maps, _ in groups:
-        amp = amps[:, i:j].reshape(-1, 4).T  # (Re x, Im x, Re y, Im y) of each branch
-        # real products and sums only: numpy's complex multiply may fuse with FMA in
-        # its vector loop and not in its remainder, so a branch would depend on its batch
-        terms = amp[:, None, :, None] * maps
-        v = ((terms[0] + terms[1]) + terms[2]) + terms[3]
-        sq = v[4:] ** 2
-        w = ((sq[0::4] + sq[1::4]) + sq[2::4]) + sq[3::4]
-        b, p = v.shape[1:]
-        parts.append(np.concatenate((w, v[:4])).reshape(8, b * p))
-        spans.append((at, b, p, amp))
-        at += b * p
-    rows = np.concatenate(parts, axis=1)
-    book = _Book(rows, prefix.shares(lo, hi, at), [slice(o, o + b * p, p) for o, b, p, *_ in spans])
-    prefix.settle(book, lo, hi)
-    booked = []
-    for (first, lvl, i, j, _, residual), (o, b, p, amp) in zip(groups, spans):
-        sums = book.sums(o, b, p, prefix.mark_sums[:, i:j].reshape(b, _SUMS))
-        w_next = rows[3, o:o + b * p].reshape(b, p)
-        quiet = w_next <= _RESIDUAL_CUTOFF  # nothing above the cut circulates on
-        stop, each = quiet.argmax(axis=1), np.arange(b)
-        count = stop + 1
-        closes = (~quiet.any(axis=1)).nonzero()[0]  # still circulating after the rows
-        count[closes] = p
-        end = sums[each, count]
-        absorbed = end[:, _ABSORBED] + w_next[each, stop]
-        balance, tail = end[:, _LISTED] + absorbed, None
-        if len(closes):
-            t = t1 + (np.tile(marks[i:j], n_states)[closes] + p) * cfg.delta_tau
-            settled = _close(plumb, lvl, t + cfg.pass_through_time / 2.0,
-                             *_cdot(residual, amp[0::2, closes], amp[1::2, closes]).transpose(1, 0, 2),
-                             end[closes, _QUIET].T)
-            absorbed[closes] = end[closes, _ABSORBED] + settled[0]
-            tail = np.zeros(b, dtype=bool), np.zeros((5, b)), np.zeros(b)
-            tail[0][closes], tail[1][:, closes], tail[2][closes] = settled[1:]
-            balance = ((end[:, _LISTED] + absorbed) + tail[2]) + tail[1][4]
-        if balance.max(initial=1.0) - 1.0 > 1e-9 or 1.0 - balance.min(initial=1.0) > 1e-9:
-            bad = balance[np.abs(balance - 1.0) > 1e-9][0]
-            raise InvalidStateError(f"probability not conserved: accounted {bad}")
-        booked.append((i, o, p, count, absorbed, balance, tail))
-    return tuple(Sweep(cfg, (prefix, book, booked), s, state, n_values, mark_at)
-                 for s, state in enumerate(input_states))
+    n_values, marks, plumb, passages, releases = _sweep_plan(cfg, n_values)
+    t_half, dt = cfg.pass_through_time / 2.0, cfg.delta_tau
+    t1 = cfg.delay_line_compensation + t_half
+    x, y = _apply(plumb.entry_op, input_state.alpha, input_state.beta)  # in the H/V basis
+    prefix = _Account(x, y, _norm2(x, y))
+    if (lost := 1.0 - prefix.w) > 0:
+        prefix.eject(cfg.delay_line_compensation, lost, plumb.entry_ej_share)
+    outcomes, booked = {}, 0  # booked: the shared passages the prefix has booked
+    for n, (level, ops) in zip(marks, releases):
+        for k in range(booked + 1, n + 1):
+            prefix.passage(plumb, passages[k - 1], t1 + (k - 1) * dt + t_half)
+        booked = n
+        acc, k_next = prefix.branch(), n + 2
+        acc.passage(plumb, ops, t1 + n * dt + t_half, retrieved=True)
+        while k_next <= n + 1 + _LISTED_PASSES and acc.w > _RESIDUAL_CUTOFF:
+            acc.passage(plumb, plumb.later_passage[level], t1 + (k_next - 1) * dt + t_half)
+            k_next += 1
+        tail, tail_ejected = _close(plumb, level, t1 + (k_next - 1) * dt + t_half, acc)
+        balance = acc.listed + acc.absorbed
+        if tail is not None:
+            balance = balance + tail_ejected + tail.weight
+        if abs(balance - 1.0) > 1e-9:
+            raise InvalidStateError(f"probability not conserved: accounted {balance}")
+        outcomes[n] = StorageOutcome(
+            n, input_state, tuple(prefix.exits + acc.exits), tuple(prefix.ejections + acc.ejections),
+            acc.absorbed, acc.exits[0], balance, tail, tail_ejected)
+    return tuple(outcomes[n] for n in n_values)
 
 
 def retrieved_exits(cfg: MemoryConfig, input_states: tuple[PureState, ...],
                     n_values: tuple[int, ...]) -> np.ndarray:
-    """(HH, VV, Re HV, Im HV) of each state's retrieved exit at each n, as (4, states, n) floats:
-    bitwise simulate_sweeps' retrieved.rho, with its errors, but only the amplitude meeting each
-    release passage is propagated (_Prefix's arithmetic), then the stack's release row."""
-    n_values, mark_at, marks, plumb, passages, groups, t1 = _sweep_plan(cfg, n_values)
-    n_states, (da, db, dc, dd), amps = len(input_states), plumb.delay_op, array("d")
+    """(HH, VV, Re HV, Im HV) of each state's retrieved exit at each n, as (4, states, n) floats.
+
+    Only the amplitude that meets each release passage is propagated, with
+    simulate_sweep's arithmetic and release step, so the entries are its
+    retrieved.rho to the bit.  It raises what simulate_sweep raises: the
+    schedule errors, and where a release level's round trip does not decay,
+    the sweeps are booked in full to find weight that circulates forever.
+    """
+    n_values, marks, plumb, passages, releases = _sweep_plan(cfg, n_values)
+    if None in map(plumb.stein, {level for level, _ in releases}):
+        for state in input_states:
+            simulate_sweep(cfg, state, marks)
+    (da, db, dc, dd), entries = plumb.delay_op, []
     for state in input_states:
         x, y = _apply(plumb.entry_op, state.alpha, state.beta)
-        for k, n in zip([0] + marks, marks):
-            for _, (sa, sb, sc, sd) in passages[k:n]:
+        k = 0
+        for n, (_, (release, _)) in zip(marks, releases):
+            for _, (sa, sb, sc, sd) in passages[k:n]:  # the arithmetic of _Account.passage
                 stay_x, stay_y = sa * x + sb * y, sc * x + sd * y
                 x, y = da * stay_x + db * stay_y, dc * stay_x + dd * stay_y
-            amps.extend((x.real, x.imag, y.real, y.imag))
-    amps, rho = np.reshape(amps, (n_states, len(marks), 4)), np.empty((4, n_states, len(marks)))
-    for first, lvl, i, j, maps, residual in groups:
-        amp = amps[:, i:j].reshape(-1, 4).T
-        v = amp[:, None, :] * maps[:, :4, :, 0]  # simulate_sweeps' sums, release row only
-        rho[:, :, i:j] = _exit_entries(((v[0] + v[1]) + v[2]) + v[3]).reshape(4, n_states, j - i)
-        if plumb.stein(lvl) is None:  # only then can _close find weight that never decays
-            t = t1 + (np.tile(marks[i:j], n_states) + maps.shape[-1]) * cfg.delta_tau
-            _close(plumb, lvl, t + cfg.pass_through_time / 2.0,
-                   *_cdot(residual, amp[0::2], amp[1::2]).transpose(1, 0, 2), np.zeros((5, len(t))))
-    return rho[:, :, mark_at]
-
-
-def simulate_sweep(cfg: MemoryConfig, input_state: PureState,
-                   n_values: tuple[int, ...]) -> Sweep:
-    """Outcomes of one input state at each cycle count in n_values (see simulate_sweeps)."""
-    return simulate_sweeps(cfg, (input_state,), n_values)[0]
+            k = n
+            _, _, hh, hv, vv = _release(plumb, release, x, y)
+            entries += (hh, vv, hv.real, hv.imag)
+    column = {n: i for i, n in enumerate(marks)}
+    rho = np.reshape(entries, (len(input_states), len(marks), 4)).transpose(2, 0, 1)
+    return rho[:, :, [column[n] for n in n_values]]
 
 
 def simulate_storage(cfg: MemoryConfig, input_state: PureState, n: int) -> StorageOutcome:

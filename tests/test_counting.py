@@ -14,7 +14,7 @@ from loopmem.counting import (
 )
 from loopmem.engine import (
     ExitEvent, MemoryConfig, StorageOutcome, TransmissionParams, efficiency, simulate_storage,
-    simulate_sweeps,
+    simulate_sweep,
 )
 from loopmem.errors import InvalidStateError, SchemaError, UnschedulableError
 from loopmem.polarization import D, DensityMatrix, H, R, V, make_pure
@@ -313,13 +313,14 @@ def test_run_scans_builds_no_outcome_or_exit_event(monkeypatch):
 
     jobs = _mixed_jobs((3, None, 0, 17, None, 11))
     with monkeypatch.context() as patched:
-        for built in (StorageOutcome, ExitEvent, engine.Sweep, engine._Book):  # nothing is booked
+        for built in (StorageOutcome, ExitEvent, engine._Account):  # nothing is booked
             patched.setattr(built, "__init__", refuse)
         datasets = run_scans(PC, jobs, pair_rate=1500.0, acquisition_s=30.0)
     assert datasets == run_scans(PC, jobs, pair_rate=1500.0, acquisition_s=30.0)
-    # what a sweep builds when indexed is what simulate_storage gives at that N
+    # each outcome of a sweep is what simulate_storage gives at that N
     n_values = (0, 7, 3, 12, 1, 3, 64)
-    for state, sweep in zip((H, D, R), simulate_sweeps(PC, (H, D, R), n_values)):
+    for state in (H, D, R):
+        sweep = simulate_sweep(PC, state, n_values)
         for n, out in zip(n_values, sweep):
             ref = simulate_storage(PC, state, n)
             for name in ("n_cycles", "input_state", "ejections", "absorbed", "balance",
@@ -348,7 +349,7 @@ def test_run_scans_raises_what_the_sweep_raises(monkeypatch):
     for cfg, n_values, error in ((unschedulable, (1, 2), UnschedulableError),
                                  (low_loss, (0, 3), InvalidStateError)):
         with pytest.raises(error) as swept:
-            simulate_sweeps(cfg, (H, D), n_values)
+            simulate_sweep(cfg, H, n_values)
         with pytest.raises(error) as scanned:
             run_scans(cfg, [(H, DecayScan(n_values), 1), (D, TomographyScan(n_values[0]), 2)])
         assert str(scanned.value) == str(swept.value)
