@@ -18,22 +18,31 @@ record_seed(s, i) = SeedSequence([s, i]).generate_state(1)[0] and the count
 default_rng(sub).poisson(mean), so individual records are reproducible
 without replaying the whole scan.  A pipeline run draws all its records in
 one batch (`run_scans`, `draw_counts`): SeedSequence's hash is fixed uint32
-arithmetic, so the sub-seeds and the PCG64 start states of every record are
-computed in one vectorized pass, and one generator set to each record's
+arithmetic, so the sub-seeds of every record are computed in one vectorized
+pass, and their PCG64 start states in vectorized passes of 4096 records,
+each state used as soon as it is made; one generator set to each record's
 state in turn draws exactly those counts.  seed=None disables sampling
 entirely and stores the exact Poisson means as floats (noiseless mode, used
 for calibration against closed-form efficiencies).
+
+A `ScanDataset` holds its records as columns, one tuple each of setting
+labels, setting values, counts, cycle counts and sub-seeds, which
+`run_scans`, `synth_malus_dataset` and `read_csv` fill directly.  The
+pipelines, `counts()`, `values()`, `write_csv` and the tomography read the
+columns; `ScanDataset.records` builds the per-record `CountRecord`s only
+when it is first read.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 import operator
 import os
-from collections.abc import Sequence
-from dataclasses import astuple, dataclass, field
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,18 +75,44 @@ class CountRecord:
 
 @dataclass(frozen=True)
 class ScanDataset:
-    records: tuple[CountRecord, ...]
+    """One scan's records, held as columns: one tuple per `CountRecord` field.
+
+    Record i is (setting_labels[i], setting_values[i], record_counts[i],
+    acquisition_s, n_cycles[i], sub_seeds[i]); every record shares the
+    dataset's acquisition time.  `records` builds those `CountRecord`s on its
+    first read and keeps them.  Datasets compare equal when their columns
+    and metadata do, which is when their records do.
+    """
+
+    setting_labels: tuple[str, ...]
+    setting_values: tuple[float, ...]
+    record_counts: tuple[float, ...]  # integer-valued when sampled; exact means in noiseless mode
+    n_cycles: tuple[int, ...]
+    sub_seeds: tuple[int | None, ...]
     pair_rate: float
     detection_eff: float
     acquisition_s: float
     seed: int | None
     kind: str
 
+    def __post_init__(self):
+        if not (len(self.setting_labels) == len(self.setting_values) == len(self.record_counts)
+                == len(self.n_cycles) == len(self.sub_seeds)):
+            raise ValueError("a dataset's columns must have equal length")
+
+    @functools.cached_property
+    def records(self) -> tuple[CountRecord, ...]:
+        return tuple(CountRecord(label, value, k, self.acquisition_s, n, sub)
+                     for label, value, k, n, sub in zip(
+                         self.setting_labels, self.setting_values, self.record_counts,
+                         self.n_cycles, self.sub_seeds))
+
     def counts(self) -> np.ndarray:
-        return np.array([r.counts for r in self.records], dtype=float)
+        return np.array(self.record_counts, dtype=float)
 
     def values(self) -> np.ndarray:
-        return np.array([r.setting_value for r in self.records], dtype=float)
+        return np.array(self.setting_values, dtype=float)
+
 
 
 @dataclass(frozen=True)
@@ -262,15 +297,19 @@ def _record_seeds(masters: Sequence[int], sizes: Sequence[int]) -> list[int]:
     return subs
 
 
-def _pcg64_states(subs: Sequence[int]) -> list[tuple[int, int]]:
-    """(state, inc) of default_rng(sub).bit_generator for each uint32 sub-seed."""
-    w = _seed_sequence_state(np.array([subs], np.uint32), 8).astype(np.uint64)
-    states = []
-    # PCG64 seeds from four uint64 words (low uint32 first), then takes two steps
-    for s_hi, s_lo, i_hi, i_lo in (w[0::2] | w[1::2] << np.uint64(32)).T.tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        states.append(((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
+# sub-seeds hashed per pass in _pcg64_states: bounds the Python ints held at once
+_STATE_CHUNK = 4096
+
+
+def _pcg64_states(subs: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(state, inc) of default_rng(sub).bit_generator for each uint32 sub-seed, in turn."""
+    for at in range(0, len(subs), _STATE_CHUNK):
+        w = _seed_sequence_state(np.array([subs[at:at + _STATE_CHUNK]], np.uint32),
+                                 8).astype(np.uint64)
+        # PCG64 seeds from four uint64 words (low uint32 first), then takes two steps
+        for s_hi, s_lo, i_hi, i_lo in (w[0::2] | w[1::2] << np.uint64(32)).T.tolist():
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            yield (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc
 
 
 # Below this many seeded records numpy's own per-record seeding is cheaper than
@@ -335,21 +374,23 @@ def run_scans(cfg: MemoryConfig, jobs: Sequence[ScanJob], *, pair_rate: float = 
     inputs: dict[PureState, int] = {}  # input state -> its number
     exits: list[tuple[int, int]] = []  # per record: (input number, n) of its exit
     projectors: dict[PureState | float, int] = {}  # projector or analyzer angle -> column
-    layouts = []  # per job: (kind, labels, setting values, cycle counts), one per record each
+    layouts = []  # per job: (kind, labels, setting values, cycle counts), a column each
     at_row = []  # per record: the column of its projector
     for state, plan, _ in jobs:
         if isinstance(plan, MalusScan):
             at_row += [projectors.setdefault(theta, len(projectors)) for theta in plan.angles]
             size = len(plan.angles)
-            layout = ("malus", ["analyzer_angle_rad"] * size, plan.angles, [plan.n_cycles] * size)
+            layout = ("malus", ("analyzer_angle_rad",) * size, tuple(map(float, plan.angles)),
+                      (plan.n_cycles,) * size)
         elif isinstance(plan, TomographyScan):
             at_row += [projectors.setdefault(p, len(projectors)) for _, p in plan.projectors]
             size = len(plan.projectors)
-            layout = ("tomography", [name for name, _ in plan.projectors], range(size),
-                      [plan.n_cycles] * size)
+            layout = ("tomography", tuple(name for name, _ in plan.projectors),
+                      tuple(map(float, range(size))), (plan.n_cycles,) * size)
         elif isinstance(plan, DecayScan):
             at_row += [projectors.setdefault(state, len(projectors))] * len(plan.n_values)
-            layout = ("decay", ["n_cycles"] * len(plan.n_values), plan.n_values, plan.n_values)
+            layout = ("decay", ("n_cycles",) * len(plan.n_values),
+                      tuple(map(float, plan.n_values)), tuple(plan.n_values))
         else:
             raise TypeError(f"unknown scan plan {type(plan).__name__}")
         layouts.append(layout)
@@ -364,17 +405,14 @@ def run_scans(cfg: MemoryConfig, jobs: Sequence[ScanJob], *, pair_rate: float = 
                      for p in projectors]).reshape(-1, 4).T
     means = _poisson_means(_rates(rho[:, at_exit], rows[:, at_row], pair_rate, detection_eff),
                            acquisition_s)
-    del exits, at_exit, at_row  # before the records are built, where memory peaks
+    del exits, at_exit, at_row  # before the counts are drawn, where memory peaks
     ends = np.cumsum([len(ns) for *_, ns in layouts]).tolist()
     drawn = draw_counts([(seed, means[end - len(ns):end].tolist())
                          for (_, _, seed), (*_, ns), end in zip(jobs, layouts, ends)])
-    datasets = []
-    for (_, _, seed), (kind, labels, values, ns), (counts, subs) in zip(jobs, layouts, drawn):
-        records = [CountRecord(label, float(value), k, acquisition_s, n, sub)
-                   for label, value, n, k, sub in zip(labels, values, ns, counts, subs)]
-        datasets.append(ScanDataset(tuple(records), pair_rate, detection_eff, acquisition_s,
-                                    seed, kind))
-    return datasets
+    return [ScanDataset(labels, values, tuple(counts), ns, tuple(subs), pair_rate, detection_eff,
+                        acquisition_s, seed, kind)
+            for (_, _, seed), (kind, labels, values, ns), (counts, subs)
+            in zip(jobs, layouts, drawn)]
 
 
 def run_scan(cfg: MemoryConfig, input_state: PureState,
@@ -403,9 +441,9 @@ def synth_malus_dataset(angles: tuple[float, ...] | list[float], amplitude: floa
     means = _poisson_means([malus_mean(theta, amplitude, visibility, theta0) for theta in angles],
                            acquisition_s)
     [(counts, subs)] = draw_counts([(seed, means.tolist())])
-    records = tuple(CountRecord("analyzer_angle_rad", float(theta), k, acquisition_s, 1, sub)
-                    for theta, k, sub in zip(angles, counts, subs))
-    return ScanDataset(records, amplitude, 1.0, acquisition_s, seed, "malus")
+    return ScanDataset(("analyzer_angle_rad",) * len(angles), tuple(map(float, angles)),
+                       tuple(counts), (1,) * len(angles), tuple(subs), amplitude, 1.0,
+                       acquisition_s, seed, "malus")
 
 
 def write_table(fh, comment: str, columns, rows) -> None:
@@ -430,7 +468,9 @@ def _meta_line(ds: ScanDataset) -> str:
 def write_csv(ds: ScanDataset, path: str | os.PathLike) -> None:
     """Flat record table with a single leading metadata comment line."""
     with open(path, "w", newline="") as fh:
-        write_table(fh, _meta_line(ds), _CSV_COLUMNS, map(astuple, ds.records))
+        write_table(fh, _meta_line(ds), _CSV_COLUMNS,
+                    zip(ds.setting_labels, ds.setting_values, ds.record_counts,
+                        itertools.repeat(ds.acquisition_s), ds.n_cycles, ds.sub_seeds))
 
 
 def read_csv(path: str | os.PathLike) -> ScanDataset:
@@ -454,9 +494,15 @@ def read_csv(path: str | os.PathLike) -> ScanDataset:
         header = next(reader)
         if tuple(header) != _CSV_COLUMNS:
             raise SchemaError(f"unexpected columns {header}", field="header")
-        records = []
+        labels, values, counts, n_cycles, subs = [], [], [], [], []
         for row in reader:
-            records.append(CountRecord(
-                row[0], float(row[1]), float(row[2]), float(row[3]), int(row[4]),
-                None if row[5] == "" else int(row[5])))
-    return ScanDataset(tuple(records), pair_rate, detection_eff, acquisition_s, seed, kind)
+            if float(row[3]) != acquisition_s:
+                raise SchemaError(f"record acquisition_s {row[3]} differs from the metadata's",
+                                  field="acquisition_s")
+            labels.append(row[0])
+            values.append(float(row[1]))
+            counts.append(float(row[2]))
+            n_cycles.append(int(row[4]))
+            subs.append(None if row[5] == "" else int(row[5]))
+    return ScanDataset(tuple(labels), tuple(values), tuple(counts), tuple(n_cycles), tuple(subs),
+                       pair_rate, detection_eff, acquisition_s, seed, kind)

@@ -63,8 +63,6 @@ class BudgetReport:
 def _stack_counts(counts, grid: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray, bool]:
     """(counts as one row per scan, rows with a negative count, whether counts was one scan)."""
     single = np.ndim(counts) == 1
-    if single and not isinstance(counts, np.ndarray):  # records carry their counts
-        counts = [c.counts if hasattr(c, "counts") else c for c in counts]
     k = np.array(counts, dtype=float, ndmin=2)
     negative = (k < 0).any(axis=1)
     if negative[:1].any():  # a scan checks its counts before the grid, which all rows share

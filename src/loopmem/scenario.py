@@ -426,9 +426,9 @@ def _datasets(sc: Scenario, jobs) -> list:
 
 def _count_rows(label: str, ds) -> list[tuple]:
     """(label, setting, counts, acquisition_s, seed) rows; projectors by name."""
-    by_name = ds.kind == "tomography"
-    return [(label, r.setting_label if by_name else r.setting_value,
-             r.counts, r.acquisition_s, r.seed) for r in ds.records]
+    settings = ds.setting_labels if ds.kind == "tomography" else ds.setting_values
+    return [(label, setting, k, ds.acquisition_s, sub)
+            for setting, k, sub in zip(settings, ds.record_counts, ds.sub_seeds)]
 
 
 def _malus_jobs(sc: Scenario, states, n_cycles: int, seeds: Iterator[int]) -> list[tuple]:
@@ -604,8 +604,8 @@ def _run_fig2c(sc: Scenario, emitter: _Emitter) -> dict:
     [ds] = _datasets(sc, [(state, DecayScan(n_values), seed)])
     fit = fit_decay(ds.values(), ds.counts())
     scale = sc.pair_rate * sc.detection_eff * sc.acquisition_s
-    rows = [(n, efficiency(params, n), efficiency(params, n) * scale, r.counts)
-            for n, r in zip(n_values, ds.records)]
+    rows = [(n, efficiency(params, n), efficiency(params, n) * scale, k)
+            for n, k in zip(n_values, ds.record_counts)]
     emitter.csv("fig2c.csv", ("n_cycles", "eta", "counts_mean", "counts_sampled"), rows)
     payload = {
         "input_state": label,

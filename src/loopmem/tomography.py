@@ -92,7 +92,7 @@ class ReconstructionResult:
 
 def counts_from_dataset(ds: ScanDataset, mset: MeasurementSet) -> np.ndarray:
     """Extract counts aligned with the measurement set, matching by label."""
-    by_label = {r.setting_label: r.counts for r in ds.records}
+    by_label = dict(zip(ds.setting_labels, ds.record_counts))
     missing = [name for name in mset.labels() if name not in by_label]
     if missing:
         raise IncompleteSetError(f"dataset lacks settings {missing}")

@@ -8,7 +8,7 @@ import loopmem.counting
 from loopmem import engine, scenario
 from loopmem.components import POCKELS_CELL, ComponentSpec
 from loopmem.counting import (
-    CountRecord, DecayScan, MalusScan, TomographyScan, _pcg64_states, draw_counts,
+    CountRecord, DecayScan, MalusScan, ScanDataset, TomographyScan, _pcg64_states, draw_counts,
     expected_rate, malus_mean, read_csv, record_seed, record_seeds, run_scan, run_scans,
     sample_counts, synth_malus_dataset, write_csv,
 )
@@ -168,6 +168,25 @@ def test_csv_rejects_wrong_columns(tmp_path):
         read_csv(path)
 
 
+def test_csv_rejects_a_record_acquisition_time_off_the_metadata(tmp_path):
+    path = tmp_path / "decay.csv"
+    write_csv(run_scan(IDEAL, H, DecayScan((1, 2, 3)), seed=4), path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[3] = lines[3].replace(",60.0,", ",30.0,")
+    path.write_text("".join(lines))
+    with pytest.raises(SchemaError) as err:
+        read_csv(path)
+    assert err.value.field == "acquisition_s"
+
+
+def test_dataset_columns_must_have_equal_length():
+    ds = run_scan(IDEAL, H, DecayScan((1, 2, 3)), seed=4)
+    with pytest.raises(ValueError):
+        ScanDataset(ds.setting_labels, ds.setting_values, ds.record_counts[:2], ds.n_cycles,
+                    ds.sub_seeds, ds.pair_rate, ds.detection_eff, ds.acquisition_s, ds.seed,
+                    ds.kind)
+
+
 # master seeds of one to ten uint32 words, on both sides of each word boundary
 MASTERS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**299 + 12345)
 
@@ -192,6 +211,17 @@ def test_batched_generator_state_equals_default_rng():
         want = np.random.default_rng(sub).bit_generator.state
         assert {"state": state, "inc": inc} == want["state"]
         assert want["has_uint32"] == 0 and want["uinteger"] == 0
+
+
+def test_generator_states_are_yielded_a_chunk_at_a_time(monkeypatch):
+    subs = [record_seed(9, i) for i in range(30)]
+    want = list(_pcg64_states(subs))
+    monkeypatch.setattr(loopmem.counting, "_STATE_CHUNK", 7)
+    states = _pcg64_states(subs)
+    assert not isinstance(states, (list, tuple))  # no per-record list is held
+    assert list(states) == want and len(want) == 30
+    assert draw_counts([(9, [5.0] * 30)]) == [
+        ([sample_counts(5.0, 1.0, sub) for sub in subs], subs)]
 
 
 @pytest.mark.parametrize("jobs", [
@@ -305,6 +335,31 @@ def test_run_scans_never_builds_an_exit_density_matrix(monkeypatch):
     jobs = _mixed_jobs((3, None, 0, 17, None, 11))
     datasets = run_scans(PC, jobs, pair_rate=1500.0, acquisition_s=30.0)
     assert {ds.kind for ds in datasets} == {"decay", "malus", "tomography"}
+
+
+def _eager_records(ds) -> tuple[CountRecord, ...]:
+    return tuple(CountRecord(*fields) for fields in zip(
+        ds.setting_labels, ds.setting_values, ds.record_counts,
+        [ds.acquisition_s] * len(ds.n_cycles), ds.n_cycles, ds.sub_seeds))
+
+
+def test_run_scans_builds_no_count_record(monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("count synthesis built a CountRecord")
+
+    jobs = _mixed_jobs((3, None, 0, 17, None, 11))
+    with monkeypatch.context() as patched:
+        patched.setattr(loopmem.counting, "CountRecord", refuse)
+        datasets = run_scans(PC, jobs, pair_rate=1500.0, acquisition_s=30.0)
+        sc = scenario.resolve({"preset": "paper-short", "mc_samples": 2})
+        for subcommand, figure in (("decay", None), ("malus", None), ("tomo", None),
+                                   ("reproduce", "fig2c"), ("reproduce", "fig3"),
+                                   ("reproduce", "fig4")):
+            scenario.run(sc, subcommand, str(tmp_path / (figure or subcommand)), figure)
+    assert {ds.seed is None for ds in datasets} == {True, False}
+    for ds in datasets:  # records are built on their first read, from the columns
+        assert ds.records == _eager_records(ds) and ds.records is ds.records
+        assert [r.counts for r in ds.records] == ds.counts().tolist()
 
 
 def test_run_scans_builds_no_outcome_or_exit_event(monkeypatch):

@@ -504,7 +504,8 @@ def test_counts_from_dataset_orders_by_label():
 
 def test_counts_from_dataset_missing_label():
     ds = run_scan(MemoryConfig(delta_tau=36.5), R, TomographyScan(), seed=None)
-    clipped = ScanDataset(ds.records[:3], ds.pair_rate, ds.detection_eff,
+    clipped = ScanDataset(ds.setting_labels[:3], ds.setting_values[:3], ds.record_counts[:3],
+                          ds.n_cycles[:3], ds.sub_seeds[:3], ds.pair_rate, ds.detection_eff,
                           ds.acquisition_s, ds.seed, ds.kind)
     with pytest.raises(IncompleteSetError):
         counts_from_dataset(clipped, MSET)
