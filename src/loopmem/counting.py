@@ -19,11 +19,19 @@ default_rng(sub).poisson(mean), so individual records are reproducible
 without replaying the whole scan.  A pipeline run draws all its records in
 one batch (`run_scans`, `draw_counts`): SeedSequence's hash is fixed uint32
 arithmetic, so the sub-seeds of every record are computed in one vectorized
-pass, and their PCG64 start states in vectorized passes of 4096 records,
-each state used as soon as it is made; one generator set to each record's
-state in turn draws exactly those counts.  seed=None disables sampling
-entirely and stores the exact Poisson means as floats (noiseless mode, used
-for calibration against closed-form efficiencies).
+pass, and their PCG64 start states, as uint64 halves, in vectorized passes
+of 4096 records, each chunk used as soon as it is made.  From `_TRIAL_MIN`
+records on, each chunk's generators are stepped twice in arrays too, and
+every draw that numpy's Poisson sampler settles on its first trial (a mean
+of 0, a mean below 10 whose first uniform is at most exp(-mean), or a first
+PTRS candidate accepted at once) is settled there with numpy's own
+arithmetic (`_first_trial`).  Every other record, and every record of a
+smaller batch, is drawn by numpy itself (`_poisson_from`): one generator set
+to the record's start state in turn.  Either way each count is exactly
+default_rng(sub).poisson(mean), and an invalid mean raises numpy's error.
+seed=None disables sampling entirely and stores the exact Poisson means as
+floats (noiseless mode, used for calibration against closed-form
+efficiencies).
 
 A `ScanDataset` holds its records as columns, one tuple each of setting
 labels, setting values, counts, cycle counts and sub-seeds, which
@@ -195,7 +203,6 @@ _POOL = 4
 _SHIFT = np.uint32(16)
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -274,55 +281,142 @@ def _seed_words(seed: int) -> list[int]:
     return words
 
 
-def _record_seeds(masters: Sequence[int], sizes: Sequence[int]) -> list[int]:
-    """record_seed(master, i) for i < size, per (master, size), concatenated.
+def _record_seeds(masters: Sequence[int], sizes: Sequence[int]) -> np.ndarray:
+    """record_seed(master, i) for i < size, per (master, size), concatenated, as uint32.
 
     One hash pass per word count of the master seeds.
     """
-    groups: dict[int, tuple[list[list[int]], list[int]]] = {}  # words -> (entropy, positions)
-    at = 0
-    for master, n in zip(masters, sizes):
+    sizes = np.array(sizes, np.int64)
+    starts = sizes.cumsum() - sizes
+    groups: dict[int, tuple[list[list[int]], list[int]]] = {}  # words -> (masters' words, jobs)
+    for j, master in enumerate(masters):
         words = _seed_words(master)
-        entropy, positions = groups.setdefault(len(words), ([[] for _ in words] + [[]], []))
-        for row, w in zip(entropy, words):
-            row += [w] * n
-        entropy[-1] += range(n)
-        positions += range(at, at + n)
-        at += n
-    subs = [0] * at
-    for entropy, positions in groups.values():
-        hashed = _seed_sequence_state(np.array(entropy, np.uint32), 1)[0]
-        for i, sub in zip(positions, hashed.tolist()):
-            subs[i] = sub
+        group = groups.setdefault(len(words), ([], []))
+        group[0].append(words)
+        group[1].append(j)
+    subs = np.empty(int(sizes.sum()), np.uint32)
+    for words, members in groups.values():
+        n = sizes[members]
+        index = np.arange(n.sum()) - (n.cumsum() - n).repeat(n)  # each record's, in its job
+        entropy = np.empty((len(words[0]) + 1, len(index)), np.uint32)
+        entropy[:-1] = np.array(words, np.uint32).T.repeat(n, axis=1)
+        entropy[-1] = index
+        subs[index + starts[members].repeat(n)] = _seed_sequence_state(entropy, 1)[0]
     return subs
 
 
-# sub-seeds hashed per pass in _pcg64_states: bounds the Python ints held at once
+# PCG64 (O'Neill, HMC-CS-2014-0905; numpy's default bit generator) on uint64
+# columns: a 128-bit state is two uint64 rows, high half first.  Array
+# arithmetic wraps modulo 2**64, and np.uint64 constants keep every operand
+# uint64 under the promotion rules of numpy 1 and of NEP 50 alike.
+_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(k) for k in (1, 11, 32, 58, 63, 64))
+_LOW32 = np.uint64(_MASK32)
+_MULT_HI, _MULT_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & (1 << 64) - 1)
+_MULT_LO0, _MULT_LO1 = _MULT_LO & _LOW32, _MULT_LO >> _U32
+
+
+def _pcg64_step(state: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """state * _PCG64_MULT + inc mod 2**128 on (hi, lo) rows; the low product's carry in 32-bit limbs."""
+    hi, lo = state
+    x0, x1 = lo & _LOW32, lo >> _U32
+    mid = x1 * _MULT_LO0 + (x0 * _MULT_LO0 >> _U32)
+    carry = x0 * _MULT_LO1 + (mid & _LOW32)
+    out = state * _MULT_LO
+    out[0] += x1 * _MULT_LO1 + (mid >> _U32) + (carry >> _U32) + lo * _MULT_HI
+    out += inc
+    out[0] += out[1] < inc[1]
+    return out
+
+
+def _pcg64_double(state: np.ndarray) -> np.ndarray:
+    """The double numpy draws from a PCG64 state just stepped: XSL-RR output >> 11, times 2**-53."""
+    hi, lo = state
+    x, r = hi ^ lo, hi >> _U58
+    x = x >> r | x << ((_U64 - r) & _U63)
+    return (x >> _U11).astype(np.float64) * 2.0**-53
+
+
+# sub-seeds hashed per pass in _pcg64_starts: bounds the arrays held at once
 _STATE_CHUNK = 4096
 
 
-def _pcg64_states(subs: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """(state, inc) of default_rng(sub).bit_generator for each uint32 sub-seed, in turn."""
+def _pcg64_starts(subs: Sequence[int] | np.ndarray) -> Iterator[np.ndarray]:
+    """default_rng(sub)'s PCG64 start state for each uint32 sub-seed, one chunk at a time.
+
+    Each chunk is a (4, m) uint64 array of rows state_hi, state_lo, inc_hi and
+    inc_lo for _STATE_CHUNK sub-seeds, the last chunk for the rest.
+    """
+    subs = np.asarray(subs, np.uint32)
     for at in range(0, len(subs), _STATE_CHUNK):
-        w = _seed_sequence_state(np.array([subs[at:at + _STATE_CHUNK]], np.uint32),
-                                 8).astype(np.uint64)
-        # PCG64 seeds from four uint64 words (low uint32 first), then takes two steps
-        for s_hi, s_lo, i_hi, i_lo in (w[0::2] | w[1::2] << np.uint64(32)).T.tolist():
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            yield (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc
+        w = _seed_sequence_state(subs[None, at:at + _STATE_CHUNK], 8).astype(np.uint64)
+        # PCG64 seeds from four uint64 words (low uint32 first), the state and
+        # then the stream, which it shifts into an odd increment; its two seeding
+        # steps from state 0 leave (state + inc) * _PCG64_MULT + inc
+        seed = w[0::2] | w[1::2] << _U32
+        inc = seed[2:] << _U1
+        inc[0] |= seed[3] >> _U63
+        inc[1] |= _U1
+        state = seed[:2] + inc
+        state[0] += state[1] < inc[1]
+        yield np.concatenate([_pcg64_step(state, inc), inc])
+
+
+def _poisson_from(rng: np.random.Generator, start: Sequence[int], mean: float) -> float:
+    """rng.poisson(mean) as a float, with rng set to the PCG64 start state (s_hi, s_lo, i_hi, i_lo)."""
+    s_hi, s_lo, i_hi, i_lo = start
+    rng.bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+                               "has_uint32": 0, "uinteger": 0}
+    return float(rng.poisson(mean))
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # for the means and uniforms never settled
+def _first_trial(starts: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """The counts that numpy's Poisson draw settles on its first trial; NaN for the rest.
+
+    numpy's random_poisson returns 0 for a mean of 0.  For a mean below 10 it
+    multiplies uniforms until their product falls to exp(-mean), so the count
+    is 0 when the first uniform is at most exp(-mean), as it always is for 0.
+    From 10 on it runs Hoermann's PTRS (Insurance Math. Econ. 12, 39 (1993)),
+    whose first trial takes two uniforms and accepts k at once when
+    us >= 0.07 and V <= vr.  That arithmetic is repeated here in the same
+    order, with +, -, *, /, sqrt and floor, which IEEE 754 rounds exactly,
+    and with libm's exp through math.exp, as numpy calls it.  Means of 1e12
+    and up, and invalid ones, are left to numpy.
+    """
+    inc = starts[2:]
+    state = _pcg64_step(starts[:2], inc)
+    u = _pcg64_double(state)
+    v = _pcg64_double(_pcg64_step(state, inc))
+    b = 0.931 + 2.53 * np.sqrt(means)
+    a = -0.059 + 0.02483 * b
+    vr = 0.9277 - 3.6224 / (b - 2)
+    centred = u - 0.5
+    us = 0.5 - np.abs(centred)
+    k = np.floor((2 * a / us + b) * centred + means + 0.43)
+    counts = np.where((us >= 0.07) & (v <= vr) & (means >= 10) & (means < 1e12), k, np.nan)
+    small = ((means >= 0) & (means < 10)).nonzero()[0]
+    exp_neg = np.array([math.exp(-mu) for mu in means[small].tolist()])
+    counts[small[u[small] <= exp_neg]] = 0.0
+    return counts
 
 
 # Below this many seeded records numpy's own per-record seeding is cheaper than
 # the fixed cost of the two hash passes (about 8 records when measured between
 # pipeline runs, as the benchmark's ops call it; about 5 in a tight loop).
 _BATCH_MIN = 8
+# From this many seeded records on, the first trial of every draw is taken in
+# arrays (_first_trial) before numpy draws the rest one by one.  On the
+# pipelines' own batches the two break even at about 40 records: the array
+# pass costs 55-65 us more for 8 records and saves about 50 us for 64.
+_TRIAL_MIN = 64
 
 
 def record_seeds(master: int, n: int) -> list[int]:
     """record_seed(master, i) for i < n; one hash pass from _BATCH_MIN seeds on."""
     if n < _BATCH_MIN:
         return [record_seed(master, i) for i in range(n)]
-    return _record_seeds([master], [n])
+    return _record_seeds([master], [n]).tolist()
 
 
 def draw_counts(jobs: Sequence[tuple[int | None, Sequence[float]]]
@@ -336,7 +430,8 @@ def draw_counts(jobs: Sequence[tuple[int | None, Sequence[float]]]
     out: list[tuple[list[float], list[int | None]]] = [
         (list(means), [None] * len(means)) for _, means in jobs]
     seeded = [j for j, (seed, _) in enumerate(jobs) if seed is not None]
-    if sum(len(jobs[j][1]) for j in seeded) < _BATCH_MIN:
+    total = sum(len(jobs[j][1]) for j in seeded)
+    if total < _BATCH_MIN:
         for j in seeded:
             counts, seeds = out[j]
             for i, mu in enumerate(counts):
@@ -344,17 +439,25 @@ def draw_counts(jobs: Sequence[tuple[int | None, Sequence[float]]]
                 counts[i] = float(np.random.default_rng(seeds[i]).poisson(mu))
         return out
     subs = _record_seeds([jobs[j][0] for j in seeded], [len(jobs[j][1]) for j in seeded])
-    records = zip(subs, _pcg64_states(subs))
-    rng = np.random.default_rng(0)  # set to each record's state in turn
-    bit_generator = rng.bit_generator
-    setting = {"bit_generator": "PCG64", "state": None, "has_uint32": 0, "uinteger": 0}
+    means = [mu for j in seeded for mu in out[j][0]]
+    drawn: list[float] = []
+    rng = np.random.default_rng(0)  # set to each record's start state in turn
+    for at, starts in zip(range(0, total, _STATE_CHUNK), _pcg64_starts(subs)):
+        chunk = means[at:at + _STATE_CHUNK]
+        if total < _TRIAL_MIN:
+            drawn += [_poisson_from(rng, start, mu) for start, mu in zip(starts.T.tolist(), chunk)]
+        else:
+            counts = _first_trial(starts, np.array(chunk, dtype=float))
+            rest = np.isnan(counts).nonzero()[0]
+            for i, start in zip(rest.tolist(), starts[:, rest].T.tolist()):
+                counts[i] = _poisson_from(rng, start, chunk[i])
+            drawn += counts.tolist()
+    subs = subs.tolist()
+    at = 0
     for j in seeded:
-        counts, seeds = out[j]
-        for i, mu in enumerate(counts):
-            seeds[i], (state, inc) = next(records)
-            setting["state"] = {"state": state, "inc": inc}
-            bit_generator.state = setting
-            counts[i] = float(rng.poisson(mu))
+        end = at + len(out[j][0])
+        out[j] = (drawn[at:end], subs[at:end])
+        at = end
     return out
 
 

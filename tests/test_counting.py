@@ -8,7 +8,7 @@ import loopmem.counting
 from loopmem import engine, scenario
 from loopmem.components import POCKELS_CELL, ComponentSpec
 from loopmem.counting import (
-    CountRecord, DecayScan, MalusScan, ScanDataset, TomographyScan, _pcg64_states, draw_counts,
+    CountRecord, DecayScan, MalusScan, ScanDataset, TomographyScan, _pcg64_starts, draw_counts,
     expected_rate, malus_mean, read_csv, record_seed, record_seeds, run_scan, run_scans,
     sample_counts, synth_malus_dataset, write_csv,
 )
@@ -204,10 +204,16 @@ def test_a_run_of_sub_seeds_equals_record_seed(n):
         assert record_seeds(master, n) == [record_seed(master, i) for i in range(n)]
 
 
+def _start_states(subs):
+    """(state, inc) of each sub-seed's start state, as _pcg64_starts yields them."""
+    return [(s_hi << 64 | s_lo, i_hi << 64 | i_lo)
+            for starts in _pcg64_starts(subs) for s_hi, s_lo, i_hi, i_lo in starts.T.tolist()]
+
+
 def test_batched_generator_state_equals_default_rng():
     subs = draw_counts([(m, [0.0] * 40) for m in MASTERS])
     subs = [sub for _, seeds in subs for sub in seeds] + [0, 1, 2**32 - 1]
-    for sub, (state, inc) in zip(subs, _pcg64_states(subs)):
+    for sub, (state, inc) in zip(subs, _start_states(subs), strict=True):
         want = np.random.default_rng(sub).bit_generator.state
         assert {"state": state, "inc": inc} == want["state"]
         assert want["has_uint32"] == 0 and want["uinteger"] == 0
@@ -215,13 +221,111 @@ def test_batched_generator_state_equals_default_rng():
 
 def test_generator_states_are_yielded_a_chunk_at_a_time(monkeypatch):
     subs = [record_seed(9, i) for i in range(30)]
-    want = list(_pcg64_states(subs))
+    want = _start_states(subs)
     monkeypatch.setattr(loopmem.counting, "_STATE_CHUNK", 7)
-    states = _pcg64_states(subs)
+    states = _pcg64_starts(subs)
     assert not isinstance(states, (list, tuple))  # no per-record list is held
-    assert list(states) == want and len(want) == 30
+    assert [len(starts.T) for starts in _pcg64_starts(subs)] == [7, 7, 7, 7, 2]
+    assert _start_states(subs) == want and len(want) == 30
     assert draw_counts([(9, [5.0] * 30)]) == [
         ([sample_counts(5.0, 1.0, sub) for sub in subs], subs)]
+    monkeypatch.setattr(loopmem.counting, "_TRIAL_MIN", 8)  # the array first trial, chunked
+    means = [0.0, 5.0, 12.0, 3e4] * 10
+    subs = [record_seed(9, i) for i in range(40)]
+    assert draw_counts([(9, means)]) == [
+        ([sample_counts(mu, 1.0, sub) for mu, sub in zip(means, subs)], subs)]
+
+
+def _reference_means():
+    """Poisson means over every branch of numpy's draw and both sides of each boundary."""
+    rng = np.random.default_rng(2024)
+    log_uniform = lambda lo, hi, n: np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+    return np.concatenate([
+        [0.0, 1e-300, 10.0, np.nextafter(10.0, 0.0), np.nextafter(1e12, 0.0), 1e12],
+        rng.uniform(0.0, 1e-3, 5_000),
+        rng.uniform(0.0, 10.0, 20_000),
+        rng.uniform(9.5, 11.0, 20_000),
+        log_uniform(10.0, 1e5, 40_000),
+        log_uniform(1e5, 1e12, 15_000),
+        log_uniform(1e12, 1e18, 200),
+    ]).tolist()
+
+
+def test_batched_draws_equal_numpy_draws_record_by_record():
+    means = _reference_means()
+    assert len(means) >= 10**5
+    [(counts, subs)] = draw_counts([(31, means)])
+    assert subs == record_seeds(31, len(means))
+    mismatched = [(mu, sub) for mu, sub, k in zip(means, subs, counts)
+                  if k != sample_counts(mu, 1.0, sub)]
+    assert mismatched == []
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1.0, -1e-300, 1e19, float("inf")])
+@pytest.mark.parametrize("size", [8, 200])
+def test_batched_draws_raise_numpy_errors(bad, size):
+    means = [12.0] * size
+    means[size // 2] = bad
+    with pytest.raises(ValueError) as want:
+        np.random.default_rng(0).poisson(bad)
+    with pytest.raises(ValueError) as got:
+        draw_counts([(3, means)])
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("offset", [-1, 0])
+def test_batches_on_both_sides_of_the_trial_threshold_match_record_draws(offset):
+    n = loopmem.counting._TRIAL_MIN + offset
+    means = [(0.0, 0.3, 4.0, 9.9, 10.0, 55.0, 2e3, 7e6)[i % 8] for i in range(n)]
+    assert draw_counts([(17, means)]) == [
+        ([sample_counts(mu, 1.0, record_seed(17, i)) for i, mu in enumerate(means)],
+         [record_seed(17, i) for i in range(n)])]
+
+
+def test_a_first_uniform_equal_to_exp_minus_mean_is_settled_in_arrays(monkeypatch):
+    # numpy's draw below 10 returns 0 when the first uniform is at most exp(-mean)
+    n = loopmem.counting._TRIAL_MIN
+    subs = record_seeds(8, n)
+    i, u = next((i, u) for i, sub in enumerate(subs)
+                if (u := np.random.default_rng(sub).random()) > 0.99)
+    mean = -math.log(u)
+    for _ in range(10_000):
+        if math.exp(-mean) == u:
+            break
+        mean = math.nextafter(mean, math.inf if math.exp(-mean) > u else 0.0)
+    assert math.exp(-mean) == u
+    calls = []
+
+    def one_by_one(rng, start, mu):
+        calls.append(mu)
+        return poisson_from(rng, start, mu)
+
+    poisson_from = loopmem.counting._poisson_from
+    monkeypatch.setattr(loopmem.counting, "_poisson_from", one_by_one)
+    means = [3.0] * n
+    means[i] = mean
+    [(counts, _)] = draw_counts([(8, means)])
+    assert counts[i] == 0.0 == sample_counts(mean, 1.0, subs[i])
+    assert mean not in calls
+
+
+def test_most_large_means_are_settled_in_arrays(monkeypatch):
+    calls = []
+
+    def one_by_one(rng, start, mean):
+        calls.append(mean)
+        return poisson_from(rng, start, mean)
+
+    poisson_from = loopmem.counting._poisson_from
+    monkeypatch.setattr(loopmem.counting, "_poisson_from", one_by_one)
+    # means of 1e3 counts and up, as most of fig4's are; numpy settles about 78 % of
+    # them on the first trial, and 63 % of those just above 10 need a later one
+    means = np.exp(np.random.default_rng(6).uniform(math.log(1e3), math.log(1e6), 20_000)).tolist()
+    drawn = draw_counts([(5, means)])
+    assert len(calls) <= 0.3 * len(means)
+    calls.clear()
+    monkeypatch.setattr(loopmem.counting, "_TRIAL_MIN", 10**9)  # every record one by one
+    assert draw_counts([(5, means)]) == drawn and len(calls) == len(means)
 
 
 @pytest.mark.parametrize("jobs", [
