@@ -67,6 +67,7 @@ DEFAULT_PROJECTORS: tuple[tuple[str, PureState], ...] = (
 )
 
 _CSV_COLUMNS = ("setting_label", "setting_value", "counts", "acquisition_s", "n_cycles", "seed")
+_CSV_CELLS = (str, float, float, float, int, lambda cell: None if cell == "" else int(cell))
 
 
 @dataclass(frozen=True)
@@ -594,18 +595,19 @@ def read_csv(path: str | os.PathLike) -> ScanDataset:
         except (KeyError, ValueError) as exc:
             raise SchemaError(f"bad metadata line: {exc}", field="header") from exc
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if tuple(header) != _CSV_COLUMNS:
             raise SchemaError(f"unexpected columns {header}", field="header")
-        labels, values, counts, n_cycles, subs = [], [], [], [], []
+        columns = [], [], [], [], [], []
         for row in reader:
-            if float(row[3]) != acquisition_s:
+            for i, (name, parse, column) in enumerate(zip(_CSV_COLUMNS, _CSV_CELLS, columns)):
+                try:
+                    column.append(parse(row[i]))
+                except (IndexError, ValueError):
+                    raise SchemaError(f"bad {name} cell in record {row}", field=name) from None
+            if columns[3][-1] != acquisition_s:
                 raise SchemaError(f"record acquisition_s {row[3]} differs from the metadata's",
                                   field="acquisition_s")
-            labels.append(row[0])
-            values.append(float(row[1]))
-            counts.append(float(row[2]))
-            n_cycles.append(int(row[4]))
-            subs.append(None if row[5] == "" else int(row[5]))
-    return ScanDataset(tuple(labels), tuple(values), tuple(counts), tuple(n_cycles), tuple(subs),
+    labels, values, counts, _, n_cycles, subs = map(tuple, columns)
+    return ScanDataset(labels, values, counts, n_cycles, subs,
                        pair_rate, detection_eff, acquisition_s, seed, kind)

@@ -77,30 +77,20 @@ def _wls(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
 
     Returns, one row each: beta, the inverse normal matrix (x^T W x)^-1,
     the weighted residual sum of squares and the singular values of the
-    weighted design.  A row's results are bitwise those of the row alone.
+    weighted design.  One stacked SVD of the designs sqrt(w) x gives all
+    of them without forming x^T W x, whose condition number is the square
+    of the design's.  Singular values at or below eps * max(m, n) times a
+    row's largest count as zero, numpy's default least-squares cutoff.  A
+    row's results are bitwise those of the row alone.
     """
     sw = np.sqrt(w)
-    beta, sv = np.empty((2, len(y), x.shape[1]))
-    # np.linalg.lstsq (LAPACK gelsd) takes one matrix at a time; a stacked SVD
-    # solve would move the recorded fits of tests/fig4_regression.json in
-    # their last digits
-    for i, (xw, yw) in enumerate(zip(x * sw[:, :, None], y * sw)):
-        beta[i], _, _, sv[i] = np.linalg.lstsq(xw, yw, rcond=None)
+    u, sv, vt = np.linalg.svd(x * sw[:, :, None], full_matrices=False)
+    kept = sv > np.finfo(float).eps * max(x.shape) * sv[:, :1]
+    vs = vt.transpose(0, 2, 1) * np.divide(1.0, sv, out=np.zeros_like(sv), where=kept)[:, None, :]
+    beta = (vs @ (u.transpose(0, 2, 1) @ (y * sw)[:, :, None]))[:, :, 0]
     resid = y - (x @ beta[:, :, None])[:, :, 0]
     chi2 = (w[:, None, :] @ (resid**2)[:, :, None])[:, 0, 0]
-    normal = x.T @ (x * w[:, :, None])
-    try:
-        inv = np.linalg.inv(normal)
-    except np.linalg.LinAlgError:  # weights 1/k of ~1e17 counts vanish next to a zero count's
-        inv = np.array([_inv_or_pinv(m) for m in normal])
-    return beta, inv, chi2, sv
-
-
-def _inv_or_pinv(m: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        return np.linalg.pinv(m)
+    return beta, vs @ vs.transpose(0, 2, 1), chi2, sv
 
 
 def fit_malus(angles, counts) -> MalusFit | tuple[MalusFit, ...]:

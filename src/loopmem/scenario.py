@@ -281,6 +281,12 @@ def _build(raw: dict) -> Scenario:
         _fail(f"expected a list of 1 to {_MAX_INPUT_STATES} states", "input_states")
     input_states = tuple(_parse_state(s, f"input_states[{i}]")
                          for i, s in enumerate(states))
+    names = [name for name, _ in input_states]
+    for i, name in enumerate(names):
+        if name in names[:i]:  # every pipeline keys its results by state label
+            path = f"input_states[{i}]"
+            _fail(f"repeated state label {name!r}",
+                  path if isinstance(states[i], str) else f"{path}.label")
 
     if "malus_angles_deg" in raw:
         degs = raw["malus_angles_deg"]
@@ -644,23 +650,25 @@ def _run_fig3(sc: Scenario, emitter: _Emitter) -> dict:
 def _run_fig4(sc: Scenario, emitter: _Emitter) -> dict:
     """Output-quality-vs-storage-time bundle: visibilities and fidelities per n.
 
-    Each n draws its fringe scans, then its H, D and R tomography scans, from
-    the next sub-seeds; every scan is simulated and sampled in one batch, and
-    every fringe is fitted in one stack.  The fidelities are exact
-    maximum-likelihood point estimates, solved for every n and state in one
-    `exact_mle_fidelities` batch after the scans; a tomography without a
-    solution raises `NoSignalError`.  The Monte Carlo error bars are left to
-    the dedicated tomo pipeline to keep this sweep fast.
+    Each distinct n, in first-seen order, draws its fringe scans, then its
+    H, D and R tomography scans, from the next sub-seeds; every scan is
+    simulated and sampled in one batch, and every fringe is fitted in one
+    stack.  The fidelities are exact maximum-likelihood point estimates,
+    solved for every n and state in one `exact_mle_fidelities` batch after
+    the scans; a tomography without a solution raises `NoSignalError`.  The
+    Monte Carlo error bars are left to the dedicated tomo pipeline to keep
+    this sweep fast.
     """
     if len(sc.n_values) * len(sc.malus_angles) > _MAX_FIG4_FRINGE:
         _fail(f"fig4 takes at most {_MAX_FIG4_FRINGE} fringe settings, not "
               f"{len(sc.n_values)} cycle counts x {len(sc.malus_angles)} angles", "n_values")
+    n_values = tuple(dict.fromkeys(sc.n_values))
     mset = MeasurementSet()
     states = (("H", H), ("D", D), ("R", R))
     per_n = len(_FRINGE_STATES) + len(states)
-    seeds = iter(record_seeds(sc.seed, per_n * len(sc.n_values)))
+    seeds = iter(record_seeds(sc.seed, per_n * len(n_values)))
     jobs = []
-    for n in sc.n_values:
+    for n in n_values:
         jobs += _malus_jobs(sc, _FRINGE_STATES, n, seeds)
         jobs += [(state, TomographyScan(n), next(seeds)) for _, state in states]
     datasets = _datasets(sc, jobs)
@@ -676,16 +684,16 @@ def _run_fig4(sc: Scenario, emitter: _Emitter) -> dict:
     if failed.any():
         i = int(np.flatnonzero(failed)[0])
         raise NoSignalError(f"fig4 tomography of {states[i % 3][0]} at "
-                            f"N={sc.n_values[i // 3]} has no maximum-likelihood estimate")
+                            f"N={n_values[i // 3]} has no maximum-likelihood estimate")
     rows = []
-    for n, entry, fid in zip(sc.n_values, entries, fids.reshape(-1, 3)):
+    for n, entry, fid in zip(n_values, entries, fids.reshape(-1, 3)):
         for (label, _), f in zip(states, fid):
             entry[f"fidelity_{label.lower()}"] = float(f)
         rows.append((n, n * sc.config.delta_tau,
                      entry["visibility_h"], entry["sigma_vh"],
                      entry["visibility_d"], entry["sigma_vd"],
                      entry["fidelity_h"], entry["fidelity_d"], entry["fidelity_r"]))
-    per_n = {str(n): entry for n, entry in zip(sc.n_values, entries)}
+    per_n = {str(n): entry for n, entry in zip(n_values, entries)}
     emitter.csv("fig4.csv",
                 ("n_cycles", "storage_time_ns", "visibility_h", "sigma_vh",
                  "visibility_d", "sigma_vd", "fidelity_h", "fidelity_d", "fidelity_r"),

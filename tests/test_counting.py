@@ -179,6 +179,20 @@ def test_csv_rejects_a_record_acquisition_time_off_the_metadata(tmp_path):
     assert err.value.field == "acquisition_s"
 
 
+@pytest.mark.parametrize("edit, field", [
+    (lambda lines: lines[:1], "header"),  # the metadata line alone
+    (lambda lines: lines[:3] + [lines[3].rsplit(",", 2)[0] + "\n"], "n_cycles"),  # a short row
+    (lambda lines: lines[:3] + [lines[3].replace(",60.0,", ",sixty,")], "acquisition_s"),
+], ids=["metadata-only", "short-row", "non-numeric"])
+def test_csv_rejects_a_malformed_body(tmp_path, edit, field):
+    path = tmp_path / "decay.csv"
+    write_csv(run_scan(IDEAL, H, DecayScan((1, 2, 3)), seed=4), path)
+    path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+    with pytest.raises(SchemaError) as err:
+        read_csv(path)
+    assert err.value.field == field
+
+
 def test_dataset_columns_must_have_equal_length():
     ds = run_scan(IDEAL, H, DecayScan((1, 2, 3)), seed=4)
     with pytest.raises(ValueError):

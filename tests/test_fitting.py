@@ -11,7 +11,7 @@ from loopmem.counting import DecayScan, malus_mean, run_scan, synth_malus_datase
 from loopmem.engine import MemoryConfig, TransmissionParams, efficiency
 from loopmem.errors import IncompleteSetError, NoSignalError, SchemaError
 from loopmem.fitting import (
-    default_attenuation_db_per_km, fit_decay, fit_malus, lifetime_1e,
+    _wls, default_attenuation_db_per_km, fit_decay, fit_malus, lifetime_1e,
     project_budget, route_inventory,
 )
 from loopmem.polarization import H
@@ -268,6 +268,46 @@ def test_a_singular_normal_matrix_falls_back_alone():
     assert fits == (fit_malus(ANGLES, good[0]), fit_malus(ANGLES, singular),
                     fit_malus(ANGLES, good[1]))
     assert fits[1].visibility == 1.0 and math.isfinite(fits[1].sigma_visibility)
+
+
+def _malus_design(th):
+    return np.column_stack([np.ones_like(th), np.cos(2 * th), np.sin(2 * th)])
+
+
+def _relative(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def _check_wls(x, y, w, rtol_beta, rtol_cov):
+    # references: each row by lstsq, and (x^T W x)^-1 as R^-1 R^-T from the
+    # QR factors of the weighted design, which never forms x^T W x either
+    beta, inv, chi2, sv = _wls(x, y, w)
+    for i, (yi, wi) in enumerate(zip(y, w)):
+        xw = x * np.sqrt(wi)[:, None]
+        want, _, _, want_sv = np.linalg.lstsq(xw, yi * np.sqrt(wi), rcond=None)
+        r_inv = np.linalg.inv(np.linalg.qr(xw, mode="r"))
+        assert _relative(beta[i], want) <= rtol_beta
+        assert _relative(inv[i], r_inv @ r_inv.T) <= rtol_cov
+        assert _relative(sv[i], want_sv) <= 1e-12
+        assert chi2[i] == pytest.approx(wi @ (yi - x @ beta[i]) ** 2, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_wls_matches_lstsq_and_a_qr_inverse(seed):
+    rng = np.random.default_rng(seed)
+    for x in (_malus_design(np.array(ANGLES)), np.column_stack([np.ones(24), np.arange(24.0)])):
+        y = rng.uniform(0.0, 1e6, (9, len(x)))
+        w = 1.0 / np.maximum(y, 1.0) * (rng.uniform(size=y.shape) > 0.2)  # zero-weight points
+        _check_wls(x, y, w, 1e-12, 1e-10)
+
+
+def test_wls_inverts_a_singular_normal_matrix_from_the_design():
+    # the row of test_a_singular_normal_matrix_falls_back_alone: its x^T W x
+    # is singular to working precision, its weighted design is not
+    singular = np.full((1, len(ANGLES)), 1e18)
+    singular[0, 1] = 0.0
+    _check_wls(_malus_design(np.array(ANGLES)), singular, 1.0 / np.maximum(singular, 1.0),
+               1e-8, 1e-8)
 
 
 # --- loss budget ---

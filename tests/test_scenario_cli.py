@@ -327,6 +327,9 @@ def test_cli_bad_scenario_file(tmp_path, capsys):
              "memory.inventory[5].length_m"),
             ({"preset": "paper-short", "input_states": [
                 {"label": "x", "alpha": [1, 0], "beta": [math.nan, 0]}]}, "input_states[0].beta"),
+            ({"preset": "paper-short", "input_states": ["H", "D", "H"]}, "input_states[2]"),
+            ({"preset": "paper-short", "input_states": [
+                "H", {"label": "H", "alpha": [0, 0], "beta": [1, 0]}]}, "input_states[1].label"),
             ({"preset": "paper-short", "malus_angles_deg": [0, 10, 20, 30, 40]},
              "malus_angles_deg"),
             ({"preset": "paper-short", "source": {"pair_rate": 1e300}}, "source.pair_rate"),
@@ -550,8 +553,9 @@ def test_cli_fig4_survives_negative_round_off_in_projections(tmp_path, capsys):
 
 
 def test_fig4_matches_the_recorded_lbfgs_run(tmp_path):
-    # fig4_regression.json holds fig4 at seed 0 as written when each fidelity
-    # was a separate L-BFGS fit; the exact batch draws the same counts
+    # fig4_regression.json holds fig4 at seed 0: its fidelities as written when
+    # each was a separate L-BFGS fit (the exact batch draws the same counts),
+    # its visibilities and sigmas as the stacked SVD fit writes them
     recorded = json.loads((Path(__file__).parent / "fig4_regression.json").read_text())
     for preset, want in recorded["presets"].items():
         sc = resolve({"preset": preset, "seed": recorded["seed"]})
@@ -572,6 +576,22 @@ def test_fig4_matches_the_recorded_lbfgs_run(tmp_path):
             for key in ("visibility_h", "sigma_vh", "visibility_d", "sigma_vd",
                         "fidelity_h", "fidelity_d", "fidelity_r"):
                 assert float(r[key]) == per_n[r["n_cycles"]][key]
+
+
+def test_fig4_scans_a_repeated_n_once(tmp_path):
+    outputs = {}
+    for n_values in ([1, 2, 1], [1, 2]):
+        where = tmp_path / str(len(n_values))
+        run(resolve({"preset": "paper-short", "n_values": n_values}), "reproduce", str(where),
+            figure="fig4")
+        with open(where / "fig4.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh.readlines()[1:]))
+        per_n = json.loads((where / "fig4.json").read_text())["per_n"]
+        assert [r["n_cycles"] for r in rows] == list(per_n) == ["1", "2"]
+        for r in rows:  # the table and the JSON hold the same runs
+            assert {key: float(r[key]) for key in per_n[r["n_cycles"]]} == per_n[r["n_cycles"]]
+        outputs[len(n_values)] = rows, per_n
+    assert outputs[3] == outputs[2]
 
 
 def test_cli_fig4_tomography_without_counts_exits_1(tmp_path, capsys, monkeypatch):
