@@ -14,8 +14,7 @@ from .components import (
 )
 from .counting import (
     CountRecord, DecayScan, MalusScan, ScanDataset, TomographyScan, draw_counts,
-    expected_rate, malus_mean, read_csv, run_scan, run_scans, sample_counts,
-    synth_malus_dataset, write_csv,
+    malus_mean, read_csv, run_scan, run_scans, synth_malus_dataset, write_csv,
 )
 from .engine import (
     ExitEvent, MemoryConfig, PathTrace, StorageOutcome, TransmissionParams,
@@ -34,7 +33,7 @@ from .polarization import (
     A, D, DensityMatrix, H, JonesOperator, L, PureState, R, V, apply,
     attenuator, birefringent_phase, fidelity, make_pure, rotator,
 )
-from .scenario import PRESETS, Scenario, load_scenario, preset_scenario, resolve, run
+from .scenario import PRESETS, Scenario, preset_scenario, resolve, run
 from .tomography import (
     MeasurementSet, ReconstructionResult, counts_from_dataset, exact_mle_bloch,
     exact_mle_fidelities, linear_inversion, mle_reconstruct, monte_carlo_uncertainty,

@@ -81,20 +81,17 @@ class DriveSchedule:
     """Piecewise-linear Pockels drive: level ramps over rise_time at each transition.
 
     transitions is an ordered tuple of (time_ns, target_level) with targets in
-    {0, 1}; the level before the first transition is initial_level.  Ramps may
-    not overlap.
+    {0, 1}; the level before the first transition is OFF.  Ramps may not
+    overlap.
     """
 
     transitions: tuple[tuple[float, int], ...] = ()
     rise_time: float = 0.0
-    initial_level: int = OFF
 
     def __post_init__(self):
         object.__setattr__(self, "transitions", tuple((float(t), int(v)) for t, v in self.transitions))
         if self.rise_time < 0:
             raise UnschedulableError(f"negative rise_time {self.rise_time}")
-        if self.initial_level not in (ON, OFF):
-            raise InvalidStateError(f"initial level {self.initial_level} not in {{0, 1}}")
         prev_t = None
         for t, v in self.transitions:
             if v not in (ON, OFF):
@@ -108,7 +105,7 @@ class DriveSchedule:
 
 def pockels_level(schedule: DriveSchedule, t: float) -> float:
     """Drive level at time t: exactly 0 or 1 outside ramps, linear inside."""
-    level = float(schedule.initial_level)
+    level = float(OFF)
     for t_k, target in schedule.transitions:
         if t < t_k:
             break

@@ -10,8 +10,7 @@ d3 Im HV = <psi|rho|psi>; counts are Poisson around rate * acquisition_s.
 which returns only the retrieved exits' entries (`retrieved_exits`: the
 release step `simulate_sweep` books, with no leakage booked and no outcome
 or exit object built), and computes all its means in one elementwise pass
-(`_rates`); `expected_rate` is its one-record case: both give the same
-floats.
+(`_rates`), so a record's mean is the same float alone or in any batch.
 
 Seeding: record i of a scan with master seed s has the sub-seed
 record_seed(s, i) = SeedSequence([s, i]).generate_state(1)[0] and the count
@@ -54,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import MemoryConfig, StorageOutcome, retrieved_exits
+from .engine import MemoryConfig, retrieved_exits
 from .engine import simulate_storage  # noqa: F401  bench/tracer.py requires this binding
 from .errors import SchemaError
 from .polarization import D, H, PureState, R, V, design_row, make_pure
@@ -161,14 +160,6 @@ def _rates(rho: np.ndarray, rows: np.ndarray, pair_rate: float, detection_eff: f
     return np.maximum(pair_rate * detection_eff * q, 0.0)
 
 
-def expected_rate(outcome: StorageOutcome, projector: PureState,
-                  pair_rate: float, detection_eff: float) -> float:
-    """Mean coincidence rate (1/s) behind `projector` for one storage outcome."""
-    hh, hv, vv = outcome.retrieved.rho
-    return float(_rates(np.array([[hh.real], [vv.real], [hv.real], [hv.imag]]),
-                        np.array([design_row(projector)]).T, pair_rate, detection_eff)[0])
-
-
 @np.errstate(over="ignore")  # an overflow fails the finiteness check
 def _poisson_means(rates, acquisition_s: float) -> np.ndarray:
     """rates * acquisition_s, checked to be valid Poisson means."""
@@ -179,14 +170,6 @@ def _poisson_means(rates, acquisition_s: float) -> np.ndarray:
     if not np.isfinite(mu).all():
         raise ValueError("count mean is not finite")
     return mu
-
-
-def sample_counts(rate: float, acquisition_s: float, seed: int | None) -> float:
-    """Poisson draw around rate * acquisition_s; the exact mean when seed is None."""
-    mu = float(_poisson_means(rate, acquisition_s))
-    if seed is None:
-        return mu
-    return float(np.random.default_rng(seed).poisson(mu))
 
 
 def record_seed(master: int | None, index: int) -> int | None:
@@ -425,8 +408,8 @@ def draw_counts(jobs: Sequence[tuple[int | None, Sequence[float]]]
     """(counts, sub-seeds) for each (master seed, Poisson means) job, drawn in one batch.
 
     Record i of a job with master seed s gets the sub-seed record_seed(s, i)
-    and the count default_rng(sub).poisson(mean), as sample_counts draws it;
-    a job with seed None keeps its exact means.
+    and the count default_rng(sub).poisson(mean); a job with seed None keeps
+    its exact means.
     """
     out: list[tuple[list[float], list[int | None]]] = [
         (list(means), [None] * len(means)) for _, means in jobs]
@@ -571,43 +554,53 @@ def _meta_line(ds: ScanDataset) -> str:
 
 def write_csv(ds: ScanDataset, path: str | os.PathLike) -> None:
     """Flat record table with a single leading metadata comment line."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         write_table(fh, _meta_line(ds), _CSV_COLUMNS,
                     zip(ds.setting_labels, ds.setting_values, ds.record_counts,
                         itertools.repeat(ds.acquisition_s), ds.n_cycles, ds.sub_seeds))
 
 
 def read_csv(path: str | os.PathLike) -> ScanDataset:
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        if not first.startswith("# "):
-            raise SchemaError("missing metadata comment line", field="header")
-        meta: dict[str, str] = {}
-        for tok in first[2:].split():
-            key, _, val = tok.partition("=")
-            meta[key] = val
-        try:
-            kind = meta["kind"]
-            pair_rate = float(meta["pair_rate"])
-            detection_eff = float(meta["detection_eff"])
-            acquisition_s = float(meta["acquisition_s"])
-            seed = None if meta["seed"] == "none" else int(meta["seed"])
-        except (KeyError, ValueError) as exc:
-            raise SchemaError(f"bad metadata line: {exc}", field="header") from exc
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if tuple(header) != _CSV_COLUMNS:
-            raise SchemaError(f"unexpected columns {header}", field="header")
-        columns = [], [], [], [], [], []
-        for row in reader:
-            for i, (name, parse, column) in enumerate(zip(_CSV_COLUMNS, _CSV_CELLS, columns)):
-                try:
-                    column.append(parse(row[i]))
-                except (IndexError, ValueError):
-                    raise SchemaError(f"bad {name} cell in record {row}", field=name) from None
-            if columns[3][-1] != acquisition_s:
-                raise SchemaError(f"record acquisition_s {row[3]} differs from the metadata's",
-                                  field="acquisition_s")
+    """The dataset `write_csv` wrote; a SchemaError for a file not in its format."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return _read_dataset(fh)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8: {exc}", field="(file)") from exc
+
+
+def _read_dataset(fh) -> ScanDataset:
+    first = fh.readline()
+    if not first.startswith("# "):
+        raise SchemaError("missing metadata comment line", field="header")
+    meta: dict[str, str] = {}
+    for tok in first[2:].split():
+        key, _, val = tok.partition("=")
+        meta[key] = val
+    try:
+        kind = meta["kind"]
+        pair_rate = float(meta["pair_rate"])
+        detection_eff = float(meta["detection_eff"])
+        acquisition_s = float(meta["acquisition_s"])
+        seed = None if meta["seed"] == "none" else int(meta["seed"])
+    except (KeyError, ValueError) as exc:
+        raise SchemaError(f"bad metadata line: {exc}", field="header") from exc
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    if tuple(header) != _CSV_COLUMNS:
+        raise SchemaError(f"unexpected columns {header}", field="header")
+    columns = [], [], [], [], [], []
+    for row in reader:
+        if len(row) > len(_CSV_COLUMNS):
+            raise SchemaError(f"record {row} has cells past the seed column", field="(record)")
+        for i, (name, parse, column) in enumerate(zip(_CSV_COLUMNS, _CSV_CELLS, columns)):
+            try:
+                column.append(parse(row[i]))
+            except (IndexError, ValueError):
+                raise SchemaError(f"bad {name} cell in record {row}", field=name) from None
+        if columns[3][-1] != acquisition_s:
+            raise SchemaError(f"record acquisition_s {row[3]} differs from the metadata's",
+                              field="acquisition_s")
     labels, values, counts, _, n_cycles, subs = map(tuple, columns)
     return ScanDataset(labels, values, counts, n_cycles, subs,
                        pair_rate, detection_eff, acquisition_s, seed, kind)

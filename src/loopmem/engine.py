@@ -233,9 +233,9 @@ def switch_schedule(n: int, cfg: MemoryConfig) -> DriveSchedule:
                 f"cell cannot be armed by the passage at {t1} ns "
                 f"(latency {cfg.herald_latency} + rise {rise})"
             )
-        return DriveSchedule(transitions=((t_on, ON),), rise_time=rise, initial_level=OFF)
+        return DriveSchedule(transitions=((t_on, ON),), rise_time=rise)
     if n == 1:
-        return DriveSchedule(transitions=(), rise_time=rise, initial_level=OFF)
+        return DriveSchedule(transitions=(), rise_time=rise)
     if rise >= dt - cfg.coincidence_window:
         raise UnschedulableError(
             f"rise_time {rise} ns does not fit between passages {dt} ns apart "
@@ -247,9 +247,7 @@ def switch_schedule(n: int, cfg: MemoryConfig) -> DriveSchedule:
         raise UnschedulableError(
             f"first ramp at {on_start} ns precedes the drive latency {cfg.herald_latency} ns"
         )
-    return DriveSchedule(
-        transitions=((on_start, ON), (off_start, OFF)), rise_time=rise, initial_level=OFF
-    )
+    return DriveSchedule(transitions=((on_start, ON), (off_start, OFF)), rise_time=rise)
 
 
 @dataclass(frozen=True, eq=False)

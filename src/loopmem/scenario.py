@@ -1,7 +1,7 @@
 """Scenario files, named presets, and the experiment pipelines behind the CLI.
 
-A scenario is a JSON object; `load_scenario` validates it into a frozen
-Scenario and reports violations with the dotted path of the offending field.
+A scenario is a JSON object; `resolve` validates it into a frozen Scenario
+and reports violations with the dotted path of the offending field.
 A scenario may start from a named preset and override individual fields.
 
 Every table written by `run` carries the scenario content hash and the seed,
@@ -364,10 +364,6 @@ def read_scenario(path: str | os.PathLike) -> dict:
     return raw
 
 
-def load_scenario(path: str | os.PathLike) -> Scenario:
-    return resolve(read_scenario(path))
-
-
 # ---------------------------------------------------------------------------
 # pipelines
 
@@ -388,7 +384,7 @@ class _Emitter:
         path = os.path.join(self.out_dir, name)
         tmp = path + ".tmp"
         try:
-            with open(tmp, "w", newline="") as fh:
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
                 write(fh)
             os.replace(tmp, path)
         finally:

@@ -397,15 +397,10 @@ def monte_carlo_uncertainty(counts, mset: MeasurementSet, target: PureState, *,
     return float(arr.mean()), float(arr.std(ddof=1)), n_failed
 
 
-def reconstruct_with_uncertainty(counts, mset: MeasurementSet | None = None,
-                                 target: PureState | None = None, *,
-                                 n_samples: int = 10000,
-                                 seed: int = 0) -> ReconstructionResult:
+def reconstruct_with_uncertainty(counts, mset: MeasurementSet, target: PureState, *,
+                                 n_samples: int = 10000, seed: int = 0) -> ReconstructionResult:
     """MLE point estimate plus Monte Carlo error bar in one call."""
-    mset = mset or MeasurementSet()
     result = mle_reconstruct(counts, mset, target)
-    if target is None:
-        return result
     mean, std, failed = monte_carlo_uncertainty(
         counts, mset, target, n_samples=n_samples, seed=seed)
     return replace(result, mc_mean=mean, mc_std=std,

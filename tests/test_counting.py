@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,62 +7,32 @@ import loopmem.counting
 from loopmem import engine, scenario
 from loopmem.components import POCKELS_CELL, ComponentSpec
 from loopmem.counting import (
-    CountRecord, DecayScan, MalusScan, ScanDataset, TomographyScan, _pcg64_starts, draw_counts,
-    expected_rate, malus_mean, read_csv, record_seed, record_seeds, run_scan, run_scans,
-    sample_counts, synth_malus_dataset, write_csv,
+    CountRecord, DecayScan, MalusScan, ScanDataset, TomographyScan, _pcg64_starts, _poisson_means,
+    _rates, draw_counts, malus_mean, read_csv, record_seed, record_seeds, run_scan, run_scans,
+    synth_malus_dataset, write_csv,
 )
 from loopmem.engine import (
     ExitEvent, MemoryConfig, StorageOutcome, TransmissionParams, efficiency, simulate_storage,
     simulate_sweep,
 )
 from loopmem.errors import InvalidStateError, SchemaError, UnschedulableError
-from loopmem.polarization import D, DensityMatrix, H, R, V, make_pure
+from loopmem.polarization import D, DensityMatrix, H, R, design_row, make_pure
 
 SHORT = TransmissionParams(0.541, 0.419, 0.50, 0.662)
 IDEAL = MemoryConfig(delta_tau=36.5)
 
 
-def test_expected_rate_projection():
-    out = simulate_storage(IDEAL, H, 1)
-    assert abs(expected_rate(out, H, 2000.0, 1.0) - 2000.0) < 1e-9
-    assert expected_rate(out, V, 2000.0, 1.0) < 1e-12
-    assert abs(expected_rate(out, D, 2000.0, 0.5) - 500.0) < 1e-9
+def _numpy_draw(mean: float, sub: int) -> float:
+    """The count numpy draws for one record: default_rng(sub).poisson(mean)."""
+    return float(np.random.default_rng(sub).poisson(mean))
 
 
-def test_expected_rate_scales_with_efficiency():
-    cfg = MemoryConfig.from_params(SHORT, delta_tau=36.5)
-    out = simulate_storage(cfg, H, 3)
-    want = 2000.0 * efficiency(SHORT, 3)
-    assert abs(expected_rate(out, H, 2000.0, 1.0) - want) < 1e-9
-
-
-def test_expected_rate_validation():
-    out = simulate_storage(IDEAL, H, 0)
-    with pytest.raises(ValueError):
-        expected_rate(out, H, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        expected_rate(out, H, 2000.0, 1.5)
-
-
-def test_sample_counts_noiseless_is_exact_mean():
-    assert sample_counts(2.5, 2.0, None) == 5.0
-    assert sample_counts(0.0, 60.0, None) == 0.0
-
-
-def test_sample_counts_seeded_reproducible():
-    a = sample_counts(100.0, 60.0, 7)
-    b = sample_counts(100.0, 60.0, 7)
-    assert a == b
-    assert a == float(int(a))  # integer-valued draw
-    draws = {sample_counts(100.0, 60.0, s) for s in range(20)}
-    assert len(draws) > 1
-
-
-def test_sample_counts_validation():
-    with pytest.raises(ValueError):
-        sample_counts(-1.0, 60.0, None)
-    with pytest.raises(ValueError):
-        sample_counts(math.inf, 60.0, None)
+def _storage_mean(cfg, state, n, projector, pair_rate, detection_eff, acquisition_s):
+    """Poisson mean behind `projector` of a separate simulate_storage call's retrieved exit."""
+    hh, hv, vv = simulate_storage(cfg, state, n).retrieved.rho
+    rho = np.array([[hh.real], [vv.real], [hv.real], [hv.imag]])
+    rate = _rates(rho, np.array([design_row(projector)]).T, pair_rate, detection_eff)
+    return float(rate[0]) * acquisition_s
 
 
 def test_record_seed_is_stable_and_independent():
@@ -94,9 +63,10 @@ def test_decay_scan_matches_per_n_storage_loop(seed):
                   acquisition_s=60.0, seed=seed)
     want = []
     for i, n in enumerate(range(1, 65)):
-        rate = expected_rate(simulate_storage(cfg, D, n), D, 2000.0, 1.0)
+        mean = _storage_mean(cfg, D, n, D, 2000.0, 1.0, 60.0)
         sub = record_seed(seed, i)
-        want.append(CountRecord("n_cycles", float(n), sample_counts(rate, 60.0, sub), 60.0, n, sub))
+        counts = mean if sub is None else _numpy_draw(mean, sub)
+        want.append(CountRecord("n_cycles", float(n), counts, 60.0, n, sub))
     assert ds.records == tuple(want)
 
 
@@ -183,7 +153,8 @@ def test_csv_rejects_a_record_acquisition_time_off_the_metadata(tmp_path):
     (lambda lines: lines[:1], "header"),  # the metadata line alone
     (lambda lines: lines[:3] + [lines[3].rsplit(",", 2)[0] + "\n"], "n_cycles"),  # a short row
     (lambda lines: lines[:3] + [lines[3].replace(",60.0,", ",sixty,")], "acquisition_s"),
-], ids=["metadata-only", "short-row", "non-numeric"])
+    (lambda lines: lines[:3] + [lines[3].rstrip("\n") + ",9\n"], "(record)"),  # a seventh cell
+], ids=["metadata-only", "short-row", "non-numeric", "long-row"])
 def test_csv_rejects_a_malformed_body(tmp_path, edit, field):
     path = tmp_path / "decay.csv"
     write_csv(run_scan(IDEAL, H, DecayScan((1, 2, 3)), seed=4), path)
@@ -191,6 +162,15 @@ def test_csv_rejects_a_malformed_body(tmp_path, edit, field):
     with pytest.raises(SchemaError) as err:
         read_csv(path)
     assert err.value.field == field
+
+
+def test_csv_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "decay.csv"
+    write_csv(run_scan(IDEAL, H, DecayScan((1, 2, 3)), seed=4), path)
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())  # a UTF-16 byte-order mark
+    with pytest.raises(SchemaError) as err:
+        read_csv(path)
+    assert err.value.field == "(file)"
 
 
 def test_dataset_columns_must_have_equal_length():
@@ -242,12 +222,12 @@ def test_generator_states_are_yielded_a_chunk_at_a_time(monkeypatch):
     assert [len(starts.T) for starts in _pcg64_starts(subs)] == [7, 7, 7, 7, 2]
     assert _start_states(subs) == want and len(want) == 30
     assert draw_counts([(9, [5.0] * 30)]) == [
-        ([sample_counts(5.0, 1.0, sub) for sub in subs], subs)]
+        ([_numpy_draw(5.0, sub) for sub in subs], subs)]
     monkeypatch.setattr(loopmem.counting, "_TRIAL_MIN", 8)  # the array first trial, chunked
     means = [0.0, 5.0, 12.0, 3e4] * 10
     subs = [record_seed(9, i) for i in range(40)]
     assert draw_counts([(9, means)]) == [
-        ([sample_counts(mu, 1.0, sub) for mu, sub in zip(means, subs)], subs)]
+        ([_numpy_draw(mu, sub) for mu, sub in zip(means, subs)], subs)]
 
 
 def _reference_means():
@@ -271,7 +251,7 @@ def test_batched_draws_equal_numpy_draws_record_by_record():
     [(counts, subs)] = draw_counts([(31, means)])
     assert subs == record_seeds(31, len(means))
     mismatched = [(mu, sub) for mu, sub, k in zip(means, subs, counts)
-                  if k != sample_counts(mu, 1.0, sub)]
+                  if k != _numpy_draw(mu, sub)]
     assert mismatched == []
 
 
@@ -292,7 +272,7 @@ def test_batches_on_both_sides_of_the_trial_threshold_match_record_draws(offset)
     n = loopmem.counting._TRIAL_MIN + offset
     means = [(0.0, 0.3, 4.0, 9.9, 10.0, 55.0, 2e3, 7e6)[i % 8] for i in range(n)]
     assert draw_counts([(17, means)]) == [
-        ([sample_counts(mu, 1.0, record_seed(17, i)) for i, mu in enumerate(means)],
+        ([_numpy_draw(mu, record_seed(17, i)) for i, mu in enumerate(means)],
          [record_seed(17, i) for i in range(n)])]
 
 
@@ -319,7 +299,7 @@ def test_a_first_uniform_equal_to_exp_minus_mean_is_settled_in_arrays(monkeypatc
     means = [3.0] * n
     means[i] = mean
     [(counts, _)] = draw_counts([(8, means)])
-    assert counts[i] == 0.0 == sample_counts(mean, 1.0, subs[i])
+    assert counts[i] == 0.0 == _numpy_draw(mean, subs[i])
     assert mean not in calls
 
 
@@ -352,7 +332,7 @@ def test_draw_counts_match_one_seed_draws(jobs):
     assert drawn[1] == ([2.5, 0.0], [None, None])
     for (master, means), (counts, subs) in zip(jobs, drawn):
         if master is not None:
-            assert counts == [sample_counts(mu, 1.0, record_seed(master, i))
+            assert counts == [_numpy_draw(mu, record_seed(master, i))
                               for i, mu in enumerate(means)]
 
 
@@ -368,29 +348,33 @@ PC = MemoryConfig.from_params(SHORT, delta_tau=36.5,
                               switch_zone=(ComponentSpec(POCKELS_CELL, rotation_error=0.05),))
 
 
+def _projectors(state, plan) -> list:
+    """The projector of each record of a scan plan, in record order."""
+    if isinstance(plan, DecayScan):
+        return [state] * len(plan.n_values)
+    if isinstance(plan, MalusScan):
+        return [make_pure(math.cos(a), math.sin(a)) for a in plan.angles]
+    return [p for _, p in plan.projectors]
+
+
 def _record_mean(state, plan, i, rec, pair_rate, detection_eff, acquisition_s):
     """Poisson mean of record i of a scan, from its own simulate_storage call."""
-    if isinstance(plan, DecayScan):
-        projector = state
-    elif isinstance(plan, MalusScan):
-        projector = make_pure(math.cos(rec.setting_value), math.sin(rec.setting_value))
-    else:
-        projector = plan.projectors[i][1]
-    outcome = simulate_storage(PC, state, rec.n_cycles)
-    return expected_rate(outcome, projector, pair_rate, detection_eff) * acquisition_s
+    return _storage_mean(PC, state, rec.n_cycles, _projectors(state, plan)[i], pair_rate,
+                         detection_eff, acquisition_s)
 
 
 def test_every_batched_record_is_its_own_seeded_draw():
+    # each mean is the one the same jobs store with seed None
     jobs = _mixed_jobs((3, 2**33, 0, 17, 2**70, 11))
-    datasets = run_scans(PC, jobs, pair_rate=1500.0, detection_eff=0.7, acquisition_s=30.0)
+    source = dict(pair_rate=1500.0, detection_eff=0.7, acquisition_s=30.0)
+    datasets = run_scans(PC, jobs, **source)
+    noiseless = run_scans(PC, [(state, plan, None) for state, plan, _ in jobs], **source)
     assert [ds.kind for ds in datasets] == [
         "decay", "malus", "tomography", "tomography", "malus", "decay"]
-    for (state, plan, seed), ds in zip(jobs, datasets):
+    for (_, _, seed), ds, means in zip(jobs, datasets, noiseless):
         assert ds.seed == seed
-        for i, rec in enumerate(ds.records):
-            mean = _record_mean(state, plan, i, rec, 1500.0, 0.7, 30.0)
-            assert rec.seed == record_seed(seed, i)
-            assert rec.counts == float(np.random.default_rng(rec.seed).poisson(mean))
+        assert ds.sub_seeds == tuple(record_seed(seed, i) for i in range(len(means.sub_seeds)))
+        assert ds.record_counts == tuple(map(_numpy_draw, means.record_counts, ds.sub_seeds))
 
 
 def test_noiseless_batch_stores_exact_means():
@@ -420,16 +404,43 @@ def _random_exit(rng) -> ExitEvent:
     return ExitEvent(0.0, float(rho.trace().real), (rho[0, 0], rho[0, 1], rho[1, 1]))
 
 
-def test_expected_rate_equals_the_density_matrix_projection():
+def _exit_matrix(exit_: ExitEvent) -> DensityMatrix:
+    """An exit's (HH, HV, VV) entries as a DensityMatrix, through its public checks."""
+    hh, hv, vv = exit_.rho
+    return DensityMatrix(np.array([[hh, hv], [hv.conjugate(), vv]]))
+
+
+def test_rates_equal_the_density_matrix_projection():
     rng = np.random.default_rng(8)
-    for _ in range(500):
-        exit_ = _random_exit(rng)
-        projector = make_pure(complex(*rng.normal(size=2)), complex(*rng.normal(size=2)))
-        hh, hv, vv = exit_.rho
-        rho = DensityMatrix(np.array([[hh, hv], [hv.conjugate(), vv]]))
-        want = max(1500.0 * 0.7 * rho.project(projector), 0.0)
-        got = expected_rate(SimpleNamespace(retrieved=exit_), projector, 1500.0, 0.7)
-        assert got == pytest.approx(want, rel=1e-15, abs=1e-15 * 1500.0 * 0.7 * exit_.weight)
+    exits = [_random_exit(rng) for _ in range(500)]
+    projectors = [make_pure(complex(*rng.normal(size=2)), complex(*rng.normal(size=2)))
+                  for _ in exits]
+    rho = np.array([(hh.real, vv.real, hv.real, hv.imag) for hh, hv, vv in (e.rho for e in exits)])
+    got = _rates(rho.T, np.array([design_row(p) for p in projectors]).T, 1500.0, 0.7)
+    for exit_, projector, rate in zip(exits, projectors, got):
+        want = max(1500.0 * 0.7 * _exit_matrix(exit_).project(projector), 0.0)
+        assert rate == pytest.approx(want, rel=1e-15, abs=1e-15 * 1500.0 * 0.7 * exit_.weight)
+
+
+@pytest.mark.parametrize("preset", sorted(scenario.PRESETS))
+def test_noiseless_means_equal_the_projection_of_the_retrieved_exit(preset):
+    # each mean is pair_rate * detection_eff * acquisition_s * <psi|rho|psi>, with rho the
+    # retrieved exit of a separate simulate_storage call and psi the record's projector
+    sc = scenario.preset_scenario(preset)
+    source = dict(pair_rate=sc.pair_rate, detection_eff=sc.detection_eff,
+                  acquisition_s=sc.acquisition_s)
+    jobs = [job for _, state in sc.input_states for job in (
+        (state, MalusScan(sc.malus_angles, sc.malus_cycles), None),
+        (state, TomographyScan(sc.tomo_cycles), None),
+        (state, DecayScan(sc.n_values), None))]
+    scale = sc.pair_rate * sc.detection_eff * sc.acquisition_s
+    for (state, plan, _), ds in zip(jobs, run_scans(sc.config, jobs, **source), strict=True):
+        for mean, n, projector in zip(ds.record_counts, ds.n_cycles, _projectors(state, plan),
+                                      strict=True):
+            retrieved = simulate_storage(sc.config, state, n).retrieved
+            want = scale * _exit_matrix(retrieved).project(projector)
+            assert mean == pytest.approx(max(want, 0.0), rel=1e-12,
+                                         abs=1e-12 * scale * retrieved.weight)
 
 
 def test_a_record_mean_is_the_same_alone_and_in_a_mixed_batch():
@@ -535,9 +546,34 @@ def test_run_scans_rejects_bad_plans_and_rates():
     with pytest.raises(ValueError):
         run_scans(IDEAL, [(H, TomographyScan(), 1)], pair_rate=-1.0)
     with pytest.raises(ValueError):
+        run_scans(IDEAL, [(H, TomographyScan(), None)], detection_eff=1.5)
+    with pytest.raises(ValueError):  # a noiseless mean must be finite too
+        run_scans(IDEAL, [(H, TomographyScan(), None)], pair_rate=math.inf)
+    with pytest.raises(ValueError):
         run_scans(IDEAL, [(H, TomographyScan(), None)], acquisition_s=-1.0)
     with pytest.raises(ValueError):
         run_scans(IDEAL, [(H, TomographyScan(), -1)])
+
+
+def test_expected_rate_validation():
+    # the rate kernel that expected_rate wrapped rejects what expected_rate rejected
+    rho, rows = np.array([[1.0], [0.0], [0.0], [0.0]]), np.array([design_row(H)]).T
+    with pytest.raises(ValueError):
+        _rates(rho, rows, -1.0, 1.0)
+    with pytest.raises(ValueError):
+        _rates(rho, rows, 2000.0, 1.5)
+    with pytest.raises(ValueError):
+        run_scans(IDEAL, [(H, DecayScan((0,)), None)], detection_eff=1.5)
+
+
+def test_sample_counts_validation():
+    # the mean check that sample_counts ran rejects a negative or infinite rate
+    with pytest.raises(ValueError):
+        _poisson_means([-1.0], 60.0)
+    with pytest.raises(ValueError):
+        _poisson_means([math.inf], 60.0)
+    with pytest.raises(ValueError):
+        run_scans(IDEAL, [(H, DecayScan((0,)), None)], pair_rate=math.inf)
 
 
 def test_synth_malus_dataset_draws_each_record_from_its_seed():
@@ -546,7 +582,7 @@ def test_synth_malus_dataset_draws_each_record_from_its_seed():
     for i, rec in enumerate(ds.records):
         mean = malus_mean(rec.setting_value, 5000.0, 0.8, 0.3) * 2.0
         assert rec.seed == record_seed(21, i)
-        assert rec.counts == sample_counts(mean, 1.0, rec.seed)
+        assert rec.counts == _numpy_draw(mean, rec.seed)
 
 
 def test_fig4_sweeps_each_state_once_and_draws_in_one_batch(monkeypatch, tmp_path):

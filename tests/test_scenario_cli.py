@@ -15,7 +15,7 @@ from loopmem.engine import derive_transmission_params, simulate_storage, simulat
 from loopmem.errors import InvalidStateError, SchemaError
 from loopmem.polarization import D, H, fidelity
 from loopmem.scenario import (
-    PRESETS, load_scenario, preset_scenario, read_scenario, resolve, run,
+    PRESETS, preset_scenario, read_scenario, resolve, run,
 )
 
 
@@ -61,7 +61,7 @@ def test_load_merges_preset_with_overrides(tmp_path):
     path = write_scenario(tmp_path, {
         "preset": "paper-short", "seed": 7, "n_values": [1, 2, 3],
         "memory": {"delta_tau": 40.0}})
-    sc = load_scenario(path)
+    sc = resolve(read_scenario(path))
     assert sc.seed == 7
     assert sc.n_values == (1, 2, 3)
     assert sc.config.delta_tau == 40.0  # override wins
@@ -92,7 +92,7 @@ def test_bad_json_reports_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"preset": "paper-short",\n  "seed": }\n')
     with pytest.raises(SchemaError) as err:
-        load_scenario(path)
+        read_scenario(path)
     assert "line 2" in str(err.value)
     assert err.value.field == "(file)"
 

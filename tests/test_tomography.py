@@ -216,8 +216,6 @@ def test_reconstruct_with_uncertainty_fields():
     assert res.n_samples == 60
     assert res.mc_std is not None and res.mc_std > 0
     assert abs(res.mc_mean - res.fidelity) < 5.0 * res.mc_std + 0.01
-    bare = reconstruct_with_uncertainty(k, MSET)
-    assert bare.mc_mean is None and bare.n_samples == 0
 
 
 # --- exact four-projector solver against per-draw L-BFGS ---
