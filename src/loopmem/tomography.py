@@ -9,13 +9,13 @@ optimizer only sees the four real parameters of the triangular factor
 
 which keeps every iterate positive semidefinite by construction.
 
-A set of exactly four projectors is a saturated model (James et al.,
-"Measurement of qubits", PRA 64, 052312 (2001)): linear inversion reproduces
-the counts exactly, so it is the maximum-likelihood estimate whenever it is
-positive semidefinite, and otherwise the optimum is a pure state.
-`exact_mle_bloch` solves that case for many count vectors at once, and
-`exact_mle_fidelities` turns its solutions into fidelities with target
-states: `monte_carlo_uncertainty` uses it for every four-projector error bar.
+A measurement set holds four spanning projectors, a saturated model (James
+et al., "Measurement of qubits", PRA 64, 052312 (2001)): linear inversion
+reproduces the counts exactly, so it is the maximum-likelihood estimate
+whenever it is positive semidefinite, and otherwise the optimum is a pure
+state.  `exact_mle_bloch` solves that for many count vectors at once, from
+`linear_inversion`'s own inversion, and `exact_mle_fidelities` turns its
+solutions into fidelities for every `monte_carlo_uncertainty` draw.
 
 scipy's L-BFGS is imported on the first `mle_reconstruct` call: the call
 goes through the module attribute `minimize`, which the module `__getattr__`
@@ -55,14 +55,17 @@ def __getattr__(name: str):
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Labeled projector collection; must fix all four Stokes components."""
+    """Four projectors with distinct labels that fix all four Stokes components."""
 
     projectors: tuple[tuple[str, PureState], ...] = DEFAULT_PROJECTORS
     _design: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.projectors) < 4:
-            raise IncompleteSetError(f"need at least 4 projectors, got {len(self.projectors)}")
+        if len(self.projectors) != 4:
+            raise IncompleteSetError(f"need exactly 4 projectors, got {len(self.projectors)}")
+        for i, name in enumerate(self.labels()):
+            if name in self.labels()[:i]:
+                raise IncompleteSetError(f"projector label {name!r} is repeated")
         a = np.array([design_row(p) for _, p in self.projectors])
         a.flags.writeable = False
         object.__setattr__(self, "_design", a)
@@ -99,23 +102,46 @@ def counts_from_dataset(ds: ScanDataset, mset: MeasurementSet) -> np.ndarray:
     return np.array([by_label[name] for name in mset.labels()], dtype=float)
 
 
+def _checked_counts(counts, ndim: int = 1) -> np.ndarray:
+    """Counts as floats: shape (4,), or (n, 4) for ndim 2, finite and nonnegative."""
+    k = np.asarray(counts, dtype=float)
+    if k.ndim != ndim or k.shape[-1] != 4:
+        raise ValueError(f"need {'rows of ' if ndim == 2 else ''}4 counts, got shape {k.shape}")
+    if not (np.isfinite(k) & (k >= 0)).all():
+        raise ValueError("counts must be finite and nonnegative")
+    return k
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a row that overflows gets a non-finite r
+def _invert(k: np.ndarray, mset: MeasurementSet) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of four counts to (flux, r), r as in `_bloch` and unset where flux <= 0.
+
+    x = a^-1 k is summed elementwise in a fixed order, so that a row's
+    solution does not depend on the rows beside it.
+    """
+    inv = np.linalg.inv(mset.design_matrix())
+    x = ((k[:, :1] * inv[:, 0] + k[:, 1:2] * inv[:, 1])
+         + k[:, 2:3] * inv[:, 2]) + k[:, 3:] * inv[:, 3]
+    flux = x[:, 0] + x[:, 1]
+    r = np.divide(np.column_stack((x[:, 0] - x[:, 1], 2.0 * x[:, 2], 2.0 * x[:, 3])),
+                  flux[:, None], out=np.empty((len(k), 3)), where=flux[:, None] > 0)
+    return flux, r
+
+
 def linear_inversion(counts, mset: MeasurementSet) -> tuple[np.ndarray, float]:
-    """Least-squares pre-estimate: (unit-trace Hermitian matrix, flux).
+    """Linear-inversion estimate: (unit-trace Hermitian matrix, flux).
 
     The matrix is not guaranteed positive semidefinite; it seeds the
-    likelihood fit and is exact on noiseless data.
+    likelihood fit, and where it is a state it is `exact_mle_bloch`'s MLE.
     """
-    k = np.asarray(counts, dtype=float)
-    a = mset.design_matrix()
-    if k.shape != (a.shape[0],):
-        raise ValueError(f"expected {a.shape[0]} counts, got {k.shape}")
-    x, *_ = np.linalg.lstsq(a, k, rcond=None)
-    flux = x[0] + x[1]
-    if flux <= 0:
+    k = _checked_counts(counts)
+    flux, r = _invert(k[None], mset)
+    if not flux[0] > 0:
         raise NoSignalError("tomography counts carry no signal")
-    rho = np.array([[x[0], x[2] + 1j * x[3]],
-                    [x[2] - 1j * x[3], x[1]]], dtype=complex)
-    return rho / flux, float(flux)
+    if not np.isfinite(r).all():
+        raise ValueError("counts overflow the linear inversion")
+    r0, r1, r2 = r[0]
+    return 0.5 * np.array([[1.0 + r0, r1 + 1j * r2], [r1 - 1j * r2, 1.0 - r0]]), float(flux[0])
 
 
 def _t_from_rho(rho: np.ndarray) -> np.ndarray:
@@ -168,19 +194,13 @@ def mle_reconstruct(counts, mset: MeasurementSet | None = None,
     scaled gradient norm (per total count) ended below 1e-8.
     """
     mset = mset or MeasurementSet()
-    k = np.asarray(counts, dtype=float)
-    if k.shape != (len(mset.projectors),):
-        raise ValueError(f"expected {len(mset.projectors)} counts, got {k.shape}")
-    if np.any(k < 0):
-        raise ValueError("counts must be nonnegative")
-    if k.sum() <= 0:
-        raise NoSignalError("tomography counts carry no signal")
-
+    k = _checked_counts(counts)
+    start = _initial_t(k, mset)  # its linear inversion raises NoSignalError without signal
     u = np.array([p.alpha for _, p in mset.projectors])
     w = np.array([p.beta for _, p in mset.projectors])
     fun = _profile_objective(k, u, w)
     res = sys.modules[__name__].minimize(
-        fun, _initial_t(k, mset), jac=True, method="L-BFGS-B",
+        fun, start, jac=True, method="L-BFGS-B",
         options={"ftol": 1e-13, "gtol": 1e-10, "maxiter": 500})
 
     t1, t2, t3, t4 = res.x
@@ -301,24 +321,13 @@ def exact_mle_bloch(draws, mset: MeasurementSet) -> tuple[np.ndarray, np.ndarray
 
     Returns (r, failed): r has shape (n, 3) in the coordinates of `_bloch`,
     and failed marks rows without a start (no positive flux and b^T k = 0,
-    as for all-zero counts) or whose ascent did not converge; their r is NaN.
+    as for all-zero counts), whose ascent did not converge, or whose solution
+    overflows; their r is NaN.
     """
+    k = _checked_counts(draws, ndim=2)
     a = mset.design_matrix()
-    k = np.asarray(draws, dtype=float)
-    if a.shape[0] != 4 or k.ndim != 2 or k.shape[1] != 4:
-        raise ValueError(f"need rows of 4 counts on 4 projectors, got {k.shape} "
-                         f"on {a.shape[0]}")
-    if (k < 0).any():
-        raise ValueError("counts must be nonnegative")
-    # linear inversion x = a^-1 k, summed elementwise in a fixed order so that
-    # a row's solution does not depend on the rows beside it
-    inv = np.linalg.inv(a)
-    x = ((k[:, :1] * inv[:, 0] + k[:, 1:2] * inv[:, 1])
-         + k[:, 2:3] * inv[:, 2]) + k[:, 3:] * inv[:, 3]
-    flux = x[:, 0] + x[:, 1]
+    flux, r = _invert(k, mset)
     ok = flux > 0
-    r = np.divide(np.column_stack((x[:, 0] - x[:, 1], 2.0 * x[:, 2], 2.0 * x[:, 3])),
-                  flux[:, None], out=np.empty((len(k), 3)), where=ok[:, None])
     # q = a @ (rho00, rho11, Re rho01, Im rho01) = c + b @ r on unit-trace states
     c = 0.5 * (a[:, 0] + a[:, 1])
     b = 0.5 * np.column_stack((a[:, 0] - a[:, 1], a[:, 2], a[:, 3]))
@@ -330,6 +339,7 @@ def exact_mle_bloch(draws, mset: MeasurementSet) -> tuple[np.ndarray, np.ndarray
         part = rows[i:i + _ASCENT_ROWS]
         r[part], stuck = _sphere_ascent(k[part], r[part] / norm[part, None], c, b)
         failed[part[stuck]] = True
+    failed |= ~np.isfinite(r).all(axis=1)
     r[failed] = np.nan
     return r, failed
 
@@ -365,30 +375,18 @@ def monte_carlo_uncertainty(counts, mset: MeasurementSet, target: PureState, *,
 
     All draws come from one generator seeded up front and are drawn and solved
     `_MC_CHUNK` rows at a time, which bounds the memory.  Returns (mean, sample
-    std, n_failed); failed samples (no signal or non-converged fit) are counted
-    but left out of the statistics.  Four projectors are solved exactly a
-    chunk at a time by `exact_mle_fidelities`; larger sets fit each draw with
-    `mle_reconstruct`.
+    std, n_failed); each chunk is solved exactly by `exact_mle_fidelities`,
+    and the draws it marks failed (all-zero counts, or an ascent short of its
+    tolerance) are counted but left out of the statistics.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    k = np.asarray(counts, dtype=float)
+    k = _checked_counts(counts)
     rng = np.random.default_rng(seed)
     fids, n_failed = [], 0
     for start in range(0, n_samples, _MC_CHUNK):
-        draws = rng.poisson(lam=k, size=(min(_MC_CHUNK, n_samples - start), len(k)))
-        if len(mset.projectors) == 4:
-            f, failed = exact_mle_fidelities(draws, mset, (target,))
-        else:  # one likelihood fit per draw, NaN where there is none
-            f = np.full(len(draws), np.nan)
-            for i, row in enumerate(draws):
-                try:
-                    r = mle_reconstruct(row.astype(float), mset, target)
-                except NoSignalError:
-                    continue
-                if r.converged:
-                    f[i] = r.fidelity
-            failed = np.isnan(f)
+        draws = rng.poisson(lam=k, size=(min(_MC_CHUNK, n_samples - start), 4))
+        f, failed = exact_mle_fidelities(draws, mset, (target,))
         fids.append(f[~failed])
         n_failed += int(failed.sum())
     arr = np.concatenate(fids)
