@@ -30,8 +30,8 @@ from .fitting import (
     fit_malus, lifetime_1e, project_budget, route_inventory,
 )
 from .polarization import (
-    A, D, DensityMatrix, H, JonesOperator, L, PureState, R, V, apply,
-    attenuator, birefringent_phase, fidelity, make_pure, rotator,
+    A, D, DensityMatrix, H, JonesOperator, L, PureState, R, V, attenuator,
+    birefringent_phase, fidelity, make_pure, rotator,
 )
 from .scenario import PRESETS, Scenario, preset_scenario, resolve, run
 from .tomography import (

@@ -66,9 +66,9 @@ class ComponentSpec:
             if not 0.0 <= ti <= 1.0:
                 raise GainError(f"transmission {ti} outside [0, 1]")
         object.__setattr__(self, "transmission", t)
-        if self.length_m < 0:
+        if not self.length_m >= 0:  # NaN fails too
             raise InvalidStateError(f"negative fiber length {self.length_m}")
-        if self.atten_db_per_km < 0:
+        if not self.atten_db_per_km >= 0:
             raise GainError(f"negative attenuation {self.atten_db_per_km} would be gain")
 
     @property
@@ -90,7 +90,7 @@ class DriveSchedule:
 
     def __post_init__(self):
         object.__setattr__(self, "transitions", tuple((float(t), int(v)) for t, v in self.transitions))
-        if self.rise_time < 0:
+        if not self.rise_time >= 0:  # NaN fails too
             raise UnschedulableError(f"negative rise_time {self.rise_time}")
         prev_t = None
         for t, v in self.transitions:
@@ -131,13 +131,13 @@ def pockels_operator(level: float, spec: ComponentSpec) -> JonesOperator:
     return op
 
 
-def fiber_transmission(length_m: float, atten_db_per_km: float, round_trip: bool = False) -> float:
-    """Intensity transmission of a fiber span; round_trip doubles the path."""
-    if length_m < 0:
+def fiber_transmission(length_m: float, atten_db_per_km: float) -> float:
+    """Intensity transmission of a fiber span passed there and back, over 2 * length_m."""
+    if not length_m >= 0:  # NaN fails too
         raise InvalidStateError(f"negative length {length_m}")
-    if atten_db_per_km < 0:
+    if not atten_db_per_km >= 0:
         raise GainError(f"negative attenuation {atten_db_per_km} would be gain")
-    km = length_m / 1000.0 * (2.0 if round_trip else 1.0)
+    km = length_m / 1000.0 * 2.0
     return 10.0 ** (-atten_db_per_km * km / 10.0)
 
 

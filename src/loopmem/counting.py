@@ -66,7 +66,8 @@ DEFAULT_PROJECTORS: tuple[tuple[str, PureState], ...] = (
 )
 
 _CSV_COLUMNS = ("setting_label", "setting_value", "counts", "acquisition_s", "n_cycles", "seed")
-_CSV_CELLS = (str, float, float, float, int, lambda cell: None if cell == "" else int(cell))
+_CSV_CELLS = (str, float, lambda cell: float(checked_counts(float(cell), 0)), float, int,
+              lambda cell: None if cell == "" else int(cell))
 
 
 @dataclass(frozen=True)
@@ -160,16 +161,22 @@ def _rates(rho: np.ndarray, rows: np.ndarray, pair_rate: float, detection_eff: f
     return np.maximum(pair_rate * detection_eff * q, 0.0)
 
 
+def checked_counts(counts, ndim: int, width: int | None = None) -> np.ndarray:
+    """The one count check: floats of `ndim` axes (rows of `width`), each finite and >= 0."""
+    k = np.asarray(counts, dtype=float)
+    if k.ndim != ndim or width is not None and k.shape[-1] != width:
+        raise ValueError(f"need {ndim}-D counts in rows of {width or 'any length'}, got {k.shape}")
+    if not (np.isfinite(k) & (k >= 0)).all():
+        raise ValueError("counts must be finite and nonnegative")
+    return k
+
+
 @np.errstate(over="ignore")  # an overflow fails the finiteness check
 def _poisson_means(rates, acquisition_s: float) -> np.ndarray:
     """rates * acquisition_s, checked to be valid Poisson means."""
-    rates = np.asarray(rates, dtype=float)
-    if (rates < 0).any() or acquisition_s < 0:
-        raise ValueError("rate and acquisition_s must be nonnegative")
-    mu = rates * acquisition_s
-    if not np.isfinite(mu).all():
-        raise ValueError("count mean is not finite")
-    return mu
+    if not acquisition_s >= 0:
+        raise ValueError("acquisition_s must be nonnegative")
+    return checked_counts(checked_counts(rates, 1) * acquisition_s, 1)
 
 
 def record_seed(master: int | None, index: int) -> int | None:

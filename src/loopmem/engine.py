@@ -170,15 +170,16 @@ class MemoryConfig:
     def __post_init__(self):
         for name in ("circulator_zone", "switch_zone", "delay_zone"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        if self.delta_tau <= 0:
+        if not self.delta_tau > 0:  # written so that NaN fails each range check
             raise InvalidStateError(f"delta_tau must be positive, got {self.delta_tau}")
-        if self.pass_through_time <= 0:
+        if not self.pass_through_time > 0:
             raise InvalidStateError("pass_through_time must be positive")
-        if self.coincidence_window <= 0 or self.coincidence_window >= self.delta_tau:
+        if not 0 < self.coincidence_window < self.delta_tau:
             raise InvalidStateError(
                 "coincidence_window must lie in (0, delta_tau) so exits are separable"
             )
-        if self.pc_rise_time < 0 or self.herald_latency < 0 or self.delay_line_compensation < 0:
+        if not (self.pc_rise_time >= 0 and self.herald_latency >= 0
+                and self.delay_line_compensation >= 0):
             raise InvalidStateError("timing fields must be non-negative")
         for zone, kind, want in (
             (self.circulator_zone, CIRCULATOR_ARM, 1),
@@ -384,7 +385,7 @@ class _Plumbing:
             d = np.eye(2, dtype=complex)
             for c in cfg.delay_zone:
                 if c.kind == FIBER_SEGMENT:
-                    d = math.sqrt(fiber_transmission(c.length_m, c.atten_db_per_km, round_trip=True)) * d
+                    d = math.sqrt(fiber_transmission(c.length_m, c.atten_db_per_km)) * d
                 elif c.kind == FPC:
                     d = math.sqrt(c.mean_transmission) * d
                 else:
@@ -595,7 +596,7 @@ def simulate_sweep(cfg: MemoryConfig, input_state: PureState,
         balance = acc.listed + acc.absorbed
         if tail is not None:
             balance = balance + tail_ejected + tail.weight
-        if abs(balance - 1.0) > 1e-9:
+        if not abs(balance - 1.0) <= 1e-9:  # NaN fails too
             raise InvalidStateError(f"probability not conserved: accounted {balance}")
         outcomes[n] = StorageOutcome(
             n, input_state, tuple(prefix.exits + acc.exits), tuple(prefix.ejections + acc.ejections),
@@ -663,7 +664,7 @@ def derive_transmission_params(cfg: MemoryConfig) -> TransmissionParams:
     t_loop = cfg.loop_coupler.mean_transmission ** 2
     for c in cfg.delay_zone:
         if c.kind == FIBER_SEGMENT:
-            t_loop *= fiber_transmission(c.length_m, c.atten_db_per_km, round_trip=True)
+            t_loop *= fiber_transmission(c.length_m, c.atten_db_per_km)
         else:
             t_loop *= c.mean_transmission
     c1 = cfg.input_coupler.mean_transmission

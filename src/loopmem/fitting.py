@@ -16,6 +16,7 @@ from .components import (
     CIRCULATOR_ARM, COUPLER, FIBER_SEGMENT, FPC, MIRROR, PBS, POCKELS_CELL,
     RETROREFLECTOR, ComponentSpec, fiber_transmission,
 )
+from .counting import checked_counts
 from .engine import MemoryConfig, TransmissionParams, derive_transmission_params, efficiency
 from .errors import IncompleteSetError, NoSignalError, SchemaError
 
@@ -60,16 +61,13 @@ class BudgetReport:
     delta_tau: float
 
 
-def _stack_counts(counts, grid: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(counts as one row per scan, rows with a negative count, whether counts was one scan)."""
+def _stack_counts(counts, grid: np.ndarray, name: str) -> tuple[np.ndarray, bool]:
+    """(counts as one row per scan, whether counts was one scan); every count checked first."""
     single = np.ndim(counts) == 1
-    k = np.array(counts, dtype=float, ndmin=2)
-    negative = (k < 0).any(axis=1)
-    if negative[:1].any():  # a scan checks its counts before the grid, which all rows share
-        raise ValueError("counts must be nonnegative")
-    if k.ndim != 2 or grid.shape != k.shape[1:]:
+    k = checked_counts(counts, 1 if single else 2)
+    if grid.shape != k.shape[-1:]:
         raise ValueError(f"{name} and counts must have equal length")
-    return k, negative, single
+    return np.atleast_2d(k), single
 
 
 def _wls(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -102,11 +100,12 @@ def fit_malus(angles, counts) -> MalusFit | tuple[MalusFit, ...]:
     V and theta0 unchanged.
 
     A 2-D `counts` holds one scan per row on the shared angles and returns
-    one fit per row, each the fit of that row alone; a stack raises the
-    error of its first failing row.
+    one fit per row, each the fit of that row alone.  A NaN, infinite or
+    negative count anywhere in a stack raises a ValueError before any row is
+    fitted; otherwise the stack raises the error of its first failing row.
     """
     th = np.asarray(angles, dtype=float)
-    k, negative, single = _stack_counts(counts, th, "angles")
+    k, single = _stack_counts(counts, th, "angles")
     if len(np.unique(th)) < 5:
         raise ValueError("need at least 5 distinct analyzer angles")
     if th.max() - th.min() < math.pi - 1e-9:
@@ -115,11 +114,9 @@ def fit_malus(angles, counts) -> MalusFit | tuple[MalusFit, ...]:
     x = np.column_stack([np.ones_like(th), np.cos(2 * th), np.sin(2 * th)])
     beta, inv, chi2, sv = _wls(x, k, 1.0 / np.maximum(k, 1.0))
     fits = []
-    for neg, total, rank, (a, b, c), inv_normal, rss in zip(
-            negative.tolist(), k.sum(axis=1).tolist(), (sv > 1e-9).sum(axis=1).tolist(),
-            beta.tolist(), inv, chi2.tolist()):
-        if neg:
-            raise ValueError("counts must be nonnegative")
+    for total, rank, (a, b, c), inv_normal, rss in zip(
+            k.sum(axis=1).tolist(), (sv > 1e-9).sum(axis=1).tolist(), beta.tolist(), inv,
+            chi2.tolist()):
         if total <= 0:
             raise NoSignalError("fringe scan carries no counts")
         if rank < 3:
@@ -144,10 +141,11 @@ def fit_decay(n_values, counts) -> DecayFit | tuple[DecayFit, ...]:
 
     Zero-count points carry no log-domain information and are excluded,
     tracked in n_excluded.  gamma estimates above 1 are clamped with a flag.
-    A 2-D `counts` fits each row on the shared n_values, as `fit_malus` does.
+    A 2-D `counts` fits each row on the shared n_values, and checks every
+    count before any row is fitted, as `fit_malus` does.
     """
     n = np.asarray(n_values, dtype=float)
-    k, negative, single = _stack_counts(counts, n, "n_values")
+    k, single = _stack_counts(counts, n, "n_values")
     if len(n) < 3:
         raise ValueError("need at least 3 scan points")
     if np.any(n < 1) or np.any(n != np.round(n)):
@@ -160,11 +158,8 @@ def fit_decay(n_values, counts) -> DecayFit | tuple[DecayFit, ...]:
     x = np.column_stack([np.ones_like(n), n - 1.0])
     beta, inv, chi2, _ = _wls(x, np.log(k, out=np.zeros_like(k), where=keep), k * keep)
     fits = []
-    for neg, n_kept, spread_, (b0, b1), inv11, rss in zip(
-            negative.tolist(), kept.tolist(), spread.tolist(), beta.tolist(),
-            inv[:, 1, 1].tolist(), chi2.tolist()):
-        if neg:
-            raise ValueError("counts must be nonnegative")
+    for n_kept, spread_, (b0, b1), inv11, rss in zip(
+            kept.tolist(), spread.tolist(), beta.tolist(), inv[:, 1, 1].tolist(), chi2.tolist()):
         if n_kept == 0:
             raise NoSignalError("decay scan carries no counts")
         if n_kept < 2 or not spread_:
@@ -256,6 +251,6 @@ def project_budget(inventory, delta_tau: float | None = None,
     fiber_factor = 1.0
     for c in cfg.delay_zone:
         if c.kind == FIBER_SEGMENT:
-            fiber_factor *= fiber_transmission(c.length_m, c.atten_db_per_km, round_trip=True)
+            fiber_factor *= fiber_transmission(c.length_m, c.atten_db_per_km)
     return BudgetReport(params, eta, per_cycle, life, life * delta_tau,
                         wavelength_nm, fiber_factor, delta_tau)

@@ -52,7 +52,7 @@ class PureState:
 
     def __post_init__(self):
         n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(n - 1.0) > 1e-9:
+        if not abs(n - 1.0) <= 1e-9:  # NaN fails too
             raise InvalidStateError(f"pure state norm^2 = {n!r}, expected 1")
         a, b = _canonical_phase(complex(self.alpha), complex(self.beta))
         object.__setattr__(self, "alpha", a)
@@ -71,7 +71,10 @@ def make_pure(alpha: complex, beta: complex) -> PureState:
 
     Any finite nonzero pair normalizes: amplitudes whose squared norm leaves
     the float range are first divided by their largest real or imaginary part.
+    A non-finite amplitude raises InvalidStateError.
     """
+    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+        raise InvalidStateError(f"amplitudes ({alpha}, {beta}) are not finite")
     try:
         n = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
     except OverflowError:
@@ -183,12 +186,6 @@ class JonesOperator:
         return JonesOperator(self.matrix @ other.matrix)
 
 
-def apply(rho: DensityMatrix, op: JonesOperator) -> DensityMatrix:
-    """Single-Kraus update K rho K^dagger; trace can only shrink."""
-    k = op.matrix
-    return DensityMatrix(k @ rho.matrix @ k.conj().T)
-
-
 def fidelity(rho: DensityMatrix, target: PureState) -> float:
     """Conditional fidelity <t|rho_c|t> with rho_c = rho / tr(rho)."""
     return rho.conditional().project(target)
@@ -208,12 +205,11 @@ def birefringent_phase(phi: float) -> JonesOperator:
     return JonesOperator(np.diag([1.0, cmath.exp(1j * phi)]))
 
 
-def attenuator(t_h: float, t_v: float | None = None) -> JonesOperator:
+def attenuator(t_h: float, t_v: float) -> JonesOperator:
     """Passive (possibly polarization-dependent) amplitude loss.
 
-    Arguments are intensity transmissions; pass one value for a neutral filter.
+    Arguments are the intensity transmissions of H and V.
     """
-    t_v = t_h if t_v is None else t_v
     for t in (t_h, t_v):
         if not 0.0 <= t <= 1.0 + _GAIN_TOL:
             raise GainError(f"transmission {t} outside [0, 1]")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .counting import DEFAULT_PROJECTORS, ScanDataset
+from .counting import DEFAULT_PROJECTORS, ScanDataset, checked_counts
 from .errors import IncompleteSetError, NoSignalError
 from .polarization import DensityMatrix, PureState, design_row, fidelity
 
@@ -42,6 +42,7 @@ _MAX_STEP = 0.5  # radians on the unit sphere
 _LL_SLACK = 1e-12  # log-likelihood per total count
 _MC_CHUNK = 65536  # Monte Carlo draws resampled and solved at once
 _ASCENT_ROWS = 8192  # rows per `_sphere_ascent` call, which bounds its memory
+_ASCENT_MAX_COUNT = 1e150  # rows with a larger count are ascended on rescaled counts
 
 
 def __getattr__(name: str):
@@ -102,16 +103,6 @@ def counts_from_dataset(ds: ScanDataset, mset: MeasurementSet) -> np.ndarray:
     return np.array([by_label[name] for name in mset.labels()], dtype=float)
 
 
-def _checked_counts(counts, ndim: int = 1) -> np.ndarray:
-    """Counts as floats: shape (4,), or (n, 4) for ndim 2, finite and nonnegative."""
-    k = np.asarray(counts, dtype=float)
-    if k.ndim != ndim or k.shape[-1] != 4:
-        raise ValueError(f"need {'rows of ' if ndim == 2 else ''}4 counts, got shape {k.shape}")
-    if not (np.isfinite(k) & (k >= 0)).all():
-        raise ValueError("counts must be finite and nonnegative")
-    return k
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a row that overflows gets a non-finite r
 def _invert(k: np.ndarray, mset: MeasurementSet) -> tuple[np.ndarray, np.ndarray]:
     """Rows of four counts to (flux, r), r as in `_bloch` and unset where flux <= 0.
@@ -134,7 +125,7 @@ def linear_inversion(counts, mset: MeasurementSet) -> tuple[np.ndarray, float]:
     The matrix is not guaranteed positive semidefinite; it seeds the
     likelihood fit, and where it is a state it is `exact_mle_bloch`'s MLE.
     """
-    k = _checked_counts(counts)
+    k = checked_counts(counts, 1, 4)
     flux, r = _invert(k[None], mset)
     if not flux[0] > 0:
         raise NoSignalError("tomography counts carry no signal")
@@ -186,15 +177,14 @@ def _profile_objective(k: np.ndarray, u: np.ndarray, w: np.ndarray):
     return fun
 
 
-def mle_reconstruct(counts, mset: MeasurementSet | None = None,
+def mle_reconstruct(counts, mset: MeasurementSet,
                     target: PureState | None = None) -> ReconstructionResult:
     """Maximum-likelihood state estimate from one set of projective counts.
 
     `converged` reports that the optimizer met its tolerances or that the
     scaled gradient norm (per total count) ended below 1e-8.
     """
-    mset = mset or MeasurementSet()
-    k = _checked_counts(counts)
+    k = checked_counts(counts, 1, 4)
     start = _initial_t(k, mset)  # its linear inversion raises NoSignalError without signal
     u = np.array([p.alpha for _, p in mset.projectors])
     w = np.array([p.beta for _, p in mset.projectors])
@@ -317,14 +307,17 @@ def exact_mle_bloch(draws, mset: MeasurementSet) -> tuple[np.ndarray, np.ndarray
     `_sphere_ascent` searches with the flux profiled out from r / |r|, where r
     is b^T k if the linear-inversion flux is not positive, with q = c + b r the
     projector probabilities of a state (the unconstrained optimum is outside
-    the states there too, so the peak is again pure).
+    the states there too, so the peak is again pure).  A row with a count
+    above `_ASCENT_MAX_COUNT`, whose Hessian products could overflow, is
+    ascended on its counts scaled by a power of 2 to below 1: that is exact,
+    and leaves the optimum and the tolerances, per total count, as they are.
 
     Returns (r, failed): r has shape (n, 3) in the coordinates of `_bloch`,
     and failed marks rows without a start (no positive flux and b^T k = 0,
     as for all-zero counts), whose ascent did not converge, or whose solution
     overflows; their r is NaN.
     """
-    k = _checked_counts(draws, ndim=2)
+    k = checked_counts(draws, 2, 4)
     a = mset.design_matrix()
     flux, r = _invert(k, mset)
     ok = flux > 0
@@ -337,7 +330,10 @@ def exact_mle_bloch(draws, mset: MeasurementSet) -> tuple[np.ndarray, np.ndarray
     rows = np.flatnonzero((norm > 1.0) | ~ok & ~failed)
     for i in range(0, rows.size, _ASCENT_ROWS):
         part = rows[i:i + _ASCENT_ROWS]
-        r[part], stuck = _sphere_ascent(k[part], r[part] / norm[part, None], c, b)
+        kp = k[part]
+        big = kp.max(axis=1) > _ASCENT_MAX_COUNT
+        kp[big] = np.ldexp(kp[big], -np.frexp(kp[big].max(axis=1))[1][:, None])
+        r[part], stuck = _sphere_ascent(kp, r[part] / norm[part, None], c, b)
         failed[part[stuck]] = True
     failed |= ~np.isfinite(r).all(axis=1)
     r[failed] = np.nan
@@ -381,7 +377,7 @@ def monte_carlo_uncertainty(counts, mset: MeasurementSet, target: PureState, *,
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    k = _checked_counts(counts)
+    k = checked_counts(counts, 1, 4)
     rng = np.random.default_rng(seed)
     fids, n_failed = [], 0
     for start in range(0, n_samples, _MC_CHUNK):

@@ -1,0 +1,115 @@
+"""Library entry points refuse a NaN, infinite or negative number, or solve it finitely.
+
+The CLI never passes such numbers (the scenario schema rejects them), so
+these cases reach the library only from a direct call.  Each case is a
+callable of a scratch directory and the error it must raise, or None for a
+call that must return finite values; the test configuration turns any
+RuntimeWarning into an error.  A count refused raises the one count check's
+ValueError (numpy's LinAlgError is a ValueError too, so the message is
+checked), or from `read_csv` a SchemaError on the field `counts`.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from loopmem.components import FIBER_SEGMENT, ComponentSpec, DriveSchedule, fiber_transmission
+from loopmem.counting import read_csv
+from loopmem.engine import MemoryConfig, simulate_storage
+from loopmem.errors import GainError, InvalidStateError, SchemaError, UnschedulableError
+from loopmem.fitting import fit_decay, fit_malus
+from loopmem.polarization import H, PureState, make_pure
+from loopmem.tomography import MeasurementSet, exact_mle_bloch, exact_mle_fidelities
+
+NAN, INF = math.nan, math.inf
+ANGLES = tuple(np.linspace(0.0, math.pi, 9))
+FRINGE = [1000.0 + 500.0 * math.cos(2.0 * t) for t in ANGLES]
+MSET = MeasurementSet()
+BIG, SAFE = [[1e200, 1.0, 1e200, 1e200]], [[1e150, 1.0, 1e150, 1e150]]
+
+
+def _csv_with_count(tmp_path, cell):
+    path = tmp_path / "scan.csv"
+    path.write_text("# kind=decay pair_rate=1.0 detection_eff=1.0 acquisition_s=1.0 seed=none\n"
+                    "setting_label,setting_value,counts,acquisition_s,n_cycles,seed\n"
+                    f"n_cycles,1.0,{cell},1.0,1,\n")
+    return read_csv(path)
+
+
+def _unchecked_state(alpha, beta):
+    """A PureState that skipped its own checks, as an object built by hand could."""
+    state = object.__new__(PureState)
+    object.__setattr__(state, "alpha", alpha)
+    object.__setattr__(state, "beta", beta)
+    return state
+
+
+def _solves_as_the_unscaled_row(tmp_path):
+    r, failed = exact_mle_bloch(BIG, MSET)
+    assert not failed.any()
+    np.testing.assert_allclose(r, exact_mle_bloch(SAFE, MSET)[0], rtol=1e-9)
+
+
+def _fidelity_is_finite(tmp_path):
+    fid, failed = exact_mle_fidelities(BIG, MSET, (H,))
+    assert not failed.any() and np.isfinite(fid).all()
+
+
+CASES = [
+    # counts: both fits, single scans and stacks, and read_csv
+    pytest.param(lambda _: fit_malus(ANGLES, [NAN] + FRINGE[1:]), ValueError, id="fit_malus-nan"),
+    pytest.param(lambda _: fit_malus(ANGLES, [INF] + FRINGE[1:]), ValueError, id="fit_malus-inf"),
+    pytest.param(lambda _: fit_decay([1, 2, 3], [10.0, NAN, 2.0]), ValueError, id="fit_decay-nan"),
+    pytest.param(lambda _: fit_decay([1, 2, 3], [10.0, INF, 2.0]), ValueError, id="fit_decay-inf"),
+    pytest.param(lambda _: fit_malus(ANGLES, [[0.0] * 9, FRINGE[:8] + [NAN]]), ValueError,
+                 id="fit_malus-stack-checked-before-a-row-without-signal"),
+    pytest.param(lambda _: fit_decay([1, 2, 3], [[0.0] * 3, [-1.0, 5.0, 2.0]]), ValueError,
+                 id="fit_decay-stack-checked-before-a-row-without-signal"),
+    pytest.param(lambda tmp: _csv_with_count(tmp, "nan"), SchemaError, id="read_csv-nan"),
+    pytest.param(lambda tmp: _csv_with_count(tmp, "-3"), SchemaError, id="read_csv-negative"),
+    pytest.param(lambda tmp: _csv_with_count(tmp, "inf"), SchemaError, id="read_csv-inf"),
+    # counts whose likelihood ascent would overflow
+    pytest.param(_solves_as_the_unscaled_row, None, id="exact_mle_bloch-1e200"),
+    pytest.param(_fidelity_is_finite, None, id="exact_mle_fidelities-1e200"),
+    # device numbers
+    pytest.param(lambda _: MemoryConfig(delta_tau=NAN), InvalidStateError, id="delta_tau-nan"),
+    pytest.param(lambda _: MemoryConfig(100.0, pass_through_time=NAN), InvalidStateError,
+                 id="pass_through_time-nan"),
+    pytest.param(lambda _: MemoryConfig(100.0, coincidence_window=NAN), InvalidStateError,
+                 id="coincidence_window-nan"),
+    pytest.param(lambda _: MemoryConfig(100.0, pc_rise_time=NAN), InvalidStateError,
+                 id="pc_rise_time-nan"),
+    pytest.param(lambda _: MemoryConfig(100.0, herald_latency=NAN), InvalidStateError,
+                 id="herald_latency-nan"),
+    pytest.param(lambda _: MemoryConfig(100.0, delay_line_compensation=NAN), InvalidStateError,
+                 id="delay_line_compensation-nan"),
+    pytest.param(lambda _: ComponentSpec(FIBER_SEGMENT, length_m=NAN), InvalidStateError,
+                 id="length_m-nan"),
+    pytest.param(lambda _: ComponentSpec(FIBER_SEGMENT, atten_db_per_km=NAN), GainError,
+                 id="atten_db_per_km-nan"),
+    pytest.param(lambda _: DriveSchedule(rise_time=NAN), UnschedulableError, id="rise_time-nan"),
+    pytest.param(lambda _: fiber_transmission(NAN, 4.0), InvalidStateError,
+                 id="fiber_transmission-length-nan"),
+    pytest.param(lambda _: fiber_transmission(50.0, NAN), GainError,
+                 id="fiber_transmission-attenuation-nan"),
+    pytest.param(lambda _: make_pure(NAN, 1), InvalidStateError, id="make_pure-nan-alpha"),
+    pytest.param(lambda _: make_pure(1, NAN), InvalidStateError, id="make_pure-nan-beta"),
+    pytest.param(lambda _: make_pure(INF, 1), InvalidStateError, id="make_pure-inf"),
+    pytest.param(lambda _: make_pure(complex(1.0, NAN), 0), InvalidStateError,
+                 id="make_pure-nan-imaginary"),
+    pytest.param(lambda _: PureState(NAN, 0.0), InvalidStateError, id="PureState-nan"),
+    pytest.param(lambda _: simulate_storage(MemoryConfig(100.0), _unchecked_state(NAN, 0.0), 2),
+                 InvalidStateError, id="conservation-check-nan"),
+]
+
+
+@pytest.mark.parametrize("call, error", CASES)
+def test_a_non_finite_or_negative_number_is_refused_or_solved_finitely(call, error, tmp_path):
+    if error is None:
+        call(tmp_path)
+        return
+    with pytest.raises(error, match="finite and nonnegative" if error is ValueError else None) as err:
+        call(tmp_path)
+    if error is SchemaError:
+        assert err.value.field == "counts"
