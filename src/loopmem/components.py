@@ -37,6 +37,14 @@ ON = 1
 OFF = 0
 
 
+def _check_fiber(length_m: float, atten_db_per_km: float) -> None:
+    """A fiber span needs a finite, nonnegative length and attenuation; NaN fails too."""
+    if not 0 <= length_m < math.inf:
+        raise InvalidStateError(f"fiber length {length_m} m is not finite and nonnegative")
+    if not 0 <= atten_db_per_km < math.inf:  # a negative one would be gain
+        raise GainError(f"attenuation {atten_db_per_km} dB/km is not finite and nonnegative")
+
+
 @dataclass(frozen=True)
 class ComponentSpec:
     """Static description of one optical element.
@@ -66,10 +74,7 @@ class ComponentSpec:
             if not 0.0 <= ti <= 1.0:
                 raise GainError(f"transmission {ti} outside [0, 1]")
         object.__setattr__(self, "transmission", t)
-        if not self.length_m >= 0:  # NaN fails too
-            raise InvalidStateError(f"negative fiber length {self.length_m}")
-        if not self.atten_db_per_km >= 0:
-            raise GainError(f"negative attenuation {self.atten_db_per_km} would be gain")
+        _check_fiber(self.length_m, self.atten_db_per_km)
 
     @property
     def mean_transmission(self) -> float:
@@ -94,6 +99,8 @@ class DriveSchedule:
             raise UnschedulableError(f"negative rise_time {self.rise_time}")
         prev_t = None
         for t, v in self.transitions:
+            if not math.isfinite(t):  # NaN compares false with every time: it fires at once
+                raise UnschedulableError(f"transition time {t} ns is not finite")
             if v not in (ON, OFF):
                 raise InvalidStateError(f"target level {v} not in {{0, 1}}")
             if prev_t is not None and t < prev_t + self.rise_time:
@@ -133,10 +140,7 @@ def pockels_operator(level: float, spec: ComponentSpec) -> JonesOperator:
 
 def fiber_transmission(length_m: float, atten_db_per_km: float) -> float:
     """Intensity transmission of a fiber span passed there and back, over 2 * length_m."""
-    if not length_m >= 0:  # NaN fails too
-        raise InvalidStateError(f"negative length {length_m}")
-    if not atten_db_per_km >= 0:
-        raise GainError(f"negative attenuation {atten_db_per_km} would be gain")
+    _check_fiber(length_m, atten_db_per_km)
     km = length_m / 1000.0 * 2.0
     return 10.0 ** (-atten_db_per_km * km / 10.0)
 

@@ -6,7 +6,7 @@ A scenario may start from a named preset and override individual fields.
 
 Every table written by `run` carries the scenario content hash and the seed,
 and CSV output is byte-identical across re-runs; wall-clock timestamps only
-appear in JSON metadata.
+appear in JSON metadata.  JSON summaries are one line with sorted keys.
 """
 
 from __future__ import annotations
@@ -118,12 +118,11 @@ class Scenario:
     mc_samples: int
     wavelength_nm: float | None
     raw: dict
+    digest: str  # SHA-256 of the canonical JSON of raw without its seed
 
     def content_hash(self) -> str:
         """Hash of the resolved definition, seed excluded."""
-        blob = {k: v for k, v in self.raw.items() if k != "seed"}
-        text = json.dumps(blob, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode()).hexdigest()
+        return self.digest
 
 
 def _fail(msg: str, path: str):
@@ -261,7 +260,7 @@ def _build_config(mem: dict) -> tuple[MemoryConfig, float | None]:
     return cfg, wavelength
 
 
-def _build(raw: dict) -> Scenario:
+def _build(raw: dict, digest: str) -> Scenario:
     _check_keys(raw, _TOP_KEYS, "")
     if "memory" not in raw:
         _fail("missing required field", "memory")
@@ -318,7 +317,7 @@ def _build(raw: dict) -> Scenario:
 
     return Scenario(label, cfg, input_states, n_values, angles,
                     malus_cycles, tomo_cycles, pair_rate, detection_eff,
-                    acquisition_s, seed, mc_samples, wavelength, raw)
+                    acquisition_s, seed, mc_samples, wavelength, raw, digest)
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -333,8 +332,17 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+# canonical seedless JSON text -> (its Scenario, the text parsed); filled by successful builds
+_BUILT: dict[str, tuple[Scenario, dict]] = {}
+_BUILT_MAX = 64
+
+
 def resolve(raw: dict) -> Scenario:
-    """Expand a preset reference, merge overrides, and validate."""
+    """Expand a preset reference, merge overrides, and validate.
+
+    Each distinct scenario without its seed is built once per process; a
+    repeat with any seed reuses that build.
+    """
     if not isinstance(raw, dict):
         raise SchemaError("scenario must be a JSON object", field="")
     if "preset" in raw:
@@ -342,7 +350,20 @@ def resolve(raw: dict) -> Scenario:
         if not isinstance(name, str) or name not in PRESETS:
             _fail(f"unknown preset {name!r}; known: {sorted(PRESETS)}", "preset")
         raw = _deep_merge(PRESETS[name], raw)
-    return _build(raw)
+    blob = {k: v for k, v in raw.items() if k != "seed"}
+    try:
+        text = json.dumps(blob, sort_keys=True, separators=(",", ":"))
+    except (TypeError, ValueError, RecursionError):
+        _build(raw, "")  # validation names the field that JSON cannot hold, if it reads it
+        raise
+    hit = _BUILT.get(text)
+    if hit is not None and hit[1] == blob:  # a tuple or a non-string key dumps as its JSON twin
+        return replace(hit[0], seed=_integer(raw.get("seed", 0), "seed", hi=math.inf), raw=raw)
+    sc = _build(raw, hashlib.sha256(text.encode()).hexdigest())
+    if len(_BUILT) >= _BUILT_MAX:  # a full cache starts over
+        _BUILT.clear()
+    _BUILT[text] = sc, json.loads(text)
+    return sc
 
 
 def preset_scenario(name: str) -> Scenario:
@@ -373,7 +394,7 @@ class _Emitter:
     def __init__(self, scenario: Scenario, out_dir: str):
         self.out_dir = out_dir
         self.written: list[str] = []
-        content_hash = scenario.content_hash()  # one JSON dump and SHA-256 per run
+        content_hash = scenario.content_hash()
         self.stamp = f"scenario={content_hash} seed={scenario.seed}"
         self.metadata = {"scenario_hash": content_hash, "seed": scenario.seed,
                          "label": scenario.label}
@@ -400,7 +421,7 @@ class _Emitter:
         obj = {"metadata": dict(self.metadata,
                                 generated_at=datetime.now(timezone.utc).isoformat())}
         obj.update(payload)
-        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(obj, sort_keys=True) + "\n"  # one line: the C encoder
         return self._emit(name, lambda fh: fh.write(text))
 
 

@@ -250,9 +250,17 @@ def test_criterion_10_reproduce_determinism(tmp_path):
         outputs = []
         for d in dirs:
             _, written = run(sc, "reproduce", str(d), figure=figure)
-            outputs.append(sorted(p for p in written if p.endswith(".csv")))
+            outputs.append(sorted(written))
         assert outputs[0] and len(outputs[0]) == len(outputs[1])
         for pa, pb in zip(*outputs):
             ba, bb = open(pa, "rb").read(), open(pb, "rb").read()
-            assert ba == bb, f"{figure}: {pa} differs between reruns"
-    print("criterion 10: fig2c/fig3/fig4 reruns are byte-identical")
+            if pa.endswith(".csv"):
+                assert ba == bb, f"{figure}: {pa} differs between reruns"
+                continue
+            docs = [json.loads(b) for b in (ba, bb)]
+            for b, doc in zip((ba, bb), docs):  # one line, sorted keys
+                assert b.decode() == json.dumps(doc, sort_keys=True) + "\n"
+                del doc["metadata"]["generated_at"]
+            assert docs[0] == docs[1], f"{figure}: {pa} values differ between reruns"
+    print("criterion 10: fig2c/fig3/fig4 rerun CSVs are byte-identical, "
+          "JSON values identical but for generated_at")

@@ -14,7 +14,8 @@ import math
 import numpy as np
 import pytest
 
-from loopmem.components import FIBER_SEGMENT, ComponentSpec, DriveSchedule, fiber_transmission
+from loopmem.components import (FIBER_SEGMENT, ComponentSpec, DriveSchedule, fiber_transmission,
+                                pockels_level)
 from loopmem.counting import read_csv
 from loopmem.engine import MemoryConfig, simulate_storage
 from loopmem.errors import GainError, InvalidStateError, SchemaError, UnschedulableError
@@ -88,11 +89,26 @@ CASES = [
                  id="length_m-nan"),
     pytest.param(lambda _: ComponentSpec(FIBER_SEGMENT, atten_db_per_km=NAN), GainError,
                  id="atten_db_per_km-nan"),
+    pytest.param(lambda _: ComponentSpec(FIBER_SEGMENT, length_m=INF), InvalidStateError,
+                 id="length_m-inf"),
+    pytest.param(lambda _: ComponentSpec(FIBER_SEGMENT, atten_db_per_km=INF), GainError,
+                 id="atten_db_per_km-inf"),
+    pytest.param(lambda _: simulate_storage(
+        MemoryConfig(100.0, delay_zone=(ComponentSpec(FIBER_SEGMENT, atten_db_per_km=INF),)),
+        H, 2), GainError, id="simulate_storage-zero-length-fiber-inf-attenuation"),
     pytest.param(lambda _: DriveSchedule(rise_time=NAN), UnschedulableError, id="rise_time-nan"),
+    pytest.param(lambda _: pockels_level(DriveSchedule(transitions=((NAN, 1),)), 5.0),
+                 UnschedulableError, id="transition-time-nan"),
+    pytest.param(lambda _: DriveSchedule(transitions=((INF, 1),)), UnschedulableError,
+                 id="transition-time-inf"),
     pytest.param(lambda _: fiber_transmission(NAN, 4.0), InvalidStateError,
                  id="fiber_transmission-length-nan"),
+    pytest.param(lambda _: fiber_transmission(INF, 4.0), InvalidStateError,
+                 id="fiber_transmission-length-inf"),
     pytest.param(lambda _: fiber_transmission(50.0, NAN), GainError,
                  id="fiber_transmission-attenuation-nan"),
+    pytest.param(lambda _: fiber_transmission(0.0, INF), GainError,
+                 id="fiber_transmission-attenuation-inf"),
     pytest.param(lambda _: make_pure(NAN, 1), InvalidStateError, id="make_pure-nan-alpha"),
     pytest.param(lambda _: make_pure(1, NAN), InvalidStateError, id="make_pure-nan-beta"),
     pytest.param(lambda _: make_pure(INF, 1), InvalidStateError, id="make_pure-inf"),

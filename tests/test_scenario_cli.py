@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -140,6 +141,62 @@ def test_content_hash_ignores_seed():
     c = resolve({"preset": "paper-short", "seed": 1, "n_values": [1, 2, 3]})
     assert a.content_hash() == b.content_hash()
     assert a.content_hash() != c.content_hash()
+
+
+# content_hash() of each preset, recorded when every run dumped and hashed its scenario
+PRESET_HASHES = {
+    "paper-short": "0cf65bfeb4d27e99c9926220df1f822d20b4d3b7f0b46d6d3125ff344a6f9245",
+    "paper-long": "2667e09365373a5a71754ee893d45d6addf5b0e744a461cc22c70883635ffe51",
+    "paper-improved": "0984ca3691c80a5d64553b4b58a1f9104ef2ea730038669169373c9ba00ad0e5",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_a_repeated_scenario_reuses_a_build_equal_to_an_uncached_one(monkeypatch, preset):
+    resolve({"preset": preset, "seed": 99})
+    cached = [resolve({"preset": preset, "seed": seed}) for seed in range(8)]
+    assert all(sc.config is cached[0].config for sc in cached)  # one build, reused
+    monkeypatch.setattr(loopmem.scenario, "_BUILT", {})
+    for seed, sc in enumerate(cached):
+        loopmem.scenario._BUILT.clear()
+        fresh = resolve({"preset": preset, "seed": seed})
+        assert fresh.config is not sc.config
+        for f in dataclasses.fields(sc):
+            assert getattr(sc, f.name) == getattr(fresh, f.name), f.name
+        assert sc.content_hash() == PRESET_HASHES[preset]
+
+
+def test_the_build_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(loopmem.scenario, "_BUILT", {})
+    for i in range(2 * loopmem.scenario._BUILT_MAX):
+        assert resolve({"preset": "paper-short", "label": f"scan {i}"}).label == f"scan {i}"
+        assert 0 < len(loopmem.scenario._BUILT) <= loopmem.scenario._BUILT_MAX
+
+
+def test_a_value_json_cannot_hold_is_named_by_validation():
+    with pytest.raises(SchemaError) as err:
+        resolve({"preset": "paper-short", "n_values": {1, 2, 3}})
+    assert err.value.field == "n_values"
+
+
+def test_a_bad_scenario_raises_on_every_call():
+    raw = {"preset": "paper-short", "source": {"pair_rate": -1.0}}
+    for _ in range(2):
+        with pytest.raises(SchemaError) as err:
+            resolve(raw)
+        assert err.value.field == "source.pair_rate"
+
+
+@pytest.mark.parametrize("twin, field", [
+    ({"n_values": (1, 2, 3), "seed": 4}, "n_values"),  # dumps as the list
+    ({"n_values": [1, 2, 3], "seed": True}, "seed"),
+    ({"n_values": [1, 2, 3], "seed": -1, "label": 5}, "label"),  # label is checked first
+])
+def test_a_resolved_twin_does_not_admit_a_bad_scenario(twin, field):
+    resolve({"preset": "paper-long", "n_values": [1, 2, 3], "seed": 4})
+    with pytest.raises(SchemaError) as err:
+        resolve({"preset": "paper-long", **twin})
+    assert err.value.field == field
 
 
 # --- pipeline runs ---
