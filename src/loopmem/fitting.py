@@ -73,13 +73,13 @@ def _stack_counts(counts, grid: np.ndarray, name: str) -> tuple[np.ndarray, bool
 def _wls(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
     """Weighted least squares of each row of y, weights w, on the shared design x.
 
-    Returns, one row each: beta, the inverse normal matrix (x^T W x)^-1,
-    the weighted residual sum of squares and the singular values of the
-    weighted design.  One stacked SVD of the designs sqrt(w) x gives all
-    of them without forming x^T W x, whose condition number is the square
-    of the design's.  Singular values at or below eps * max(m, n) times a
-    row's largest count as zero, numpy's default least-squares cutoff.  A
-    row's results are bitwise those of the row alone.
+    Returns, one row each: beta, the inverse normal matrix (x^T W x)^-1
+    and the weighted residual sum of squares.  One stacked SVD of the
+    designs sqrt(w) x gives all of them without forming x^T W x, whose
+    condition number is the square of the design's.  Singular values at or
+    below eps * max(m, n) times a row's largest count as zero, numpy's
+    default least-squares cutoff.  A row's results are bitwise those of the
+    row alone.
     """
     sw = np.sqrt(w)
     u, sv, vt = np.linalg.svd(x * sw[:, :, None], full_matrices=False)
@@ -88,7 +88,7 @@ def _wls(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
     beta = (vs @ (u.transpose(0, 2, 1) @ (y * sw)[:, :, None]))[:, :, 0]
     resid = y - (x @ beta[:, :, None])[:, :, 0]
     chi2 = (w[:, None, :] @ (resid**2)[:, :, None])[:, 0, 0]
-    return beta, vs @ vs.transpose(0, 2, 1), chi2, sv
+    return beta, vs @ vs.transpose(0, 2, 1), chi2
 
 
 def fit_malus(angles, counts) -> MalusFit | tuple[MalusFit, ...]:
@@ -97,7 +97,9 @@ def fit_malus(angles, counts) -> MalusFit | tuple[MalusFit, ...]:
     The model is linear in (a, b, c) with C = a + b cos 2theta + c sin 2theta,
     so the weighted optimum is found exactly; A = 2a, V = sqrt(b^2+c^2)/a,
     theta0 = atan2(c, b)/2.  Rescaling all counts by a common factor leaves
-    V and theta0 unchanged.
+    V and theta0 unchanged.  Angles whose design has rank below 3 (its
+    smallest singular value at most 1e-9 of its largest) are a degenerate
+    grid at any count level.
 
     A 2-D `counts` holds one scan per row on the shared angles and returns
     one fit per row, each the fit of that row alone.  A NaN, infinite or
@@ -112,14 +114,15 @@ def fit_malus(angles, counts) -> MalusFit | tuple[MalusFit, ...]:
         raise ValueError("analyzer angles must span at least half a turn")
 
     x = np.column_stack([np.ones_like(th), np.cos(2 * th), np.sin(2 * th)])
-    beta, inv, chi2, sv = _wls(x, k, 1.0 / np.maximum(k, 1.0))
+    sv = np.linalg.svd(x, compute_uv=False)
+    degenerate = sv[-1] <= 1e-9 * sv[0]  # the angles alone decide, not the count level
+    beta, inv, chi2 = _wls(x, k, 1.0 / np.maximum(k, 1.0))
     fits = []
-    for total, rank, (a, b, c), inv_normal, rss in zip(
-            k.sum(axis=1).tolist(), (sv > 1e-9).sum(axis=1).tolist(), beta.tolist(), inv,
-            chi2.tolist()):
+    for total, (a, b, c), inv_normal, rss in zip(
+            k.sum(axis=1).tolist(), beta.tolist(), inv, chi2.tolist()):
         if total <= 0:
             raise NoSignalError("fringe scan carries no counts")
-        if rank < 3:
+        if degenerate:
             raise IncompleteSetError("degenerate analyzer angle grid")
         if a <= 0:
             raise NoSignalError("fitted fringe level is not positive")
@@ -156,7 +159,7 @@ def fit_decay(n_values, counts) -> DecayFit | tuple[DecayFit, ...]:
     spread = np.where(keep, n, -np.inf).max(axis=1) > np.where(keep, n, np.inf).min(axis=1)
     # an excluded point has weight 0 and log-count 0
     x = np.column_stack([np.ones_like(n), n - 1.0])
-    beta, inv, chi2, _ = _wls(x, np.log(k, out=np.zeros_like(k), where=keep), k * keep)
+    beta, inv, chi2 = _wls(x, np.log(k, out=np.zeros_like(k), where=keep), k * keep)
     fits = []
     for n_kept, spread_, (b0, b1), inv11, rss in zip(
             kept.tolist(), spread.tolist(), beta.tolist(), inv[:, 1, 1].tolist(), chi2.tolist()):

@@ -288,6 +288,8 @@ def _build(raw: dict, digest: str) -> Scenario:
                   path if isinstance(states[i], str) else f"{path}.label")
 
     if "malus_angles_deg" in raw:
+        if "malus_points" in raw:
+            _fail("malus_points and malus_angles_deg are mutually exclusive", "malus_points")
         degs = raw["malus_angles_deg"]
         if not isinstance(degs, list) or len(degs) > _MAX_MALUS_POINTS:
             _fail(f"expected a list of at most {_MAX_MALUS_POINTS} angles", "malus_angles_deg")
@@ -425,14 +427,6 @@ class _Emitter:
         return self._emit(name, lambda fh: fh.write(text))
 
 
-def _rho_flat(rho: np.ndarray) -> list[float]:
-    out: list[float] = []
-    for i in range(2):
-        for j in range(2):
-            out.extend([float(rho[i, j].real), float(rho[i, j].imag)])
-    return out
-
-
 def _fit_payload(fit) -> dict:
     return {"visibility": fit.visibility, "sigma_visibility": fit.sigma_visibility,
             "theta0_rad": fit.theta0, "amplitude": fit.amplitude, "clamped": fit.clamped}
@@ -476,12 +470,25 @@ def _tomography_jobs(sc: Scenario, states, seeds: Iterator[int]) -> tuple[list, 
     return jobs, mc_seeds
 
 
-def _tomography(sc: Scenario, label: str, state: PureState, ds, mc_seed: int):
-    """MLE with Monte Carlo error bars for one projector scan."""
+_RECORD_KEYS = ("fidelity", "flux", "converged", "mc_mean", "mc_std", "n_samples", "n_failed")
+
+
+def _reconstructions(sc: Scenario, states, datasets, mc_seeds) -> tuple[list[tuple], dict]:
+    """MLE with Monte Carlo error bars per projector scan: (count rows, record per label).
+
+    A record holds `_RECORD_KEYS` and `rho`, the matrix as row-major (re, im) pairs.
+    """
     mset = MeasurementSet()
-    res = reconstruct_with_uncertainty(counts_from_dataset(ds, mset), mset, state,
-                                       n_samples=sc.mc_samples, seed=mc_seed)
-    return _count_rows(label, ds), res
+    rows: list[tuple] = []
+    records = {}
+    for (label, state), ds, mc_seed in zip(states, datasets, mc_seeds):
+        res = reconstruct_with_uncertainty(counts_from_dataset(ds, mset), mset, state,
+                                           n_samples=sc.mc_samples, seed=mc_seed)
+        rows += _count_rows(label, ds)
+        records[label] = {key: getattr(res, key) for key in _RECORD_KEYS}
+        records[label]["rho"] = [x for z in res.rho.matrix.ravel().tolist()
+                                 for x in (z.real, z.imag)]
+    return rows, records
 
 
 def run(scenario: Scenario, subcommand: str, out_dir: str,
@@ -581,19 +588,9 @@ def _run_malus(sc: Scenario, emitter: _Emitter) -> dict:
 
 
 def _run_tomo(sc: Scenario, emitter: _Emitter) -> dict:
-    rows: list[tuple] = []
-    recon = {}
     seeds = iter(record_seeds(sc.seed, 2 * len(sc.input_states)))  # scan and Monte Carlo
     jobs, mc_seeds = _tomography_jobs(sc, sc.input_states, seeds)
-    for (label, state), ds, mc_seed in zip(sc.input_states, _datasets(sc, jobs), mc_seeds):
-        counts, res = _tomography(sc, label, state, ds, mc_seed)
-        rows += counts
-        recon[label] = {
-            "rho": _rho_flat(res.rho.matrix), "fidelity": res.fidelity,
-            "flux": res.flux, "converged": res.converged,
-            "mc_mean": res.mc_mean, "mc_std": res.mc_std,
-            "n_samples": res.n_samples, "n_failed": res.n_failed,
-        }
+    rows, recon = _reconstructions(sc, sc.input_states, _datasets(sc, jobs), mc_seeds)
     emitter.csv("tomo_counts.csv",
                 ("input_state", "setting", "counts", "acquisition_s", "seed"), rows)
     emitter.json("tomo.json", {"reconstructions": recon, "n_cycles": sc.tomo_cycles})
@@ -603,17 +600,9 @@ def _run_tomo(sc: Scenario, emitter: _Emitter) -> dict:
 def _run_budget(sc: Scenario, emitter: _Emitter) -> dict:
     n_max = max(max(sc.n_values), 8)
     report = project_budget(sc.config, wavelength_nm=sc.wavelength_nm, n_max=n_max)
-    payload = {
-        "params": asdict(report.params),
-        "per_cycle": report.per_cycle,
-        "lifetime_cycles_1e": report.lifetime_cycles_1e,
-        "lifetime_time_1e_ns": report.lifetime_time_1e_ns,
-        "fiber_factor": report.fiber_factor,
-        "wavelength_nm": report.wavelength_nm,
-        "delta_tau": report.delta_tau,
-    }
-    emitter.csv("budget_eta.csv", ("n_cycles", "eta"),
-                [(n, e) for n, e in enumerate(report.eta_table)])
+    emitter.csv("budget_eta.csv", ("n_cycles", "eta"), enumerate(report.eta_table))
+    payload = asdict(replace(report, eta_table=()))  # the table is the CSV
+    del payload["eta_table"]
     emitter.json("budget.json", payload)
     return payload
 
@@ -645,23 +634,26 @@ def _run_fig3(sc: Scenario, emitter: _Emitter) -> dict:
     """Fringe + tomography bundle at one cycle count."""
     seeds = iter(record_seeds(sc.seed, len(_FRINGE_STATES) + 2))  # fringes, R and its errors
     jobs = _malus_jobs(sc, _FRINGE_STATES, sc.malus_cycles, seeds)
-    tomo_jobs, [mc_seed] = _tomography_jobs(sc, (("R", R),), seeds)
+    tomo_states = (("R", R),)
+    tomo_jobs, mc_seeds = _tomography_jobs(sc, tomo_states, seeds)
     *datasets, tomo_ds = _datasets(sc, jobs + tomo_jobs)
     mrows, fits = _malus_fits(_FRINGE_STATES, datasets)
     emitter.csv("fig3_malus.csv",
                 ("input_state", "angle_rad", "counts", "acquisition_s", "seed"), mrows)
-    rows, res = _tomography(sc, "R", R, tomo_ds, mc_seed)
+    rows, recon = _reconstructions(sc, tomo_states, [tomo_ds], mc_seeds)
     emitter.csv("fig3_tomo.csv", ("setting", "counts", "acquisition_s", "seed"),
                 [row[1:] for row in rows])
     payload = {
-        "visibility_h": fits["H"], "visibility_d": fits["D"],
-        "tomo_r": {"fidelity": res.fidelity, "mc_mean": res.mc_mean,
-                   "mc_std": res.mc_std, "n_samples": res.n_samples,
-                   "n_failed": res.n_failed, "rho": _rho_flat(res.rho.matrix)},
+        "visibility_h": fits["H"], "visibility_d": fits["D"], "tomo_r": recon["R"],
         "n_cycles": {"malus": sc.malus_cycles, "tomo": sc.tomo_cycles},
     }
     emitter.json("fig3.json", payload)
     return payload
+
+
+# one fig4.json per_n entry, in fig4.csv's column order after n and the storage time
+_FIG4_COLUMNS = ("visibility_h", "sigma_vh", "visibility_d", "sigma_vd",
+                 "fidelity_h", "fidelity_d", "fidelity_r")
 
 
 def _run_fig4(sc: Scenario, emitter: _Emitter) -> dict:
@@ -692,29 +684,20 @@ def _run_fig4(sc: Scenario, emitter: _Emitter) -> dict:
     by_n = [datasets[i:i + per_n] for i in range(0, len(datasets), per_n)]
     fringes = [ds for scans in by_n for ds in scans[:len(_FRINGE_STATES)]]
     fits = fit_malus(fringes[0].values(), [ds.counts() for ds in fringes])
-    entries = [{"visibility_h": h.visibility, "sigma_vh": h.sigma_visibility,
-                "visibility_d": d.visibility, "sigma_vd": d.sigma_visibility}
-               for h, d in zip(fits[0::2], fits[1::2])]
     counts = [counts_from_dataset(ds, mset)
               for scans in by_n for ds in scans[len(_FRINGE_STATES):]]
-    fids, failed = exact_mle_fidelities(counts, mset, [s for _, s in states] * len(entries))
+    fids, failed = exact_mle_fidelities(counts, mset, [s for _, s in states] * len(n_values))
     if failed.any():
         i = int(np.flatnonzero(failed)[0])
         raise NoSignalError(f"fig4 tomography of {states[i % 3][0]} at "
                             f"N={n_values[i // 3]} has no maximum-likelihood estimate")
-    rows = []
-    for n, entry, fid in zip(n_values, entries, fids.reshape(-1, 3)):
-        for (label, _), f in zip(states, fid):
-            entry[f"fidelity_{label.lower()}"] = float(f)
-        rows.append((n, n * sc.config.delta_tau,
-                     entry["visibility_h"], entry["sigma_vh"],
-                     entry["visibility_d"], entry["sigma_vd"],
-                     entry["fidelity_h"], entry["fidelity_d"], entry["fidelity_r"]))
-    per_n = {str(n): entry for n, entry in zip(n_values, entries)}
-    emitter.csv("fig4.csv",
-                ("n_cycles", "storage_time_ns", "visibility_h", "sigma_vh",
-                 "visibility_d", "sigma_vd", "fidelity_h", "fidelity_d", "fidelity_r"),
-                rows)
+    per_n = {str(n): dict(zip(_FIG4_COLUMNS, (h.visibility, h.sigma_visibility,
+                                              d.visibility, d.sigma_visibility, *fid)))
+             for n, h, d, fid in zip(n_values, fits[0::2], fits[1::2],
+                                     fids.reshape(-1, 3).tolist())}
+    emitter.csv("fig4.csv", ("n_cycles", "storage_time_ns", *_FIG4_COLUMNS),
+                [(n, n * sc.config.delta_tau, *(entry[c] for c in _FIG4_COLUMNS))
+                 for n, entry in zip(n_values, per_n.values())])
     emitter.json("fig4.json", {"per_n": per_n})
     return {"per_n": per_n}
 

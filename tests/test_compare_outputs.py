@@ -1,0 +1,60 @@
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+_spec = importlib.util.spec_from_file_location("compare_outputs", _PATH)
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+
+def _write(root: Path, rel: str, content) -> None:
+    path = root / rel
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+
+
+def _trees(tmp_path, parent_files, change_files):
+    for side, files in (("parent", parent_files), ("change", change_files)):
+        for rel, content in files.items():
+            _write(tmp_path / side, rel, content)
+    return compare_outputs.compare(tmp_path / "parent", tmp_path / "change")
+
+
+def test_identical_trees_differ_only_in_generated_at(tmp_path):
+    doc = {"metadata": {"generated_at": "then", "seed": 0},
+           "fit": {"v": 0.5, "rho": [1.0, math.nan]}}
+    report = _trees(tmp_path, {"p/seed0/tomo/a.csv": "x\n1\n", "p/seed0/tomo/a.json": doc},
+                    {"p/seed0/tomo/a.csv": "x\n1\n",
+                     "p/seed0/tomo/a.json": dict(doc, metadata={"generated_at": "now", "seed": 0})})
+    assert (report["csv_compared"], report["csv_differ"]) == (1, [])
+    assert report["values_compared"] == 4  # seed, v and both rho entries; NaN equals NaN
+    assert not report["value_diffs"] and not report["only_parent"] and not report["only_change"]
+
+
+def test_differences_are_grouped_by_file_and_key(tmp_path):
+    parent = {"p/seed0/tomo/t.json": {"r": {"f": 1.0, "ok": True, "old": 1}},
+              "p/seed1/tomo/t.json": {"r": {"f": 2.0, "ok": True, "old": 1}},
+              "p/seed0/tomo/t.csv": "a\n", "p/seed0/tomo/gone.csv": "a\n"}
+    change = {"p/seed0/tomo/t.json": {"r": {"f": 1.5, "ok": True, "new": 1}},
+              "p/seed1/tomo/t.json": {"r": {"f": 2.0, "ok": 1, "new": 1}},
+              "p/seed0/tomo/t.csv": "b\n"}
+    report = _trees(tmp_path, parent, change)
+    assert report["csv_differ"] == ["p/seed0/tomo/gone.csv", "p/seed0/tomo/t.csv"]
+    assert report["value_diffs"]["t.json r.f"] == [(pytest.approx(1 / 3), "p/seed0/tomo/t.json")]
+    assert report["value_diffs"]["t.json r.ok"] == [(math.inf, "p/seed1/tomo/t.json")]  # True != 1
+    assert report["only_parent"] == {"t.json r.old": 2}
+    assert report["only_change"] == {"t.json r.new": 2}
+    text = compare_outputs.format_report(report, "PARENT", "CHANGE")
+    assert "CSV files: 2 compared, 2 differ" in text
+    assert "t.json r.f: 1 runs, largest relative change 0.333 (p/seed0/tomo/t.json)" in text
+    assert "JSON keys only in CHANGE: 1\n  t.json r.new: 2 runs" in text
+
+
+@pytest.mark.parametrize("argv", [[], ["a"], ["a", "b", "c"], ["--help", "b"]])
+def test_the_command_takes_exactly_two_roots(argv, capsys):
+    assert compare_outputs.main(argv) == 2
+    assert capsys.readouterr().err.strip() == compare_outputs.USAGE

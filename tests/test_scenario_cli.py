@@ -14,10 +14,11 @@ from loopmem.cli import main
 from loopmem.components import POCKELS_CELL
 from loopmem.engine import derive_transmission_params, simulate_storage, simulate_sweep
 from loopmem.errors import InvalidStateError, SchemaError
-from loopmem.polarization import D, H, fidelity
+from loopmem.polarization import D, H, R, fidelity
 from loopmem.scenario import (
     PRESETS, preset_scenario, read_scenario, resolve, run,
 )
+from loopmem.tomography import MeasurementSet, mle_reconstruct
 
 
 def write_scenario(tmp_path, payload, name="scan.json"):
@@ -310,6 +311,44 @@ def test_light_figure_pipelines(tmp_path):
     assert any(p.endswith("fig2c.json") for p in written)
 
 
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_tomo_and_fig3_write_one_reconstruction_record(preset, tmp_path):
+    sc = resolve({"preset": preset, "mc_samples": 50})
+    run(sc, "tomo", str(tmp_path / "tomo"))
+    run(sc, "reproduce", str(tmp_path / "fig3"), figure="fig3")
+    records = json.loads((tmp_path / "tomo" / "tomo.json").read_text())["reconstructions"]
+    tomo_r = json.loads((tmp_path / "fig3" / "fig3.json").read_text())["tomo_r"]
+    assert {frozenset(rec) for rec in records.values()} == {frozenset(tomo_r)}
+
+    with open(tmp_path / "fig3" / "fig3_tomo.csv", newline="") as fh:
+        by_label = {row["setting"]: float(row["counts"])
+                    for row in csv.DictReader(line for line in fh if not line.startswith("#"))}
+    mset = MeasurementSet()
+    want = mle_reconstruct([by_label[name] for name in mset.labels()], mset, R)
+    assert (tomo_r["flux"], tomo_r["converged"]) == (want.flux, want.converged)
+    assert tomo_r["fidelity"] == want.fidelity
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_budget_json_keeps_its_seven_keys(preset, tmp_path):
+    run(preset_scenario(preset), "budget", str(tmp_path))
+    payload = json.loads((tmp_path / "budget.json").read_text())
+    assert set(payload) == {"metadata", "params", "per_cycle", "lifetime_cycles_1e",
+                            "lifetime_time_1e_ns", "fiber_factor", "wavelength_nm",
+                            "delta_tau"}
+    assert set(payload["params"]) == {"g13", "g12", "g22", "g23"}
+
+
+def test_malus_points_and_malus_angles_deg_are_mutually_exclusive():
+    # test_cli_bad_scenario_file has the JSON cases; a set is no JSON value
+    raw = {"preset": "paper-short", "malus_angles_deg": [0, 45, 90, 135, 180]}
+    assert len(resolve(raw).malus_angles) == 5
+    for points in (13, {1, 2}):
+        with pytest.raises(SchemaError) as err:
+            resolve(dict(raw, malus_points=points))
+        assert err.value.field == "malus_points"
+
+
 # --- command line ---
 
 def test_cli_decay_roundtrip(tmp_path, capsys):
@@ -389,6 +428,12 @@ def test_cli_bad_scenario_file(tmp_path, capsys):
                 "H", {"label": "H", "alpha": [0, 0], "beta": [1, 0]}]}, "input_states[1].label"),
             ({"preset": "paper-short", "malus_angles_deg": [0, 10, 20, 30, 40]},
              "malus_angles_deg"),
+            ({"preset": "paper-short", "malus_angles_deg": [0, 45, 90, 135, 180],
+              "malus_points": 3}, "malus_points"),
+            ({"preset": "paper-short", "malus_angles_deg": [0, 45, 90, 135, 180],
+              "malus_points": 10**9}, "malus_points"),
+            ({"preset": "paper-short", "malus_angles_deg": [0, 45, 90, 135, 180],
+              "malus_points": "abc"}, "malus_points"),
             ({"preset": "paper-short", "source": {"pair_rate": 1e300}}, "source.pair_rate"),
             ({"preset": "paper-short", "mc_samples": 2**53 + 1}, "mc_samples"),
             ({"preset": "paper-short", "n_values": [1, -2, 3]}, "n_values[1]"),
