@@ -21,8 +21,8 @@ params = TransmissionParams(0.541, 0.419, 0.50, 0.662)
 
 print("noiseless counts for a circular input, ideal memory")
 ds = run_scan(MemoryConfig(delta_tau=36.5), R, TomographyScan(), seed=None)
-for rec in ds.records:
-    print(f"  {rec.setting_label}: {rec.counts:.1f}")
+for label, counts in zip(ds.setting_labels, ds.record_counts):
+    print(f"  {label}: {counts:.1f}")
 k = counts_from_dataset(ds, mset)
 rho, flux = linear_inversion(k, mset)
 res = mle_reconstruct(k, mset, target=R)

@@ -17,7 +17,7 @@ cfg = MemoryConfig.from_params(params, delta_tau=36.5)
 
 
 def fit_from(ds):
-    return fit_decay([int(r.setting_value) for r in ds.records], ds.counts())
+    return fit_decay(list(ds.n_cycles), ds.counts())
 
 
 print("cycle-count sweep, true per-cycle survival 0.50")

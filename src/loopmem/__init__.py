@@ -13,7 +13,7 @@ from .components import (
     circulator_operator, fiber_transmission, pockels_level, pockels_operator,
 )
 from .counting import (
-    CountRecord, DecayScan, MalusScan, ScanDataset, TomographyScan, draw_counts,
+    DecayScan, MalusScan, ScanDataset, TomographyScan, draw_counts,
     malus_mean, read_csv, run_scan, run_scans, synth_malus_dataset, write_csv,
 )
 from .engine import (

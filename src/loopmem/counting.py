@@ -32,12 +32,10 @@ seed=None disables sampling entirely and stores the exact Poisson means as
 floats (noiseless mode, used for calibration against closed-form
 efficiencies).
 
-A `ScanDataset` holds its records as columns, one tuple each of setting
-labels, setting values, counts, cycle counts and sub-seeds, which
-`run_scans`, `synth_malus_dataset` and `read_csv` fill directly.  The
-pipelines, `counts()`, `values()`, `write_csv` and the tomography read the
-columns; `ScanDataset.records` builds the per-record `CountRecord`s only
-when it is first read.
+A `ScanDataset` is its columns, one tuple each of setting labels, setting
+values, counts, cycle counts and sub-seeds, which `run_scans`,
+`synth_malus_dataset` and `read_csv` fill and the pipelines, `counts()`,
+`values()`, `write_csv`, the fits and the tomography read.
 """
 
 from __future__ import annotations
@@ -71,26 +69,14 @@ _CSV_CELLS = (str, float, lambda cell: float(checked_counts(float(cell), 0)), fl
 
 
 @dataclass(frozen=True)
-class CountRecord:
-    """One detector reading at one analyzer setting."""
-
-    setting_label: str
-    setting_value: float
-    counts: float  # integer-valued when sampled; exact mean in noiseless mode
-    acquisition_s: float
-    n_cycles: int
-    seed: int | None
-
-
-@dataclass(frozen=True)
 class ScanDataset:
-    """One scan's records, held as columns: one tuple per `CountRecord` field.
+    """One scan's detector readings, held as columns of equal length.
 
-    Record i is (setting_labels[i], setting_values[i], record_counts[i],
-    acquisition_s, n_cycles[i], sub_seeds[i]); every record shares the
-    dataset's acquisition time.  `records` builds those `CountRecord`s on its
-    first read and keeps them.  Datasets compare equal when their columns
-    and metadata do, which is when their records do.
+    Record i is one reading at one analyzer setting: (setting_labels[i],
+    setting_values[i], record_counts[i], acquisition_s, n_cycles[i],
+    sub_seeds[i]), the row `write_csv` writes; every record shares the
+    dataset's acquisition time.  Datasets compare equal when their columns
+    and metadata do.
     """
 
     setting_labels: tuple[str, ...]
@@ -109,19 +95,11 @@ class ScanDataset:
                 == len(self.n_cycles) == len(self.sub_seeds)):
             raise ValueError("a dataset's columns must have equal length")
 
-    @functools.cached_property
-    def records(self) -> tuple[CountRecord, ...]:
-        return tuple(CountRecord(label, value, k, self.acquisition_s, n, sub)
-                     for label, value, k, n, sub in zip(
-                         self.setting_labels, self.setting_values, self.record_counts,
-                         self.n_cycles, self.sub_seeds))
-
     def counts(self) -> np.ndarray:
         return np.array(self.record_counts, dtype=float)
 
     def values(self) -> np.ndarray:
         return np.array(self.setting_values, dtype=float)
-
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,7 @@ def _stack_counts(counts, grid: np.ndarray, name: str) -> tuple[np.ndarray, bool
     return np.atleast_2d(k), single
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the fits refuse a row that is not finite
 def _wls(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
     """Weighted least squares of each row of y, weights w, on the shared design x.
 
@@ -79,7 +80,8 @@ def _wls(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
     condition number is the square of the design's.  Singular values at or
     below eps * max(m, n) times a row's largest count as zero, numpy's
     default least-squares cutoff.  A row's results are bitwise those of the
-    row alone.
+    row alone; a row whose squared residuals pass the float range gets a
+    non-finite chi-square.
     """
     sw = np.sqrt(w)
     u, sv, vt = np.linalg.svd(x * sw[:, :, None], full_matrices=False)
@@ -105,6 +107,8 @@ def fit_malus(angles, counts) -> MalusFit | tuple[MalusFit, ...]:
     one fit per row, each the fit of that row alone.  A NaN, infinite or
     negative count anywhere in a stack raises a ValueError before any row is
     fitted; otherwise the stack raises the error of its first failing row.
+    A row whose covariance passes the float range (counts of about 1e170
+    and up) raises a ValueError.
     """
     th = np.asarray(angles, dtype=float)
     k, single = _stack_counts(counts, th, "angles")
@@ -118,15 +122,18 @@ def fit_malus(angles, counts) -> MalusFit | tuple[MalusFit, ...]:
     degenerate = sv[-1] <= 1e-9 * sv[0]  # the angles alone decide, not the count level
     beta, inv, chi2 = _wls(x, k, 1.0 / np.maximum(k, 1.0))
     fits = []
-    for total, (a, b, c), inv_normal, rss in zip(
-            k.sum(axis=1).tolist(), beta.tolist(), inv, chi2.tolist()):
-        if total <= 0:
+    for peak, (a, b, c), inv_normal, rss in zip(
+            k.max(axis=1).tolist(), beta.tolist(), inv, chi2.tolist()):
+        if peak <= 0:  # the max, as a sum can overflow
             raise NoSignalError("fringe scan carries no counts")
         if degenerate:
             raise IncompleteSetError("degenerate analyzer angle grid")
         if a <= 0:
             raise NoSignalError("fitted fringe level is not positive")
-        cov = inv_normal * (rss / (len(th) - 3))  # scaled by the reduced chi-square
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov = inv_normal * (rss / (len(th) - 3))  # scaled by the reduced chi-square
+        if not np.isfinite(cov).all():
+            raise ValueError("fringe fit covariance is not finite: counts overflow the float range")
         r = math.hypot(b, c)
         vis = r / a
         if r > 0:
@@ -145,7 +152,8 @@ def fit_decay(n_values, counts) -> DecayFit | tuple[DecayFit, ...]:
     Zero-count points carry no log-domain information and are excluded,
     tracked in n_excluded.  gamma estimates above 1 are clamped with a flag.
     A 2-D `counts` fits each row on the shared n_values, and checks every
-    count before any row is fitted, as `fit_malus` does.
+    count before any row is fitted, as `fit_malus` does; a row whose
+    uncertainty passes the float range raises a ValueError, as there.
     """
     n = np.asarray(n_values, dtype=float)
     k, single = _stack_counts(counts, n, "n_values")
@@ -170,6 +178,8 @@ def fit_decay(n_values, counts) -> DecayFit | tuple[DecayFit, ...]:
         gamma = math.exp(b1)
         chi2_red = rss / (n_kept - 2) if n_kept > 2 else 0.0
         sigma = gamma * math.sqrt(max(inv11 * chi2_red, 0.0))
+        if not math.isfinite(sigma):
+            raise ValueError("decay fit uncertainty is not finite: counts overflow the float range")
         fits.append(DecayFit(math.exp(b0), min(gamma, 1.0), sigma, len(n) - n_kept, gamma > 1.0))
     return fits[0] if single else tuple(fits)
 

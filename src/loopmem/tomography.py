@@ -182,13 +182,18 @@ def mle_reconstruct(counts, mset: MeasurementSet,
     """Maximum-likelihood state estimate from one set of projective counts.
 
     `converged` reports that the optimizer met its tolerances or that the
-    scaled gradient norm (per total count) ended below 1e-8.
+    scaled gradient norm (per total count) ended below 1e-8.  Counts with one
+    above `_ASCENT_MAX_COUNT`, whose objective could overflow, are fitted
+    scaled by a power of 2 to below 1, as `exact_mle_bloch` ascends them: the
+    likelihood and its gradient scale by that power exactly, and `flux` and
+    `log_likelihood` are reported on the counts' own scale.
     """
     k = checked_counts(counts, 1, 4)
     start = _initial_t(k, mset)  # its linear inversion raises NoSignalError without signal
     u = np.array([p.alpha for _, p in mset.projectors])
     w = np.array([p.beta for _, p in mset.projectors])
-    fun = _profile_objective(k, u, w)
+    e = int(np.frexp(k.max())[1]) if k.max() > _ASCENT_MAX_COUNT else 0  # k = 2**e * scaled
+    fun = _profile_objective(np.ldexp(k, -e), u, w)
     res = sys.modules[__name__].minimize(
         fun, start, jac=True, method="L-BFGS-B",
         options={"ftol": 1e-13, "gtol": 1e-10, "maxiter": 500})
@@ -202,10 +207,10 @@ def mle_reconstruct(counts, mset: MeasurementSet,
 
     q_over_tr = np.array([rho.project(p) for _, p in mset.projectors])
     flux = float(k.sum() / max(q_over_tr.sum(), _Q_FLOOR))
-    gnorm = float(np.linalg.norm(res.jac)) / max(float(k.sum()), 1.0)
+    gnorm = math.ldexp(float(np.linalg.norm(res.jac)), e) / max(float(k.sum()), 1.0)
     converged = bool(res.success or gnorm < 1e-8)
     fid = fidelity(rho, target) if target is not None else None
-    return ReconstructionResult(rho, flux, fid, converged, -float(res.fun))
+    return ReconstructionResult(rho, flux, fid, converged, -math.ldexp(float(res.fun), e))
 
 
 def _bloch(rho: np.ndarray) -> np.ndarray:

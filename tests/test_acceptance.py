@@ -83,9 +83,9 @@ def test_criterion_02_efficiency_scaling_recovery():
     cfg_s = MemoryConfig.from_params(SHORT, delta_tau=36.5)
     ds = run_scan(cfg_s, H, DecayScan(), pair_rate=2000.0, acquisition_s=60.0,
                   seed=None)
-    for rec, n in zip(ds.records, range(1, 9)):
+    for counts, n in zip(ds.record_counts, range(1, 9)):
         want = 2000.0 * 60.0 * 0.419 * 0.50 ** (n - 1) * 0.662
-        assert abs(rec.counts - want) <= 1e-12 * want
+        assert abs(counts - want) <= 1e-12 * want
 
     # sampled pipelines must bracket the per-cycle value within 3 sigma
     for label, params, dt, gamma in (("paper-short", SHORT, 36.5, 0.50),
@@ -97,7 +97,7 @@ def test_criterion_02_efficiency_scaling_recovery():
         for seed in range(20):
             ds = run_scan(cfg, H, DecayScan(), pair_rate=rate,
                           acquisition_s=60.0, seed=3000 + seed)
-            fit = fit_decay([int(r.setting_value) for r in ds.records], ds.counts())
+            fit = fit_decay(list(ds.n_cycles), ds.counts())
             pulls.append((fit.gamma_per_cycle - gamma) / fit.sigma_gamma)
             if abs(fit.gamma_per_cycle - gamma) <= 3.0 * fit.sigma_gamma:
                 hits += 1

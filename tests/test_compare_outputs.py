@@ -54,6 +54,18 @@ def test_differences_are_grouped_by_file_and_key(tmp_path):
     assert "JSON keys only in CHANGE: 1\n  t.json r.new: 2 runs" in text
 
 
+def test_each_trees_package_line_count_is_reported(tmp_path):
+    _write(tmp_path / "parent", "src/loopmem/a.py", "x = 1\ny = 2\n")
+    _write(tmp_path / "parent", "src/loopmem/b.py", "z = 3")  # no final newline, as wc -l counts
+    _write(tmp_path / "parent", "src/loopmem/sub/c.py", "\n" * 50)  # not in src/loopmem/*.py
+    _write(tmp_path / "parent", "src/loopmem/notes.txt", "\n" * 50)
+    _write(tmp_path / "change", "src/loopmem/a.py", "x = 1\n")
+    parent, change = str(tmp_path / "parent"), str(tmp_path / "change")
+    assert compare_outputs.package_lines(parent) == 2
+    assert compare_outputs.format_line_counts(parent, change) == (
+        f"Lines of src/loopmem/*.py: 2 in {parent}, 1 in {change} (-1)")
+
+
 @pytest.mark.parametrize("argv", [[], ["a"], ["a", "b", "c"], ["--help", "b"]])
 def test_the_command_takes_exactly_two_roots(argv, capsys):
     assert compare_outputs.main(argv) == 2

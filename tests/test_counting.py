@@ -7,7 +7,7 @@ import loopmem.counting
 from loopmem import engine, scenario
 from loopmem.components import POCKELS_CELL, ComponentSpec
 from loopmem.counting import (
-    CountRecord, DecayScan, MalusScan, ScanDataset, TomographyScan, _pcg64_starts, _poisson_means,
+    DecayScan, MalusScan, ScanDataset, TomographyScan, _pcg64_starts, _poisson_means,
     _rates, draw_counts, malus_mean, read_csv, record_seed, record_seeds, run_scan, run_scans,
     synth_malus_dataset, write_csv,
 )
@@ -46,11 +46,11 @@ def test_decay_scan_noiseless_matches_closed_form():
     cfg = MemoryConfig.from_params(SHORT, delta_tau=36.5)
     ds = run_scan(cfg, H, DecayScan(), pair_rate=2000.0, acquisition_s=60.0, seed=None)
     assert ds.kind == "decay"
-    assert [r.setting_label for r in ds.records] == ["n_cycles"] * 8
-    for rec, n in zip(ds.records, range(1, 9)):
+    assert ds.setting_labels == ("n_cycles",) * 8
+    for counts, value, n in zip(ds.record_counts, ds.setting_values, range(1, 9), strict=True):
         want = 2000.0 * 60.0 * efficiency(SHORT, n)
-        assert abs(rec.counts - want) < 1e-9 * want
-        assert rec.setting_value == float(n)
+        assert abs(counts - want) < 1e-9 * want
+        assert value == float(n)
 
 
 @pytest.mark.parametrize("seed", [None, 7])
@@ -66,8 +66,11 @@ def test_decay_scan_matches_per_n_storage_loop(seed):
         mean = _storage_mean(cfg, D, n, D, 2000.0, 1.0, 60.0)
         sub = record_seed(seed, i)
         counts = mean if sub is None else _numpy_draw(mean, sub)
-        want.append(CountRecord("n_cycles", float(n), counts, 60.0, n, sub))
-    assert ds.records == tuple(want)
+        want.append(("n_cycles", float(n), counts, 60.0, n, sub))
+    # all six fields of each record, as write_csv writes them
+    assert list(zip(ds.setting_labels, ds.setting_values, ds.record_counts,
+                    [ds.acquisition_s] * len(ds.n_cycles), ds.n_cycles, ds.sub_seeds,
+                    strict=True)) == want
 
 
 def test_malus_scan_noiseless_traces_fringe():
@@ -75,16 +78,16 @@ def test_malus_scan_noiseless_traces_fringe():
     ds = run_scan(IDEAL, D, MalusScan(tuple(angles)), pair_rate=2000.0,
                   acquisition_s=10.0, seed=None)
     assert ds.kind == "malus"
-    for rec in ds.records:
-        want = malus_mean(rec.setting_value, 2000.0, 1.0, math.pi / 4.0) * 10.0
-        assert abs(rec.counts - want) < 1e-9
+    for theta, counts in zip(ds.setting_values, ds.record_counts, strict=True):
+        want = malus_mean(theta, 2000.0, 1.0, math.pi / 4.0) * 10.0
+        assert abs(counts - want) < 1e-9
 
 
 def test_tomography_scan_labels_and_counts():
     ds = run_scan(IDEAL, R, TomographyScan(), pair_rate=2000.0,
                   acquisition_s=60.0, seed=None)
     assert ds.kind == "tomography"
-    assert [r.setting_label for r in ds.records] == ["H", "V", "D", "R"]
+    assert ds.setting_labels == ("H", "V", "D", "R")
     counts = ds.counts()
     assert np.allclose(counts, [60000.0, 60000.0, 60000.0, 120000.0])
 
@@ -94,7 +97,7 @@ def test_run_scan_seeded_deterministic():
     a = run_scan(cfg, H, DecayScan((1, 2, 3)), seed=11)
     b = run_scan(cfg, H, DecayScan((1, 2, 3)), seed=11)
     assert a == b
-    assert [r.seed for r in a.records] == [record_seed(11, i) for i in range(3)]
+    assert a.sub_seeds == tuple(record_seed(11, i) for i in range(3))
     c = run_scan(cfg, H, DecayScan((1, 2, 3)), seed=12)
     assert a.counts().tolist() != c.counts().tolist()
 
@@ -109,8 +112,8 @@ def test_synth_malus_noiseless_equals_model():
     angles = np.linspace(0.0, math.pi, 9)
     ds = synth_malus_dataset(tuple(angles), 5000.0, 0.8, 0.3,
                              acquisition_s=2.0, seed=None)
-    for rec in ds.records:
-        assert rec.counts == malus_mean(rec.setting_value, 5000.0, 0.8, 0.3) * 2.0
+    for theta, counts in zip(ds.setting_values, ds.record_counts, strict=True):
+        assert counts == malus_mean(theta, 5000.0, 0.8, 0.3) * 2.0
 
 
 def test_csv_round_trip(tmp_path):
@@ -357,9 +360,9 @@ def _projectors(state, plan) -> list:
     return [p for _, p in plan.projectors]
 
 
-def _record_mean(state, plan, i, rec, pair_rate, detection_eff, acquisition_s):
-    """Poisson mean of record i of a scan, from its own simulate_storage call."""
-    return _storage_mean(PC, state, rec.n_cycles, _projectors(state, plan)[i], pair_rate,
+def _record_mean(state, plan, i, n, pair_rate, detection_eff, acquisition_s):
+    """Poisson mean of record i, at n cycles, of a scan, from its own simulate_storage call."""
+    return _storage_mean(PC, state, n, _projectors(state, plan)[i], pair_rate,
                          detection_eff, acquisition_s)
 
 
@@ -381,9 +384,9 @@ def test_noiseless_batch_stores_exact_means():
     jobs = _mixed_jobs((None,) * 6)
     for (state, plan, _), ds in zip(jobs, run_scans(PC, jobs, acquisition_s=30.0)):
         assert ds.seed is None
-        for i, rec in enumerate(ds.records):
-            assert rec.seed is None
-            assert rec.counts == _record_mean(state, plan, i, rec, 2000.0, 1.0, 30.0)
+        assert ds.sub_seeds == (None,) * len(ds.n_cycles)
+        for i, (counts, n) in enumerate(zip(ds.record_counts, ds.n_cycles, strict=True)):
+            assert counts == _record_mean(state, plan, i, n, 2000.0, 1.0, 30.0)
 
 
 @pytest.mark.parametrize("seeds", [(3, 2**33, 0, 17, 2**70, 11), (None,) * 6,
@@ -450,10 +453,10 @@ def test_a_record_mean_is_the_same_alone_and_in_a_mixed_batch():
              (D, TomographyScan(2)), (H, DecayScan((1, 2, 3, 5, 8, 13, 21, 34))))
     jobs = [(state, plan, None) for state, plan in plans]
     datasets = run_scans(PC, jobs, pair_rate=1500.0, detection_eff=0.7, acquisition_s=30.0)
-    assert sum(len(ds.records) for ds in datasets) == 1000
+    assert sum(len(ds.record_counts) for ds in datasets) == 1000
     for (state, plan, _), ds in zip(jobs, datasets):
-        for i, rec in enumerate(ds.records):
-            assert rec.counts == _record_mean(state, plan, i, rec, 1500.0, 0.7, 30.0)
+        for i, (counts, n) in enumerate(zip(ds.record_counts, ds.n_cycles, strict=True)):
+            assert counts == _record_mean(state, plan, i, n, 1500.0, 0.7, 30.0)
 
 
 def test_run_scans_never_builds_an_exit_density_matrix(monkeypatch):
@@ -464,31 +467,6 @@ def test_run_scans_never_builds_an_exit_density_matrix(monkeypatch):
     jobs = _mixed_jobs((3, None, 0, 17, None, 11))
     datasets = run_scans(PC, jobs, pair_rate=1500.0, acquisition_s=30.0)
     assert {ds.kind for ds in datasets} == {"decay", "malus", "tomography"}
-
-
-def _eager_records(ds) -> tuple[CountRecord, ...]:
-    return tuple(CountRecord(*fields) for fields in zip(
-        ds.setting_labels, ds.setting_values, ds.record_counts,
-        [ds.acquisition_s] * len(ds.n_cycles), ds.n_cycles, ds.sub_seeds))
-
-
-def test_run_scans_builds_no_count_record(monkeypatch, tmp_path):
-    def refuse(*args, **kwargs):
-        raise AssertionError("count synthesis built a CountRecord")
-
-    jobs = _mixed_jobs((3, None, 0, 17, None, 11))
-    with monkeypatch.context() as patched:
-        patched.setattr(loopmem.counting, "CountRecord", refuse)
-        datasets = run_scans(PC, jobs, pair_rate=1500.0, acquisition_s=30.0)
-        sc = scenario.resolve({"preset": "paper-short", "mc_samples": 2})
-        for subcommand, figure in (("decay", None), ("malus", None), ("tomo", None),
-                                   ("reproduce", "fig2c"), ("reproduce", "fig3"),
-                                   ("reproduce", "fig4")):
-            scenario.run(sc, subcommand, str(tmp_path / (figure or subcommand)), figure)
-    assert {ds.seed is None for ds in datasets} == {True, False}
-    for ds in datasets:  # records are built on their first read, from the columns
-        assert ds.records == _eager_records(ds) and ds.records is ds.records
-        assert [r.counts for r in ds.records] == ds.counts().tolist()
 
 
 def test_run_scans_builds_no_outcome_or_exit_event(monkeypatch):
@@ -579,10 +557,11 @@ def test_sample_counts_validation():
 def test_synth_malus_dataset_draws_each_record_from_its_seed():
     angles = tuple(np.linspace(0.0, math.pi, 9))
     ds = synth_malus_dataset(angles, 5000.0, 0.8, 0.3, acquisition_s=2.0, seed=21)
-    for i, rec in enumerate(ds.records):
-        mean = malus_mean(rec.setting_value, 5000.0, 0.8, 0.3) * 2.0
-        assert rec.seed == record_seed(21, i)
-        assert rec.counts == _numpy_draw(mean, rec.seed)
+    for i, (theta, counts, sub) in enumerate(zip(ds.setting_values, ds.record_counts,
+                                                 ds.sub_seeds, strict=True)):
+        mean = malus_mean(theta, 5000.0, 0.8, 0.3) * 2.0
+        assert sub == record_seed(21, i)
+        assert counts == _numpy_draw(mean, sub)
 
 
 def test_fig4_sweeps_each_state_once_and_draws_in_one_batch(monkeypatch, tmp_path):

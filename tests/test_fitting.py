@@ -95,7 +95,7 @@ def test_decay_exact_recovery():
 def test_decay_matches_simulator_closed_form():
     cfg = MemoryConfig.from_params(SHORT, delta_tau=36.5)
     ds = run_scan(cfg, H, DecayScan(), pair_rate=2000.0, acquisition_s=60.0, seed=None)
-    fit = fit_decay([int(r.setting_value) for r in ds.records], ds.counts())
+    fit = fit_decay(list(ds.n_cycles), ds.counts())
     assert fit.gamma_per_cycle == pytest.approx(0.50, abs=1e-12)
     assert fit.prefactor == pytest.approx(2000.0 * 60.0 * 0.419 * 0.662, rel=1e-9)
 
@@ -142,7 +142,7 @@ def test_decay_closed_loop_with_sampling():
     for seed in range(100):
         ds = run_scan(cfg, H, DecayScan(), pair_rate=rate, acquisition_s=60.0,
                       seed=3000 + seed)
-        fit = fit_decay([int(r.setting_value) for r in ds.records], ds.counts())
+        fit = fit_decay(list(ds.n_cycles), ds.counts())
         if abs(fit.gamma_per_cycle - 0.50) <= 3.0 * fit.sigma_gamma:
             hits += 1
     assert hits >= 97

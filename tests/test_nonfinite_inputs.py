@@ -6,7 +6,9 @@ callable of a scratch directory and the error it must raise, or None for a
 call that must return finite values; the test configuration turns any
 RuntimeWarning into an error.  A count refused raises the one count check's
 ValueError (numpy's LinAlgError is a ValueError too, so the message is
-checked), or from `read_csv` a SchemaError on the field `counts`.
+checked), or from `read_csv` a SchemaError on the field `counts`.  A fit
+whose result passes the float range raises a ValueError saying so, given
+here as the pair (ValueError, its message).
 """
 
 import math
@@ -16,18 +18,25 @@ import pytest
 
 from loopmem.components import (FIBER_SEGMENT, ComponentSpec, DriveSchedule, fiber_transmission,
                                 pockels_level)
-from loopmem.counting import read_csv
+from loopmem.counting import malus_mean, read_csv
 from loopmem.engine import MemoryConfig, simulate_storage
 from loopmem.errors import GainError, InvalidStateError, SchemaError, UnschedulableError
-from loopmem.fitting import fit_decay, fit_malus
+from loopmem.fitting import MalusFit, fit_decay, fit_malus
 from loopmem.polarization import H, PureState, make_pure
-from loopmem.tomography import MeasurementSet, exact_mle_bloch, exact_mle_fidelities
+from loopmem.tomography import (MeasurementSet, _bloch, exact_mle_bloch, exact_mle_fidelities,
+                                mle_reconstruct)
 
 NAN, INF = math.nan, math.inf
 ANGLES = tuple(np.linspace(0.0, math.pi, 9))
 FRINGE = [1000.0 + 500.0 * math.cos(2.0 * t) for t in ANGLES]
 MSET = MeasurementSet()
 BIG, SAFE = [[1e200, 1.0, 1e200, 1e200]], [[1e150, 1.0, 1e150, 1e150]]
+OVERFLOW = (ValueError, "counts overflow the float range")
+MALUS_ANGLES = np.linspace(0.0, math.pi, 13)
+
+
+def _fringe(amplitude):
+    return [malus_mean(t, amplitude, 0.8, 0.3) for t in MALUS_ANGLES]
 
 
 def _csv_with_count(tmp_path, cell):
@@ -57,6 +66,33 @@ def _fidelity_is_finite(tmp_path):
     assert not failed.any() and np.isfinite(fid).all()
 
 
+def _fits_as_the_exact_solution(count):
+    def check(tmp_path):
+        row = [count, 1.0, count, count]
+        res = mle_reconstruct(row, MSET, H)
+        assert res.converged
+        assert all(map(math.isfinite, (res.flux, res.log_likelihood, res.fidelity)))
+        r, failed = exact_mle_bloch([row], MSET)
+        assert not failed.any()
+        np.testing.assert_allclose(_bloch(res.rho.matrix), r[0], rtol=0, atol=1e-6)
+    return check
+
+
+def _fringe_fit_at_2e150(tmp_path):
+    fit = fit_malus(MALUS_ANGLES, _fringe(2e150))
+    assert fit == MalusFit(1.9999999999999996e+150, 0.8, 0.29999999999999993,
+                           fit.sigma_visibility, False)
+    assert 0.0 < fit.sigma_visibility < 1e-15
+
+
+def _decay_fit_at_1e300(tmp_path):
+    n = np.arange(1, 9)
+    fit = fit_decay(n, 1e300 * 0.5**n)
+    assert fit.gamma_per_cycle == pytest.approx(0.5, rel=1e-12)
+    assert fit.prefactor == pytest.approx(5e299, rel=1e-12)
+    assert 0.0 <= fit.sigma_gamma < 1e-12
+
+
 CASES = [
     # counts: both fits, single scans and stacks, and read_csv
     pytest.param(lambda _: fit_malus(ANGLES, [NAN] + FRINGE[1:]), ValueError, id="fit_malus-nan"),
@@ -73,6 +109,19 @@ CASES = [
     # counts whose likelihood ascent would overflow
     pytest.param(_solves_as_the_unscaled_row, None, id="exact_mle_bloch-1e200"),
     pytest.param(_fidelity_is_finite, None, id="exact_mle_fidelities-1e200"),
+    pytest.param(_fits_as_the_exact_solution(1e200), None, id="mle_reconstruct-1e200"),
+    pytest.param(_fits_as_the_exact_solution(1e300), None, id="mle_reconstruct-1e300"),
+    # counts whose fit passes the float range, and rows below it that fit as before
+    pytest.param(lambda _: fit_malus(MALUS_ANGLES, _fringe(2e200)), OVERFLOW,
+                 id="fit_malus-2e200"),
+    pytest.param(lambda _: fit_malus(MALUS_ANGLES, _fringe(2e300)), OVERFLOW,
+                 id="fit_malus-2e300"),
+    pytest.param(lambda _: fit_malus(MALUS_ANGLES, _fringe(3e307)), OVERFLOW,
+                 id="fit_malus-3e307-whose-sum-overflows"),
+    pytest.param(lambda _: fit_decay(range(1, 9), [1.7e308, 5e307] * 4), OVERFLOW,
+                 id="fit_decay-chi-square-past-the-float-range"),
+    pytest.param(_fringe_fit_at_2e150, None, id="fit_malus-2e150"),
+    pytest.param(_decay_fit_at_1e300, None, id="fit_decay-1e300"),
     # device numbers
     pytest.param(lambda _: MemoryConfig(delta_tau=NAN), InvalidStateError, id="delta_tau-nan"),
     pytest.param(lambda _: MemoryConfig(100.0, pass_through_time=NAN), InvalidStateError,
@@ -125,7 +174,9 @@ def test_a_non_finite_or_negative_number_is_refused_or_solved_finitely(call, err
     if error is None:
         call(tmp_path)
         return
-    with pytest.raises(error, match="finite and nonnegative" if error is ValueError else None) as err:
+    error, match = error if isinstance(error, tuple) else (
+        error, "finite and nonnegative" if error is ValueError else None)
+    with pytest.raises(error, match=match) as err:
         call(tmp_path)
     if error is SchemaError:
         assert err.value.field == "counts"

@@ -493,7 +493,7 @@ def test_ascent_rows_short_of_the_tolerance_fail(monkeypatch):
 def test_counts_from_dataset_orders_by_label():
     ds = run_scan(MemoryConfig(delta_tau=36.5), R, TomographyScan(), seed=None)
     k = counts_from_dataset(ds, MSET)
-    assert k.tolist() == [r.counts for r in ds.records]
+    assert k.tolist() == list(ds.record_counts)
 
 
 def test_counts_from_dataset_missing_label():

@@ -10,7 +10,8 @@ imports `loopmem` only from `<root>/src`.  The report lists:
 - CSV files whose bytes differ, or that only one tree wrote;
 - JSON values that differ, ignoring `metadata.generated_at`, with the
   largest relative change per key over all runs;
-- JSON keys that only one tree wrote.
+- JSON keys that only one tree wrote;
+- each tree's total line count of `src/loopmem/*.py`, as `wc -l` counts it.
 
 Exit status: 0 when no CSV and no JSON value differs, 1 otherwise, and 2
 when a tree fails to run.  Keys present on only one side are reported but
@@ -146,6 +147,17 @@ def format_report(report: dict, parent_root: str, change_root: str) -> str:
     return "\n".join(lines)
 
 
+def package_lines(root: str) -> int:
+    """The newlines in <root>/src/loopmem/*.py, the total `wc -l` prints."""
+    return sum(p.read_bytes().count(b"\n") for p in Path(root, "src", "loopmem").glob("*.py"))
+
+
+def format_line_counts(parent_root: str, change_root: str) -> str:
+    parent, change = package_lines(parent_root), package_lines(change_root)
+    return (f"Lines of src/loopmem/*.py: {parent} in {parent_root}, {change} in {change_root}"
+            f" ({change - parent:+d})")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2 or any(arg.startswith("-") for arg in argv):
         print(USAGE, file=sys.stderr)
@@ -164,6 +176,7 @@ def main(argv: list[str]) -> int:
             return 2
         report = compare(*outs)
     print(format_report(report, *roots))
+    print(format_line_counts(*roots))
     return 1 if report["csv_differ"] or report["value_diffs"] else 0
 
 
