@@ -74,6 +74,9 @@ class ComponentSpec:
             if not 0.0 <= ti <= 1.0:
                 raise GainError(f"transmission {ti} outside [0, 1]")
         object.__setattr__(self, "transmission", t)
+        for name in ("rotation_error", "static_phase"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidStateError(f"{name} {getattr(self, name)} rad is not finite")
         _check_fiber(self.length_m, self.atten_db_per_km)
 
     @property

@@ -47,7 +47,7 @@ import math
 import operator
 import os
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,17 +112,16 @@ class MalusScan:
 
 @dataclass(frozen=True)
 class TomographyScan:
-    """Measure a fixed projector set at one cycle count."""
+    """Measure DEFAULT_PROJECTORS, the set MeasurementSet() reads, at one cycle count."""
 
     n_cycles: int = 1
-    projectors: tuple[tuple[str, PureState], ...] = DEFAULT_PROJECTORS
 
 
 @dataclass(frozen=True)
 class DecayScan:
     """Sweep the cycle count, analyzing along the input state itself."""
 
-    n_values: tuple[int, ...] = field(default=(1, 2, 3, 4, 5, 6, 7, 8))
+    n_values: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and NaN fail later, as a float's would
@@ -253,8 +252,12 @@ def _seed_words(seed: int) -> list[int]:
 def _record_seeds(masters: Sequence[int], sizes: Sequence[int]) -> np.ndarray:
     """record_seed(master, i) for i < size, per (master, size), concatenated, as uint32.
 
-    One hash pass per word count of the master seeds.
+    Below _BATCH_MIN records in all, numpy's SeedSequence per record; from
+    there on, one hash pass per word count of the master seeds.
     """
+    if sum(sizes) < _BATCH_MIN:
+        return np.array([record_seed(master, i) for master, size in zip(masters, sizes)
+                         for i in range(size)], np.uint32)
     sizes = np.array(sizes, np.int64)
     starts = sizes.cumsum() - sizes
     groups: dict[int, tuple[list[list[int]], list[int]]] = {}  # words -> (masters' words, jobs)
@@ -383,8 +386,6 @@ _TRIAL_MIN = 64
 
 def record_seeds(master: int, n: int) -> list[int]:
     """record_seed(master, i) for i < n; one hash pass from _BATCH_MIN seeds on."""
-    if n < _BATCH_MIN:
-        return [record_seed(master, i) for i in range(n)]
     return _record_seeds([master], [n]).tolist()
 
 
@@ -399,28 +400,24 @@ def draw_counts(jobs: Sequence[tuple[int | None, Sequence[float]]]
     out: list[tuple[list[float], list[int | None]]] = [
         (list(means), [None] * len(means)) for _, means in jobs]
     seeded = [j for j, (seed, _) in enumerate(jobs) if seed is not None]
-    total = sum(len(jobs[j][1]) for j in seeded)
-    if total < _BATCH_MIN:
-        for j in seeded:
-            counts, seeds = out[j]
-            for i, mu in enumerate(counts):
-                seeds[i] = record_seed(jobs[j][0], i)
-                counts[i] = float(np.random.default_rng(seeds[i]).poisson(mu))
-        return out
     subs = _record_seeds([jobs[j][0] for j in seeded], [len(jobs[j][1]) for j in seeded])
     means = [mu for j in seeded for mu in out[j][0]]
-    drawn: list[float] = []
-    rng = np.random.default_rng(0)  # set to each record's start state in turn
-    for at, starts in zip(range(0, total, _STATE_CHUNK), _pcg64_starts(subs)):
-        chunk = means[at:at + _STATE_CHUNK]
-        if total < _TRIAL_MIN:
-            drawn += [_poisson_from(rng, start, mu) for start, mu in zip(starts.T.tolist(), chunk)]
-        else:
-            counts = _first_trial(starts, np.array(chunk, dtype=float))
-            rest = np.isnan(counts).nonzero()[0]
-            for i, start in zip(rest.tolist(), starts[:, rest].T.tolist()):
-                counts[i] = _poisson_from(rng, start, chunk[i])
-            drawn += counts.tolist()
+    total, drawn = len(means), []
+    if total < _BATCH_MIN:  # below the size _record_seeds hashes from, numpy seeds too
+        drawn = [float(np.random.default_rng(s).poisson(mu)) for s, mu in zip(subs.tolist(), means)]
+    else:
+        rng = np.random.default_rng(0)  # set to each record's start state in turn
+        for at, starts in zip(range(0, total, _STATE_CHUNK), _pcg64_starts(subs)):
+            chunk = means[at:at + _STATE_CHUNK]
+            if total < _TRIAL_MIN:
+                drawn += [_poisson_from(rng, start, mu)
+                          for start, mu in zip(starts.T.tolist(), chunk)]
+            else:
+                counts = _first_trial(starts, np.array(chunk, dtype=float))
+                rest = np.isnan(counts).nonzero()[0]
+                for i, start in zip(rest.tolist(), starts[:, rest].T.tolist()):
+                    counts[i] = _poisson_from(rng, start, chunk[i])
+                drawn += counts.tolist()
     subs = subs.tolist()
     at = 0
     for j in seeded:
@@ -455,9 +452,9 @@ def run_scans(cfg: MemoryConfig, jobs: Sequence[ScanJob], *, pair_rate: float = 
             layout = ("malus", ("analyzer_angle_rad",) * size, tuple(map(float, plan.angles)),
                       (plan.n_cycles,) * size)
         elif isinstance(plan, TomographyScan):
-            at_row += [projectors.setdefault(p, len(projectors)) for _, p in plan.projectors]
-            size = len(plan.projectors)
-            layout = ("tomography", tuple(name for name, _ in plan.projectors),
+            at_row += [projectors.setdefault(p, len(projectors)) for _, p in DEFAULT_PROJECTORS]
+            size = len(DEFAULT_PROJECTORS)
+            layout = ("tomography", tuple(name for name, _ in DEFAULT_PROJECTORS),
                       tuple(map(float, range(size))), (plan.n_cycles,) * size)
         elif isinstance(plan, DecayScan):
             at_row += [projectors.setdefault(state, len(projectors))] * len(plan.n_values)

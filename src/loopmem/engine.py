@@ -22,7 +22,7 @@ rather than polarization errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -46,9 +46,9 @@ from .components import (
     pockels_operator,
 )
 from .errors import GainError, InvalidStateError, UnschedulableError
-from .polarization import DensityMatrix, PureState, attenuator, birefringent_phase, rotator
+from .polarization import (_PAULI_X, DensityMatrix, PureState, attenuator, birefringent_phase,
+                           rotator)
 
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _RESIDUAL_CUTOFF = 1e-16
 # A residual this light does not change the unit input weight in float.  A map
 # that leaks less than this per passage rounds to one that keeps everything
@@ -80,19 +80,22 @@ class TransmissionParams:
                 raise GainError(f"{name} = {v} outside [0, 1]")
 
 
+def _cycle_count(n) -> int:
+    if type(n) is int and n >= 0:
+        return n
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"cycle count must be a non-negative integer, got {n!r}")
+    return int(n)
+
+
 def efficiency(params: TransmissionParams, n: int) -> float:
     """Closed-form retrieval efficiency after n storage cycles.
 
     n = 0 is the pass-through value g13; for n >= 1 the efficiency is
     g12 * g22**(n-1) * g23.
     """
-    if not isinstance(n, (int, np.integer)):
-        raise TypeError(f"cycle count must be an integer, got {type(n).__name__}")
-    if n < 0:
-        raise ValueError(f"cycle count must be >= 0, got {n}")
-    if n == 0:
-        return params.g13
-    return params.g12 * params.g22 ** (n - 1) * params.g23
+    n = _cycle_count(n)
+    return params.g13 if n == 0 else params.g12 * params.g22 ** (n - 1) * params.g23
 
 
 @dataclass(frozen=True)
@@ -106,14 +109,6 @@ class PathTrace:
 _M_SWAP = {"M1": "M4", "M4": "M1", "M2": "M3", "M3": "M2", "storage": "storage"}
 
 
-def _cycle_count(n) -> int:
-    if type(n) is int and n >= 0:
-        return n
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"cycle count must be a non-negative integer, got {n!r}")
-    return int(n)
-
-
 def f8_path_trace(n: int) -> PathTrace:
     """Common-path figure-eight traversal for n storage cycles.
 
@@ -124,20 +119,6 @@ def f8_path_trace(n: int) -> PathTrace:
     h = ("M4",) + ("M2", "M3", "storage") * n + ("M2", "M3", "M1")
     v = tuple(_M_SWAP[lbl] for lbl in h)
     return PathTrace(h_path=h, v_path=v)
-
-
-def _default_circulator() -> tuple[ComponentSpec, ...]:
-    return (ComponentSpec(CIRCULATOR_ARM),)
-
-def _default_switch() -> tuple[ComponentSpec, ...]:
-    return (ComponentSpec(POCKELS_CELL),)
-
-def _default_delay() -> tuple[ComponentSpec, ...]:
-    return (
-        ComponentSpec(FIBER_SEGMENT, length_m=0.5, atten_db_per_km=0.0),
-        ComponentSpec(RETROREFLECTOR),
-        ComponentSpec(FPC),
-    )
 
 
 @dataclass(frozen=True)
@@ -162,16 +143,17 @@ class MemoryConfig:
     input_coupler: ComponentSpec = ComponentSpec(COUPLER)
     output_coupler: ComponentSpec = ComponentSpec(COUPLER)
     loop_coupler: ComponentSpec = ComponentSpec(COUPLER)
-    circulator_zone: tuple[ComponentSpec, ...] = field(default_factory=_default_circulator)
-    switch_zone: tuple[ComponentSpec, ...] = field(default_factory=_default_switch)
-    delay_zone: tuple[ComponentSpec, ...] = field(default_factory=_default_delay)
+    circulator_zone: tuple[ComponentSpec, ...] = (ComponentSpec(CIRCULATOR_ARM),)
+    switch_zone: tuple[ComponentSpec, ...] = (ComponentSpec(POCKELS_CELL),)
+    delay_zone: tuple[ComponentSpec, ...] = (ComponentSpec(FIBER_SEGMENT, length_m=0.5),
+                                             ComponentSpec(RETROREFLECTOR), ComponentSpec(FPC))
     zone_params: TransmissionParams | None = None
 
     def __post_init__(self):
         for name in ("circulator_zone", "switch_zone", "delay_zone"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        if not self.delta_tau > 0:  # written so that NaN fails each range check
-            raise InvalidStateError(f"delta_tau must be positive, got {self.delta_tau}")
+        if not 0 < self.delta_tau < math.inf:  # written so that NaN fails each range check
+            raise InvalidStateError(f"delta_tau must be positive and finite, got {self.delta_tau}")
         if not self.pass_through_time > 0:
             raise InvalidStateError("pass_through_time must be positive")
         if not 0 < self.coincidence_window < self.delta_tau:
@@ -400,8 +382,8 @@ class _Plumbing:
         for level in (OFF, ON):
             j = switch_amp @ pockels_operator(level, pc).matrix
             cross = _entries(np.diag(np.diag(j)))
-            self.first_passage[level] = (_entries(passthrough_amp * (j[1, 0] * _X)), cross)
-            self.later_passage[level] = (cross, _entries(j[0, 1] * _X))
+            self.first_passage[level] = (_entries(passthrough_amp * (j[1, 0] * _PAULI_X)), cross)
+            self.later_passage[level] = (cross, _entries(j[0, 1] * _PAULI_X))
         self._stein = {}
 
     def stein(self, level: float) -> tuple[tuple[complex, ...], ...] | None:

@@ -62,11 +62,14 @@ class BudgetReport:
 
 
 def _stack_counts(counts, grid: np.ndarray, name: str) -> tuple[np.ndarray, bool]:
-    """(counts as one row per scan, whether counts was one scan); every count checked first."""
+    """(counts as one row per scan, whether counts was one scan); every count checked first,
+    then the grid's length and finiteness."""
     single = np.ndim(counts) == 1
     k = checked_counts(counts, 1 if single else 2)
     if grid.shape != k.shape[-1:]:
         raise ValueError(f"{name} and counts must have equal length")
+    if not np.isfinite(grid).all():  # before any trigonometry or log-domain design
+        raise ValueError(f"{name} must be finite")
     return np.atleast_2d(k), single
 
 
@@ -153,7 +156,8 @@ def fit_decay(n_values, counts) -> DecayFit | tuple[DecayFit, ...]:
     tracked in n_excluded.  gamma estimates above 1 are clamped with a flag.
     A 2-D `counts` fits each row on the shared n_values, and checks every
     count before any row is fitted, as `fit_malus` does; a row whose
-    uncertainty passes the float range raises a ValueError, as there.
+    prefactor, gamma or uncertainty passes the float range raises a
+    ValueError, as there.
     """
     n = np.asarray(n_values, dtype=float)
     k, single = _stack_counts(counts, n, "n_values")
@@ -175,12 +179,15 @@ def fit_decay(n_values, counts) -> DecayFit | tuple[DecayFit, ...]:
             raise NoSignalError("decay scan carries no counts")
         if n_kept < 2 or not spread_:
             raise NoSignalError("too few nonzero points to fit a decay")
-        gamma = math.exp(b1)
         chi2_red = rss / (n_kept - 2) if n_kept > 2 else 0.0
-        sigma = gamma * math.sqrt(max(inv11 * chi2_red, 0.0))
+        try:
+            gamma, prefactor = math.exp(b1), math.exp(b0)
+            sigma = gamma * math.sqrt(max(inv11 * chi2_red, 0.0))
+        except OverflowError:  # math.exp past the float range
+            sigma = math.inf
         if not math.isfinite(sigma):
-            raise ValueError("decay fit uncertainty is not finite: counts overflow the float range")
-        fits.append(DecayFit(math.exp(b0), min(gamma, 1.0), sigma, len(n) - n_kept, gamma > 1.0))
+            raise ValueError("decay fit is not finite: counts overflow the float range")
+        fits.append(DecayFit(prefactor, min(gamma, 1.0), sigma, len(n) - n_kept, gamma > 1.0))
     return fits[0] if single else tuple(fits)
 
 
@@ -241,9 +248,7 @@ def project_budget(inventory, delta_tau: float | None = None,
     attenuation is replaced by the tabulated value for that wavelength.
     """
     if isinstance(inventory, MemoryConfig):
-        cfg = inventory
-        if delta_tau is None:
-            delta_tau = cfg.delta_tau
+        cfg = inventory if delta_tau is None else replace(inventory, delta_tau=delta_tau)
     else:
         if delta_tau is None:
             raise ValueError("delta_tau is required with a flat inventory list")
@@ -253,7 +258,7 @@ def project_budget(inventory, delta_tau: float | None = None,
 
     if wavelength_nm is not None:
         atten = default_attenuation_db_per_km(wavelength_nm)
-        cfg = replace(cfg, delta_tau=delta_tau, delay_zone=tuple(
+        cfg = replace(cfg, delay_zone=tuple(
             replace(c, atten_db_per_km=atten) if c.kind == FIBER_SEGMENT else c
             for c in cfg.delay_zone))
 
@@ -265,5 +270,5 @@ def project_budget(inventory, delta_tau: float | None = None,
     for c in cfg.delay_zone:
         if c.kind == FIBER_SEGMENT:
             fiber_factor *= fiber_transmission(c.length_m, c.atten_db_per_km)
-    return BudgetReport(params, eta, per_cycle, life, life * delta_tau,
-                        wavelength_nm, fiber_factor, delta_tau)
+    return BudgetReport(params, eta, per_cycle, life, life * cfg.delta_tau,
+                        wavelength_nm, fiber_factor, cfg.delta_tau)

@@ -117,8 +117,7 @@ class Scenario:
     seed: int
     mc_samples: int
     wavelength_nm: float | None
-    raw: dict
-    digest: str  # SHA-256 of the canonical JSON of raw without its seed
+    digest: str  # SHA-256 of the canonical JSON of the merged definition without its seed
 
     def content_hash(self) -> str:
         """Hash of the resolved definition, seed excluded."""
@@ -319,7 +318,7 @@ def _build(raw: dict, digest: str) -> Scenario:
 
     return Scenario(label, cfg, input_states, n_values, angles,
                     malus_cycles, tomo_cycles, pair_rate, detection_eff,
-                    acquisition_s, seed, mc_samples, wavelength, raw, digest)
+                    acquisition_s, seed, mc_samples, wavelength, digest)
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -360,7 +359,7 @@ def resolve(raw: dict) -> Scenario:
         raise
     hit = _BUILT.get(text)
     if hit is not None and hit[1] == blob:  # a tuple or a non-string key dumps as its JSON twin
-        return replace(hit[0], seed=_integer(raw.get("seed", 0), "seed", hi=math.inf), raw=raw)
+        return replace(hit[0], seed=_integer(raw.get("seed", 0), "seed", hi=math.inf))
     sc = _build(raw, hashlib.sha256(text.encode()).hexdigest())
     if len(_BUILT) >= _BUILT_MAX:  # a full cache starts over
         _BUILT.clear()

@@ -7,9 +7,9 @@ import loopmem.counting
 from loopmem import engine, scenario
 from loopmem.components import POCKELS_CELL, ComponentSpec
 from loopmem.counting import (
-    DecayScan, MalusScan, ScanDataset, TomographyScan, _pcg64_starts, _poisson_means,
-    _rates, draw_counts, malus_mean, read_csv, record_seed, record_seeds, run_scan, run_scans,
-    synth_malus_dataset, write_csv,
+    DEFAULT_PROJECTORS, DecayScan, MalusScan, ScanDataset, TomographyScan, _pcg64_starts,
+    _poisson_means, _rates, draw_counts, malus_mean, read_csv, record_seed, record_seeds,
+    run_scan, run_scans, synth_malus_dataset, write_csv,
 )
 from loopmem.engine import (
     ExitEvent, MemoryConfig, StorageOutcome, TransmissionParams, efficiency, simulate_storage,
@@ -357,7 +357,7 @@ def _projectors(state, plan) -> list:
         return [state] * len(plan.n_values)
     if isinstance(plan, MalusScan):
         return [make_pure(math.cos(a), math.sin(a)) for a in plan.angles]
-    return [p for _, p in plan.projectors]
+    return [p for _, p in DEFAULT_PROJECTORS]
 
 
 def _record_mean(state, plan, i, n, pair_rate, detection_eff, acquisition_s):

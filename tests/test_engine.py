@@ -37,10 +37,19 @@ def test_efficiency_closed_form():
 
 
 def test_efficiency_argument_validation():
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         efficiency(SHORT, 1.5)
     with pytest.raises(ValueError):
         efficiency(SHORT, -1)
+
+
+@pytest.mark.parametrize("n", [1.5, -1, -0.0])
+def test_efficiency_and_simulate_storage_refuse_a_cycle_count_alike(n):
+    with pytest.raises(ValueError) as closed_form:
+        efficiency(SHORT, n)
+    with pytest.raises(ValueError) as simulated:
+        simulate_storage(short_config(), H, n)
+    assert str(closed_form.value) == str(simulated.value)
 
 
 def test_transmission_params_range():

@@ -7,8 +7,9 @@ call that must return finite values; the test configuration turns any
 RuntimeWarning into an error.  A count refused raises the one count check's
 ValueError (numpy's LinAlgError is a ValueError too, so the message is
 checked), or from `read_csv` a SchemaError on the field `counts`.  A fit
-whose result passes the float range raises a ValueError saying so, given
-here as the pair (ValueError, its message).
+whose result passes the float range raises a ValueError saying so.  An
+error given as a pair (error, pattern) must also match the pattern, which
+names what was refused.
 """
 
 import math
@@ -16,12 +17,12 @@ import math
 import numpy as np
 import pytest
 
-from loopmem.components import (FIBER_SEGMENT, ComponentSpec, DriveSchedule, fiber_transmission,
-                                pockels_level)
+from loopmem.components import (FIBER_SEGMENT, POCKELS_CELL, ComponentSpec, DriveSchedule,
+                                fiber_transmission, pockels_level)
 from loopmem.counting import malus_mean, read_csv
 from loopmem.engine import MemoryConfig, simulate_storage
 from loopmem.errors import GainError, InvalidStateError, SchemaError, UnschedulableError
-from loopmem.fitting import MalusFit, fit_decay, fit_malus
+from loopmem.fitting import MalusFit, fit_decay, fit_malus, project_budget
 from loopmem.polarization import H, PureState, make_pure
 from loopmem.tomography import (MeasurementSet, _bloch, exact_mle_bloch, exact_mle_fidelities,
                                 mle_reconstruct)
@@ -120,10 +121,30 @@ CASES = [
                  id="fit_malus-3e307-whose-sum-overflows"),
     pytest.param(lambda _: fit_decay(range(1, 9), [1.7e308, 5e307] * 4), OVERFLOW,
                  id="fit_decay-chi-square-past-the-float-range"),
+    pytest.param(lambda _: fit_decay([2, 3, 4], [1.7e308, 0.85e308, 0.425e308]), OVERFLOW,
+                 id="fit_decay-prefactor-past-the-float-range"),
     pytest.param(_fringe_fit_at_2e150, None, id="fit_malus-2e150"),
     pytest.param(_decay_fit_at_1e300, None, id="fit_decay-1e300"),
+    # fit grids, refused before any trigonometry or log-domain design
+    pytest.param(lambda _: fit_malus(ANGLES[:8] + (INF,), FRINGE), (ValueError, "angles"),
+                 id="fit_malus-angle-inf"),
+    pytest.param(lambda _: fit_malus((NAN,) + ANGLES[1:], FRINGE), (ValueError, "angles"),
+                 id="fit_malus-angle-nan"),
+    pytest.param(lambda _: fit_decay([1, 2, INF], [10.0, 5.0, 2.0]), (ValueError, "n_values"),
+                 id="fit_decay-n-inf"),
     # device numbers
     pytest.param(lambda _: MemoryConfig(delta_tau=NAN), InvalidStateError, id="delta_tau-nan"),
+    pytest.param(lambda _: MemoryConfig(delta_tau=INF), InvalidStateError, id="delta_tau-inf"),
+    pytest.param(lambda _: project_budget(MemoryConfig(100.0), NAN), InvalidStateError,
+                 id="project_budget-delta_tau-nan"),
+    pytest.param(lambda _: project_budget(MemoryConfig(100.0), INF), InvalidStateError,
+                 id="project_budget-delta_tau-inf"),
+    pytest.param(lambda _: project_budget(MemoryConfig(100.0), -5.0), InvalidStateError,
+                 id="project_budget-delta_tau-negative"),
+    pytest.param(lambda _: ComponentSpec(POCKELS_CELL, rotation_error=NAN),
+                 (InvalidStateError, "rotation_error"), id="rotation_error-nan"),
+    pytest.param(lambda _: ComponentSpec(POCKELS_CELL, static_phase=INF),
+                 (InvalidStateError, "static_phase"), id="static_phase-inf"),
     pytest.param(lambda _: MemoryConfig(100.0, pass_through_time=NAN), InvalidStateError,
                  id="pass_through_time-nan"),
     pytest.param(lambda _: MemoryConfig(100.0, coincidence_window=NAN), InvalidStateError,

@@ -48,7 +48,7 @@ ARGVS = (["simulate"], ["decay"], ["malus"], ["tomo"], ["budget"],
 
 
 def _base(preset: str, angles: bool) -> dict:
-    raw = copy.deepcopy(resolve({"preset": preset}).raw)
+    raw = copy.deepcopy(PRESETS[preset])
     raw.update(mc_samples=20, n_values=[1, 2, 3],
                source={"pair_rate": 2000.0, "detection_eff": 1.0, "acquisition_s": 60.0},
                input_states=["H", {"label": "e", "alpha": [0.8, 0.0], "beta": [0.0, 0.6]}])
