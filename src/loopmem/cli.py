@@ -67,7 +67,7 @@ def main(argv=None) -> int:
     for path in written:
         print(f"wrote {path}")
     print(json.dumps({"scenario": scenario.label,
-                      "hash": scenario.content_hash()[:16],
+                      "hash": scenario.digest[:16],
                       "seed": scenario.seed,
                       "summary": summary}, sort_keys=True, default=str))
     return 0

@@ -486,11 +486,13 @@ def run_scans(cfg: MemoryConfig, jobs: Sequence[ScanJob], *, pair_rate: float = 
 
 def run_scan(cfg: MemoryConfig, input_state: PureState,
              scan: MalusScan | TomographyScan | DecayScan, *,
-             pair_rate: float = 2000.0, detection_eff: float = 1.0,
-             acquisition_s: float = 60.0, seed: int | None = None) -> ScanDataset:
-    """Simulate storage and synthesize one dataset for the given scan plan."""
-    return run_scans(cfg, [(input_state, scan, seed)], pair_rate=pair_rate,
-                     detection_eff=detection_eff, acquisition_s=acquisition_s)[0]
+             seed: int | None = None, **source) -> ScanDataset:
+    """Simulate storage and synthesize one dataset for the given scan plan.
+
+    The source keywords (pair_rate, detection_eff, acquisition_s) and their
+    defaults are run_scans'.
+    """
+    return run_scans(cfg, [(input_state, scan, seed)], **source)[0]
 
 
 def malus_mean(theta: float, amplitude: float, visibility: float = 1.0,

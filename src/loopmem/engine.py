@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -152,17 +152,16 @@ class MemoryConfig:
     def __post_init__(self):
         for name in ("circulator_zone", "switch_zone", "delay_zone"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        if not 0 < self.delta_tau < math.inf:  # written so that NaN fails each range check
-            raise InvalidStateError(f"delta_tau must be positive and finite, got {self.delta_tau}")
-        if not self.pass_through_time > 0:
-            raise InvalidStateError("pass_through_time must be positive")
+        for name, least in (("delta_tau", "positive"), ("pass_through_time", "positive"),
+                            ("pc_rise_time", "non-negative"), ("herald_latency", "non-negative"),
+                            ("delay_line_compensation", "non-negative")):
+            v = getattr(self, name)  # each range is written so that NaN fails it
+            if not (0 < v < math.inf if least == "positive" else 0 <= v < math.inf):
+                raise InvalidStateError(f"{name} must be {least} and finite, got {v}")
         if not 0 < self.coincidence_window < self.delta_tau:
             raise InvalidStateError(
                 "coincidence_window must lie in (0, delta_tau) so exits are separable"
             )
-        if not (self.pc_rise_time >= 0 and self.herald_latency >= 0
-                and self.delay_line_compensation >= 0):
-            raise InvalidStateError("timing fields must be non-negative")
         for zone, kind, want in (
             (self.circulator_zone, CIRCULATOR_ARM, 1),
             (self.switch_zone, POCKELS_CELL, 1),
@@ -186,14 +185,9 @@ class MemoryConfig:
         """Configuration whose simulated efficiencies equal the given params exactly."""
         return cls(delta_tau=delta_tau, zone_params=params, **kwargs)
 
-    def pockels_spec(self) -> ComponentSpec:
-        return next(c for c in self.switch_zone if c.kind == POCKELS_CELL)
-
-    def circulator_spec(self) -> ComponentSpec:
-        return next(c for c in self.circulator_zone if c.kind == CIRCULATOR_ARM)
-
-    def fpc_spec(self) -> ComponentSpec | None:
-        return next((c for c in self.delay_zone if c.kind == FPC), None)
+    @cached_property
+    def _plumbing(self) -> _Plumbing:  # built on first use, once per config object
+        return _Plumbing(self)
 
 
 def switch_schedule(n: int, cfg: MemoryConfig) -> DriveSchedule:
@@ -315,12 +309,11 @@ class _Plumbing:
     """
 
     def __init__(self, cfg: MemoryConfig):
-        circ = cfg.circulator_spec()
-        pc = cfg.pockels_spec()
-        fpc = cfg.fpc_spec()
-        eps_f = fpc.rotation_error if fpc is not None else 0.0
+        circ = next(c for c in cfg.circulator_zone if c.kind == CIRCULATOR_ARM)
+        pc = next(c for c in cfg.switch_zone if c.kind == POCKELS_CELL)
         flip = np.eye(2, dtype=complex)
         if cfg.x_dl_enabled:
+            eps_f = next((c.rotation_error for c in cfg.delay_zone if c.kind == FPC), 0.0)
             flip = rotator(math.pi / 2.0 + eps_f).matrix
         fiber_phase = sum(c.static_phase for c in cfg.delay_zone if c.kind == FIBER_SEGMENT)
         one_way = birefringent_phase(fiber_phase).matrix
@@ -411,9 +404,6 @@ class _Plumbing:
                 rows = tuple(map(tuple, sol.tolist()))
             self._stein[level] = rows
         return self._stein[level]
-
-
-_plumbing = lru_cache(maxsize=16)(_Plumbing)  # one per config; workloads reuse a handful
 
 
 def _apply(op: _Op2, x: complex, y: complex) -> tuple[complex, complex]:
@@ -527,8 +517,9 @@ def _close(plumb: _Plumbing, level: float, t: float,
 
 def _sweep_plan(cfg: MemoryConfig, n_values) -> tuple:
     """The setup of a sweep: n_values checked, marks (the distinct n, sorted), the
-    plumbing, the (release, store) pair of each shared passage 1..max(n), and per mark
-    the drive level its branch stays at with the pair of its release passage n + 1."""
+    plumbing, shared (the (release, store) pair of shared passage 1, then the one of
+    every later shared passage up to max(n), so passage k takes shared[k > 1]), and
+    per mark the drive level its branch stays at with the pair of its release passage."""
     n_values = tuple(map(_cycle_count, n_values))
     marks = sorted(set(n_values))
     n_max, t1 = max(marks, default=0), cfg.delay_line_compensation + cfg.pass_through_time / 2.0
@@ -537,14 +528,13 @@ def _sweep_plan(cfg: MemoryConfig, n_values) -> tuple:
     # passages 1 and 2 are all shared levels, and a branch stays at its release level
     schedules = {n: switch_schedule(n, cfg) for n in {0, 1, n_max} & set(marks)}
     level = {n: pockels_level(s, t1 + n * cfg.delta_tau) for n, s in schedules.items()}
-    shared = [pockels_level(schedules[n_max], t1 + k * cfg.delta_tau) for k in range(min(n_max, 2))]
-    shared += shared[-1:] * (n_max - 2)
-    plumb = _plumbing(cfg)
-    passages = [(plumb.later_passage if k else plumb.first_passage)[lvl] for k, lvl in enumerate(shared)]
-    release = {n: (lvl, (plumb.later_passage if n else plumb.first_passage)[lvl])
-               for n, lvl in level.items()}
+    plumb = cfg._plumbing
+    maps = (plumb.first_passage, plumb.later_passage)
+    shared = [maps[k][pockels_level(schedules[n_max], t1 + k * cfg.delta_tau)]
+              for k in range(min(n_max, 2))]
+    release = {n: (lvl, maps[n > 0][lvl]) for n, lvl in level.items()}
     releases = [release[n if n < 2 else n_max] for n in marks]
-    return n_values, marks, plumb, passages, releases
+    return n_values, marks, plumb, shared, releases
 
 
 def simulate_sweep(cfg: MemoryConfig, input_state: PureState,
@@ -557,7 +547,7 @@ def simulate_sweep(cfg: MemoryConfig, input_state: PureState,
     passage 1) and books its listed passages and its tail on its own.
     Outcomes hold the same ExitEvent for each exit of the shared passages.
     """
-    n_values, marks, plumb, passages, releases = _sweep_plan(cfg, n_values)
+    n_values, marks, plumb, shared, releases = _sweep_plan(cfg, n_values)
     t_half, dt = cfg.pass_through_time / 2.0, cfg.delta_tau
     t1 = cfg.delay_line_compensation + t_half
     x, y = _apply(plumb.entry_op, input_state.alpha, input_state.beta)  # in the H/V basis
@@ -567,7 +557,7 @@ def simulate_sweep(cfg: MemoryConfig, input_state: PureState,
     outcomes, booked = {}, 0  # booked: the shared passages the prefix has booked
     for n, (level, ops) in zip(marks, releases):
         for k in range(booked + 1, n + 1):
-            prefix.passage(plumb, passages[k - 1], t1 + (k - 1) * dt + t_half)
+            prefix.passage(plumb, shared[k > 1], t1 + (k - 1) * dt + t_half)
         booked = n
         acc, k_next = prefix.branch(), n + 2
         acc.passage(plumb, ops, t1 + n * dt + t_half, retrieved=True)
@@ -596,7 +586,7 @@ def retrieved_exits(cfg: MemoryConfig, input_states: tuple[PureState, ...],
     schedule errors, and where a release level's round trip does not decay,
     the sweeps are booked in full to find weight that circulates forever.
     """
-    n_values, marks, plumb, passages, releases = _sweep_plan(cfg, n_values)
+    n_values, marks, plumb, shared, releases = _sweep_plan(cfg, n_values)
     if None in map(plumb.stein, {level for level, _ in releases}):
         for state in input_states:
             simulate_sweep(cfg, state, marks)
@@ -605,7 +595,8 @@ def retrieved_exits(cfg: MemoryConfig, input_states: tuple[PureState, ...],
         x, y = _apply(plumb.entry_op, state.alpha, state.beta)
         k = 0
         for n, (_, (release, _)) in zip(marks, releases):
-            for _, (sa, sb, sc, sd) in passages[k:n]:  # the arithmetic of _Account.passage
+            for j in range(k, n):  # passage j + 1, with the arithmetic of _Account.passage
+                _, (sa, sb, sc, sd) = shared[j > 0]
                 stay_x, stay_y = sa * x + sb * y, sc * x + sd * y
                 x, y = da * stay_x + db * stay_y, dc * stay_x + dd * stay_y
             k = n

@@ -32,7 +32,8 @@ from .engine import (ExitEvent, MemoryConfig, TransmissionParams, derive_transmi
                      efficiency, simulate_sweep)
 from .engine import simulate_storage  # noqa: F401  bench/tracer.py requires this binding
 from .errors import NoSignalError, SchemaError
-from .fitting import ATTENUATION_DB_PER_KM, fit_decay, fit_malus, project_budget, route_inventory
+from .fitting import (default_attenuation_db_per_km, fit_decay, fit_malus, project_budget,
+                      route_inventory)
 from .polarization import _NORM_TOL, _PSD_TOL, A, D, H, L, PureState, R, V, design_row, make_pure
 from .polarization import fidelity  # noqa: F401  bench/tracer.py requires this binding
 from .tomography import (MeasurementSet, counts_from_dataset, exact_mle_fidelities,
@@ -118,10 +119,6 @@ class Scenario:
     mc_samples: int
     wavelength_nm: float | None
     digest: str  # SHA-256 of the canonical JSON of the merged definition without its seed
-
-    def content_hash(self) -> str:
-        """Hash of the resolved definition, seed excluded."""
-        return self.digest
 
 
 def _fail(msg: str, path: str):
@@ -253,9 +250,10 @@ def _build_config(mem: dict) -> tuple[MemoryConfig, float | None]:
     if mem.get("wavelength_nm") is None:
         return cfg, None
     wavelength = _number(mem["wavelength_nm"], "memory.wavelength_nm")
-    if wavelength not in ATTENUATION_DB_PER_KM:
-        _fail(f"no attenuation default at {wavelength} nm; "
-              f"known: {sorted(ATTENUATION_DB_PER_KM)}", "memory.wavelength_nm")
+    try:
+        default_attenuation_db_per_km(wavelength)
+    except ValueError as exc:
+        _fail(str(exc), "memory.wavelength_nm")
     return cfg, wavelength
 
 
@@ -395,9 +393,8 @@ class _Emitter:
     def __init__(self, scenario: Scenario, out_dir: str):
         self.out_dir = out_dir
         self.written: list[str] = []
-        content_hash = scenario.content_hash()
-        self.stamp = f"scenario={content_hash} seed={scenario.seed}"
-        self.metadata = {"scenario_hash": content_hash, "seed": scenario.seed,
+        self.stamp = f"scenario={scenario.digest} seed={scenario.seed}"
+        self.metadata = {"scenario_hash": scenario.digest, "seed": scenario.seed,
                          "label": scenario.label}
         os.makedirs(out_dir, exist_ok=True)
 

@@ -5,7 +5,11 @@ from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+from loopmem.engine import simulate_sweep
+from loopmem.scenario import PRESETS, resolve
+
+_ROOT = Path(__file__).resolve().parents[1]
+_PATH = _ROOT / "tools" / "compare_outputs.py"
 _spec = importlib.util.spec_from_file_location("compare_outputs", _PATH)
 compare_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_outputs)
@@ -70,3 +74,23 @@ def test_each_trees_package_line_count_is_reported(tmp_path):
 def test_the_command_takes_exactly_two_roots(argv, capsys):
     assert compare_outputs.main(argv) == 2
     assert capsys.readouterr().err.strip() == compare_outputs.USAGE
+
+
+def _leaked_events(raw) -> tuple[int, int]:
+    """(exits besides the retrieved one, tail exits) over every state and N of a scenario."""
+    sc = resolve(raw)
+    outcomes = [out for _, state in sc.input_states
+                for out in simulate_sweep(sc.config, state, sc.n_values)]
+    return sum(len(out.exits) - 1 for out in outcomes), sum(out.tail is not None for out in outcomes)
+
+
+def test_the_leaking_runs_list_events_that_no_preset_lists():
+    assert all(_leaked_events({"preset": preset}) == (0, 0) for preset in PRESETS)
+    leaked = []
+    for name, raw, subs in compare_outputs.LEAKING_RUNS:
+        if isinstance(raw, str):
+            raw = json.loads((_ROOT / raw).read_text("utf-8"))
+        assert "simulate" in subs and name not in PRESETS
+        leaked.append(_leaked_events(raw))
+    assert all(exits > 0 for exits, _ in leaked)
+    assert any(tails > 0 for _, tails in leaked)

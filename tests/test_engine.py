@@ -375,15 +375,14 @@ def test_a_sweep_builds_one_schedule_per_class(monkeypatch):
     assert_same_outcome(sweep[1], simulate_storage(cfg, D, 2))
 
 
-def test_the_conservation_check_fires(monkeypatch):
+def test_the_conservation_check_fires():
     # switch passages with 0.1 % amplitude gain book more weight than came in
     # (the lumped device's cell is lossless, so no loss can hide the gain)
     cfg = short_config(switch_zone=(ComponentSpec(POCKELS_CELL, rotation_error=0.05),))
-    plumb = engine._Plumbing(cfg)  # not the cached one, which later tests share
+    plumb = cfg._plumbing  # this config's own, which no other test reads
     for passages in (plumb.first_passage, plumb.later_passage):
         for level, ops in passages.items():
             passages[level] = tuple(tuple(1.001 * entry for entry in op) for op in ops)
-    monkeypatch.setattr(engine, "_plumbing", lambda config: plumb)
     for state in (H, D):
         with pytest.raises(InvalidStateError, match="probability not conserved"):
             simulate_sweep(cfg, state, tuple(range(1, 65)))
@@ -477,7 +476,7 @@ def test_light_ejections_are_summed_not_listed():
 def test_undecaying_tail_is_an_error():
     # a perfect cell left on stores everything at every later passage
     cfg = lossless_config(0.0)
-    plumb = engine._plumbing(cfg)
+    plumb = cfg._plumbing
     assert plumb.stein(ON) is None
     assert plumb.stein(OFF) is not None
     with pytest.raises(InvalidStateError, match="never decays"):
@@ -491,7 +490,7 @@ def test_a_tail_kept_only_by_round_off_is_absorbed(tmp_path):
     # sin^2(eps) = 1.08e-16 it let in at passage 1, just above the 1e-16 cut
     eps = 1.04e-8
     cfg = lossless_config(eps)
-    assert engine._plumbing(cfg).stein(ON) is None
+    assert cfg._plumbing.stein(ON) is None
     for state in (H, D, R):
         out = simulate_storage(cfg, state, 0)
         assert out.tail is None and out.absorbed < 1e-15

@@ -155,6 +155,10 @@ CASES = [
                  id="herald_latency-nan"),
     pytest.param(lambda _: MemoryConfig(100.0, delay_line_compensation=NAN), InvalidStateError,
                  id="delay_line_compensation-nan"),
+    *(pytest.param(lambda _, name=name: MemoryConfig(100.0, **{name: INF}),
+                   (InvalidStateError, name), id=f"{name}-inf")
+      for name in ("pass_through_time", "delay_line_compensation", "pc_rise_time",
+                   "herald_latency")),
     pytest.param(lambda _: ComponentSpec(FIBER_SEGMENT, length_m=NAN), InvalidStateError,
                  id="length_m-nan"),
     pytest.param(lambda _: ComponentSpec(FIBER_SEGMENT, atten_db_per_km=NAN), GainError,

@@ -112,7 +112,8 @@ def test_error_knobs_need_lumped_params():
         resolve({"preset": "paper-improved",
                  "memory": {"pc_rotation_error": 0.1}})
     sc = resolve({"preset": "paper-short", "memory": {"pc_rotation_error": 0.1}})
-    assert sc.config.pockels_spec().rotation_error == 0.1
+    cell, = (c for c in sc.config.switch_zone if c.kind == POCKELS_CELL)
+    assert cell.rotation_error == 0.1
 
 
 def test_input_state_forms():
@@ -140,11 +141,11 @@ def test_content_hash_ignores_seed():
     a = resolve({"preset": "paper-short", "seed": 1})
     b = resolve({"preset": "paper-short", "seed": 99})
     c = resolve({"preset": "paper-short", "seed": 1, "n_values": [1, 2, 3]})
-    assert a.content_hash() == b.content_hash()
-    assert a.content_hash() != c.content_hash()
+    assert a.digest == b.digest
+    assert a.digest != c.digest
 
 
-# content_hash() of each preset, recorded when every run dumped and hashed its scenario
+# the digest of each preset, recorded when every run dumped and hashed its scenario
 PRESET_HASHES = {
     "paper-short": "0cf65bfeb4d27e99c9926220df1f822d20b4d3b7f0b46d6d3125ff344a6f9245",
     "paper-long": "2667e09365373a5a71754ee893d45d6addf5b0e744a461cc22c70883635ffe51",
@@ -164,7 +165,7 @@ def test_a_repeated_scenario_reuses_a_build_equal_to_an_uncached_one(monkeypatch
         assert fresh.config is not sc.config
         for f in dataclasses.fields(sc):
             assert getattr(sc, f.name) == getattr(fresh, f.name), f.name
-        assert sc.content_hash() == PRESET_HASHES[preset]
+        assert sc.digest == PRESET_HASHES[preset]
 
 
 def test_the_build_cache_is_bounded(monkeypatch):
@@ -208,12 +209,12 @@ def test_decay_pipeline_outputs(tmp_path):
     names = {os.path.basename(p) for p in written}
     assert names == {"decay_counts.csv", "decay.json"}
     first = open(tmp_path / "decay_counts.csv").readline()
-    assert first.startswith(f"# scenario={sc.content_hash()} seed={sc.seed}")
+    assert first.startswith(f"# scenario={sc.digest} seed={sc.seed}")
     payload = json.loads((tmp_path / "decay.json").read_text())
     fit_h = payload["fits"]["H"]
     assert abs(fit_h["gamma_per_cycle"] - 0.50) <= 4.0 * fit_h["sigma_gamma"]
     assert payload["eta_closed_form"]["0"] == 0.541
-    assert payload["metadata"]["scenario_hash"] == sc.content_hash()
+    assert payload["metadata"]["scenario_hash"] == sc.digest
 
 
 def test_decay_needs_three_cycle_values(tmp_path):
@@ -744,7 +745,7 @@ def test_cli_flags_override_the_file_preset_and_seed(tmp_path, capsys):
         tail = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         # the file's other fields still override the preset the flag names
         want = resolve({"preset": preset, "n_values": [1, 2, 3]})
-        assert rc == 0 and (tail["hash"], tail["seed"]) == (want.content_hash()[:16], seed)
+        assert rc == 0 and (tail["hash"], tail["seed"]) == (want.digest[:16], seed)
         payload = json.loads((tmp_path / "budget.json").read_text())
         assert payload["delta_tau"] == want.config.delta_tau
 

@@ -4,8 +4,11 @@
 
 Each root is a checkout of this repository.  Every pipeline of a tree (each
 figure of `reproduce` counts as one) runs on each of its presets at seeds
-0-7, at pipeline defaults.  Each tree runs in its own subprocess, which
-imports `loopmem` only from `<root>/src`.  The report lists:
+0-7, at pipeline defaults.  The presets keep no light past the release
+passage, so the fixed set `LEAKING_RUNS` adds devices that leak (early exits,
+the listing past release and `tail-exit` rows) at the same seeds.  Each tree
+runs in its own subprocess, which imports `loopmem` only from `<root>/src`.
+The report lists:
 
 - CSV files whose bytes differ, or that only one tree wrote;
 - JSON values that differ, ignoring `metadata.generated_at`, with the
@@ -31,11 +34,21 @@ from pathlib import Path
 
 USAGE = "usage: python tools/compare_outputs.py PARENT_ROOT CHANGE_ROOT"
 
-# Runs in a fresh interpreter: argv is (root, out_dir).  Writes one directory
-# per preset, seed and pipeline.
+# (name, scenario, pipelines) of each leaking device; a string scenario is a
+# JSON file under the tree's root.
+LEAKING_RUNS = (
+    ("paper-short+pc0.05", {"preset": "paper-short", "memory": {"pc_rotation_error": 0.05}},
+     ("simulate", "decay")),
+    ("paper-long+pc0.05", {"preset": "paper-long", "memory": {"pc_rotation_error": 0.05}},
+     ("simulate", "decay")),
+    ("low-loss-tail", "demos/low_loss_tail.json", ("simulate",)),
+)
+
+# Runs in a fresh interpreter: argv is (root, out_dir, LEAKING_RUNS as JSON).
+# Writes one directory per preset or leaking device, seed and pipeline.
 _CHILD = """
-import os, sys
-root, out = sys.argv[1], sys.argv[2]
+import json, os, sys
+root, out, leaking = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
 src = os.path.join(root, "src")
 sys.path.insert(0, src)
 from loopmem import scenario
@@ -43,11 +56,17 @@ if not os.path.realpath(scenario.__file__).startswith(os.path.realpath(src) + os
     sys.exit(f"loopmem imported from {scenario.__file__}, not from {src}")
 runs = [(sub, None) for sub in scenario.PIPELINES if sub != "reproduce"]
 runs += [("reproduce", fig) for fig in scenario.FIGURES]
-for preset in sorted(scenario.PRESETS):
+cases = [(preset, {"preset": preset}, runs) for preset in sorted(scenario.PRESETS)]
+for name, raw, subs in leaking:
+    if isinstance(raw, str):
+        with open(os.path.join(root, raw), encoding="utf-8") as fh:
+            raw = json.load(fh)
+    cases.append((name, raw, [(sub, None) for sub in subs]))
+for name, raw, subs in cases:
     for seed in range(8):
-        sc = scenario.resolve({"preset": preset, "seed": seed})
-        for sub, fig in runs:
-            scenario.run(sc, sub, os.path.join(out, preset, f"seed{seed}", fig or sub), figure=fig)
+        sc = scenario.resolve(dict(raw, seed=seed))
+        for sub, fig in subs:
+            scenario.run(sc, sub, os.path.join(out, name, f"seed{seed}", fig or sub), figure=fig)
 """
 
 _IGNORED = {"metadata.generated_at"}
@@ -55,7 +74,8 @@ _IGNORED = {"metadata.generated_at"}
 
 def run_tree(root: str, out_dir: str) -> subprocess.Popen:
     """Start one tree's runs; -I keeps PYTHONPATH and user site-packages out."""
-    return subprocess.Popen([sys.executable, "-I", "-B", "-c", _CHILD, root, out_dir],
+    return subprocess.Popen([sys.executable, "-I", "-B", "-c", _CHILD, root, out_dir,
+                             json.dumps(LEAKING_RUNS)],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
@@ -96,7 +116,7 @@ def _relative(a, b) -> float:
 
 
 def compare(parent_out: Path, change_out: Path) -> dict:
-    """The differences between two output trees, laid out as <preset>/<seed>/<pipeline>/<file>.
+    """The differences between two output trees, laid out as <device>/<seed>/<pipeline>/<file>.
 
     A key is the file name and the dotted path inside it, so a key groups
     the same field over every preset, seed and pipeline run.
