@@ -129,8 +129,8 @@ class DensityMatrix:
     def _trusted(cls, m: np.ndarray) -> "DensityMatrix":
         """Wrap a matrix that is Hermitian and PSD by construction, unchecked.
 
-        For matrices the package built itself: an outer product |v><v|, or a
-        valid state scaled by a positive number.  Only the trace is checked,
+        For matrices the package built itself, such as |v><v|, T^dagger T or
+        a valid state times a positive number.  Only the trace is checked,
         which is where a gain upstream would show.  ``m`` is frozen in place.
         """
         tr = m[0, 0].real + m[1, 1].real

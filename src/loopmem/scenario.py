@@ -36,7 +36,7 @@ from .fitting import (default_attenuation_db_per_km, fit_decay, fit_malus, proje
                       route_inventory)
 from .polarization import _NORM_TOL, _PSD_TOL, A, D, H, L, PureState, R, V, design_row, make_pure
 from .polarization import fidelity  # noqa: F401  bench/tracer.py requires this binding
-from .tomography import (MeasurementSet, counts_from_dataset, exact_mle_fidelities,
+from .tomography import (counts_from_dataset, default_set, exact_mle_fidelities,
                          reconstruct_with_uncertainty)
 from .tomography import mle_reconstruct  # noqa: F401  bench/tracer.py requires this binding
 
@@ -474,7 +474,7 @@ def _reconstructions(sc: Scenario, states, datasets, mc_seeds) -> tuple[list[tup
 
     A record holds `_RECORD_KEYS` and `rho`, the matrix as row-major (re, im) pairs.
     """
-    mset = MeasurementSet()
+    mset = default_set()
     rows: list[tuple] = []
     records = {}
     for (label, state), ds, mc_seed in zip(states, datasets, mc_seeds):
@@ -668,7 +668,7 @@ def _run_fig4(sc: Scenario, emitter: _Emitter) -> dict:
         _fail(f"fig4 takes at most {_MAX_FIG4_FRINGE} fringe settings, not "
               f"{len(sc.n_values)} cycle counts x {len(sc.malus_angles)} angles", "n_values")
     n_values = tuple(dict.fromkeys(sc.n_values))
-    mset = MeasurementSet()
+    mset = default_set()
     states = (("H", H), ("D", D), ("R", R))
     per_n = len(_FRINGE_STATES) + len(states)
     seeds = iter(record_seeds(sc.seed, per_n * len(n_values)))

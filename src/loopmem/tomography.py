@@ -15,7 +15,9 @@ reproduces the counts exactly, so it is the maximum-likelihood estimate
 whenever it is positive semidefinite, and otherwise the optimum is a pure
 state.  `exact_mle_bloch` solves that for many count vectors at once, from
 `linear_inversion`'s own inversion, and `exact_mle_fidelities` turns its
-solutions into fidelities for every `monte_carlo_uncertainty` draw.
+solutions into fidelities for every `monte_carlo_uncertainty` draw.  A set
+builds the tables these solvers read when it is made, and the pipelines share
+one H, V, D, R set, `default_set()`, made on first use.
 
 scipy's L-BFGS is imported on the first `mle_reconstruct` call: the call
 goes through the module attribute `minimize`, which the module `__getattr__`
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -56,29 +59,54 @@ def __getattr__(name: str):
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Four projectors with distinct labels that fix all four Stokes components."""
+    """Four projectors with distinct labels that fix all four Stokes components.
+
+    Construction builds the read-only tables the solvers read: the labels, the
+    design matrix and its inverse, the Bloch vectors b, and `_sphere_ascent`'s
+    five-term stacks of b and the Bloch offsets c, where q = c + b r on states r.
+    """
 
     projectors: tuple[tuple[str, PureState], ...] = DEFAULT_PROJECTORS
+    _labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _design: np.ndarray = field(init=False, repr=False, compare=False)
+    _inverse: np.ndarray = field(init=False, repr=False, compare=False)
+    _b: np.ndarray = field(init=False, repr=False, compare=False)
+    _terms: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.projectors) != 4:
             raise IncompleteSetError(f"need exactly 4 projectors, got {len(self.projectors)}")
-        for i, name in enumerate(self.labels()):
-            if name in self.labels()[:i]:
+        labels = tuple(name for name, _ in self.projectors)
+        for i, name in enumerate(labels):
+            if name in labels[:i]:
                 raise IncompleteSetError(f"projector label {name!r} is repeated")
         a = np.array([design_row(p) for _, p in self.projectors])
-        a.flags.writeable = False
-        object.__setattr__(self, "_design", a)
         if np.linalg.matrix_rank(a, tol=1e-9) < 4:
             raise IncompleteSetError("projector set does not span the state space")
+        c = 0.5 * (a[:, 0] + a[:, 1])
+        b = 0.5 * np.column_stack((a[:, 0] - a[:, 1], a[:, 2], a[:, 3]))
+        # -K log sum q is the ascent's fifth term, with offset sum c and vector sum b
+        terms = (np.vstack((b, b.sum(axis=0))).T[:, :, None, None].copy(),
+                 np.append(c, c.sum())[:, None, None])
+        inverse = np.linalg.inv(a)
+        for array in (a, inverse, b, *terms):
+            array.flags.writeable = False
+        for name, table in zip(("_labels", "_design", "_inverse", "_b", "_terms"),
+                               (labels, a, inverse, b, terms)):
+            object.__setattr__(self, name, table)
 
     def design_matrix(self) -> np.ndarray:
         """Rows map x = (rho00, rho11, Re rho01, Im rho01) to <psi|rho|psi>; read-only."""
         return self._design
 
     def labels(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.projectors)
+        return self._labels
+
+
+@cache
+def default_set() -> MeasurementSet:
+    """The H, V, D, R set that every pipeline shares, built on first use."""
+    return MeasurementSet()
 
 
 @dataclass(frozen=True)
@@ -110,7 +138,7 @@ def _invert(k: np.ndarray, mset: MeasurementSet) -> tuple[np.ndarray, np.ndarray
     x = a^-1 k is summed elementwise in a fixed order, so that a row's
     solution does not depend on the rows beside it.
     """
-    inv = np.linalg.inv(mset.design_matrix())
+    inv = mset._inverse
     x = ((k[:, :1] * inv[:, 0] + k[:, 1:2] * inv[:, 1])
          + k[:, 2:3] * inv[:, 2]) + k[:, 3:] * inv[:, 3]
     flux = x[:, 0] + x[:, 1]
@@ -203,7 +231,7 @@ def mle_reconstruct(counts, mset: MeasurementSet,
     raw = t.conj().T @ t
     raw = 0.5 * (raw + raw.conj().T)
     tr = np.trace(raw).real
-    rho = DensityMatrix(raw / tr)
+    rho = DensityMatrix._trusted(raw / tr)  # T^dagger T is Hermitian and PSD
 
     q_over_tr = np.array([rho.project(p) for _, p in mset.projectors])
     flux = float(k.sum() / max(q_over_tr.sum(), _Q_FLOOR))
@@ -223,9 +251,9 @@ def _bloch(rho: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # where q = 0 and k > 0; see below
-def _sphere_ascent(k: np.ndarray, n: np.ndarray, c: np.ndarray,
-                   b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize sum k log q - K log sum q, q = c + b n, over unit vectors n.
+def _sphere_ascent(k: np.ndarray, n: np.ndarray,
+                   mset: MeasurementSet) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize sum k log q - K log sum q, q = c + b n on `mset`, over unit vectors n.
 
     Rows of `k` (counts) and `n` (starts) are independent problems; every
     operation is elementwise or a sum in a fixed order, so a row's result does
@@ -240,10 +268,10 @@ def _sphere_ascent(k: np.ndarray, n: np.ndarray, c: np.ndarray,
     indexing the rows short of the tolerance after `_NEWTON_MAXITER` iterations.
     """
     out = n.copy()
-    # -K log sum q is a fifth term, with count -K, offset sum c and vector sum b
-    b0, b1, b2 = np.vstack((b, b.sum(axis=0))).T[:, :, None, None].copy()  # (5, 1, 1) each
+    # -K log sum q is a fifth term, with count -K and the set's fifth offset and vector
+    (b0, b1, b2), c5 = mset._terms  # (5, 1, 1) each
     k5 = np.vstack((k.T, -k.sum(axis=1)))[:, None]
-    ck = np.append(c, c.sum())[:, None, None] + (k5 == 0)  # + 1 keeps q > 0 where k = 0
+    ck = c5 + (k5 == 0)  # + 1 keeps q > 0 where k = 0
     tol, slack = -_NEWTON_GTOL * k5[4, 0], -_LL_SLACK * k5[4, 0]
 
     def dots(v):  # v . b_i for the five terms, along axis 0
@@ -323,13 +351,9 @@ def exact_mle_bloch(draws, mset: MeasurementSet) -> tuple[np.ndarray, np.ndarray
     overflows; their r is NaN.
     """
     k = checked_counts(draws, 2, 4)
-    a = mset.design_matrix()
     flux, r = _invert(k, mset)
     ok = flux > 0
-    # q = a @ (rho00, rho11, Re rho01, Im rho01) = c + b @ r on unit-trace states
-    c = 0.5 * (a[:, 0] + a[:, 1])
-    b = 0.5 * np.column_stack((a[:, 0] - a[:, 1], a[:, 2], a[:, 3]))
-    r[~ok] = k[~ok] @ b
+    r[~ok] = k[~ok] @ mset._b
     norm = np.linalg.norm(r, axis=1)
     failed = ~ok & (norm == 0)
     rows = np.flatnonzero((norm > 1.0) | ~ok & ~failed)
@@ -338,7 +362,7 @@ def exact_mle_bloch(draws, mset: MeasurementSet) -> tuple[np.ndarray, np.ndarray
         kp = k[part]
         big = kp.max(axis=1) > _ASCENT_MAX_COUNT
         kp[big] = np.ldexp(kp[big], -np.frexp(kp[big].max(axis=1))[1][:, None])
-        r[part], stuck = _sphere_ascent(kp, r[part] / norm[part, None], c, b)
+        r[part], stuck = _sphere_ascent(kp, r[part] / norm[part, None], mset)
         failed[part[stuck]] = True
     failed |= ~np.isfinite(r).all(axis=1)
     r[failed] = np.nan
@@ -356,18 +380,15 @@ def exact_mle_fidelities(draws, mset: MeasurementSet,
     """
     r, failed = exact_mle_bloch(draws, mset)
     distinct: dict = {}
-    which = np.array([distinct.setdefault(t, len(distinct)) for t in targets])
+    which = [distinct.setdefault(t, len(distinct)) for t in targets]
     if len(which) not in (1, len(r)):
-        raise ValueError(f"need 1 or {len(r)} targets, got {len(which)}")
+        raise ValueError(f"need one target, or one per row of {len(r)}, got {len(which)}")
+    vs = [t.vector() for t in distinct]
+    rt = np.reshape([_bloch(np.outer(v, v.conj())) for v in vs], (-1, 3))[which]
     # r . r_t summed elementwise in a fixed order, so a row's fidelity does
     # not depend on the rows beside it
-    fid = np.empty(len(r))
-    for j, t in enumerate(distinct):
-        v = t.vector()
-        rt = _bloch(np.outer(v, v.conj()))
-        dot = (r[:, 0] * rt[0] + r[:, 1] * rt[1]) + r[:, 2] * rt[2]
-        np.copyto(fid, 0.5 * (1.0 + dot), where=which == j)
-    return fid, failed
+    dot = (r[:, 0] * rt[:, 0] + r[:, 1] * rt[:, 1]) + r[:, 2] * rt[:, 2]
+    return 0.5 * (1.0 + dot), failed
 
 
 def monte_carlo_uncertainty(counts, mset: MeasurementSet, target: PureState, *,
@@ -378,10 +399,13 @@ def monte_carlo_uncertainty(counts, mset: MeasurementSet, target: PureState, *,
     `_MC_CHUNK` rows at a time, which bounds the memory.  Returns (mean, sample
     std, n_failed); each chunk is solved exactly by `exact_mle_fidelities`,
     and the draws it marks failed (all-zero counts, or an ascent short of its
-    tolerance) are counted but left out of the statistics.
+    tolerance) are counted but left out of the statistics.  `n_samples` must be
+    an integer of at least 2 and `seed` a nonnegative integer (ValueError).
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 2:
+        raise ValueError(f"n_samples must be an integer of at least 2, got {n_samples!r}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     k = checked_counts(counts, 1, 4)
     rng = np.random.default_rng(seed)
     fids, n_failed = [], 0

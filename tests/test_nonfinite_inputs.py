@@ -25,7 +25,8 @@ from loopmem.errors import GainError, InvalidStateError, SchemaError, Unschedula
 from loopmem.fitting import MalusFit, fit_decay, fit_malus, project_budget
 from loopmem.polarization import H, PureState, make_pure
 from loopmem.tomography import (MeasurementSet, _bloch, exact_mle_bloch, exact_mle_fidelities,
-                                mle_reconstruct)
+                                mle_reconstruct, monte_carlo_uncertainty,
+                                reconstruct_with_uncertainty)
 
 NAN, INF = math.nan, math.inf
 ANGLES = tuple(np.linspace(0.0, math.pi, 9))
@@ -34,6 +35,7 @@ MSET = MeasurementSet()
 BIG, SAFE = [[1e200, 1.0, 1e200, 1e200]], [[1e150, 1.0, 1e150, 1e150]]
 OVERFLOW = (ValueError, "counts overflow the float range")
 MALUS_ANGLES = np.linspace(0.0, math.pi, 13)
+MC_COUNTS = [300.0, 200.0, 260.0, 310.0]
 
 
 def _fringe(amplitude):
@@ -132,6 +134,12 @@ CASES = [
                  id="fit_malus-angle-nan"),
     pytest.param(lambda _: fit_decay([1, 2, INF], [10.0, 5.0, 2.0]), (ValueError, "n_values"),
                  id="fit_decay-n-inf"),
+    # Monte Carlo draw counts and seeds, refused before any draw
+    *(pytest.param(lambda _, f=f, arg=arg, v=v: f(MC_COUNTS, MSET, H, **{arg: v}),
+                   (ValueError, arg), id=f"{f.__name__}-{arg}-{v}")
+      for f in (monte_carlo_uncertainty, reconstruct_with_uncertainty)
+      for arg, values in (("n_samples", (NAN, INF, 2.5, 1e300)), ("seed", (NAN, 2.5, 1e300)))
+      for v in values),
     # device numbers
     pytest.param(lambda _: MemoryConfig(delta_tau=NAN), InvalidStateError, id="delta_tau-nan"),
     pytest.param(lambda _: MemoryConfig(delta_tau=INF), InvalidStateError, id="delta_tau-inf"),

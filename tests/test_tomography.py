@@ -6,10 +6,10 @@ import loopmem.tomography
 from loopmem.counting import ScanDataset, TomographyScan, run_scan
 from loopmem.engine import MemoryConfig
 from loopmem.errors import IncompleteSetError, NoSignalError
-from loopmem.polarization import A, D, H, L, R, V, make_pure
+from loopmem.polarization import A, D, H, L, R, V, DensityMatrix, make_pure
 from loopmem.tomography import (
     _LL_SLACK, _NEWTON_GTOL, _NEWTON_MAXITER, MeasurementSet, _bloch, _sphere_ascent,
-    counts_from_dataset, exact_mle_bloch, exact_mle_fidelities, linear_inversion,
+    counts_from_dataset, default_set, exact_mle_bloch, exact_mle_fidelities, linear_inversion,
     mle_reconstruct, monte_carlo_uncertainty, reconstruct_with_uncertainty,
 )
 
@@ -79,6 +79,27 @@ def test_degenerate_set_rejected():
     # give both projectors the first one's count
     with pytest.raises(IncompleteSetError, match="'H' is repeated"):
         MeasurementSet((("H", H), ("H", V), ("D", D), ("R", R)))
+
+
+@pytest.mark.parametrize("projectors", [MSET.projectors, (("A", A), ("L", L), ("H", H), ("D", D))],
+                         ids=["HVDR", "ALHD"])
+def test_set_tables_are_read_only_and_match_the_design(projectors):
+    mset = MeasurementSet(projectors)
+    a = mset.design_matrix()
+    c, b = ascent_terms(mset)
+    assert mset.labels() == tuple(name for name, _ in projectors)
+    assert np.array_equal(mset._inverse, np.linalg.inv(a))
+    assert np.array_equal(mset._b, b)
+    b5, c5 = mset._terms
+    assert np.array_equal(b5[:, :, 0, 0], np.vstack((b, b.sum(axis=0))).T)
+    assert np.array_equal(c5.ravel(), np.append(c, c.sum()))
+    # q = c + b r are the projector probabilities of the state r
+    r = np.random.default_rng(2).normal(size=3)
+    assert np.allclose(c + b @ r, a @ [(1.0 + r[0]) / 2, (1.0 - r[0]) / 2, r[1] / 2, r[2] / 2])
+    for table in (a, mset._inverse, mset._b, b5, c5):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+    assert default_set() is default_set() and default_set() == MeasurementSet()
 
 
 # --- linear inversion ---
@@ -187,6 +208,24 @@ def test_mle_validation():
     for k in BAD_COUNTS + [[10.0, 5.0], OVERFLOW_ROW]:
         with pytest.raises(ValueError):
             mle_reconstruct(k, MSET)
+
+
+def test_mle_state_passes_the_full_density_matrix_check():
+    # interior, H-like (V count 0, so the fit ends on the boundary), rows with
+    # other zero counts, and rows above 1e150, which are fitted rescaled
+    rng = np.random.default_rng(14)
+    mixed = 0.8 * pure_rho(D) + 0.1 * np.eye(2)
+    rows = [rng.poisson(exact_counts(mixed, 10.0 ** rng.uniform(2.0, 5.0))) for _ in range(8)]
+    rows += [rng.poisson(exact_counts(pure_rho(H), 10.0 ** rng.uniform(1.0, 5.0)))
+             for _ in range(8)]
+    rows += [[5.0, 0.0, 0.0, 2.0], [0.0, 3.0, 1.0, 0.0], [7.0, 2.0, 0.0, 9.0]]
+    rows += [np.array([1.0, rng.uniform(0.0, 1e-3), 0.5, rng.uniform(0.3, 0.7)])
+             * 10.0 ** rng.uniform(151.0, 300.0) for _ in range(4)]
+    assert sum(row[1] == 0 for row in rows) >= 9
+    for k in rows:
+        rho = mle_reconstruct(np.asarray(k, dtype=float), MSET).rho
+        assert type(rho) is DensityMatrix and not rho.matrix.flags.writeable
+        assert np.array_equal(DensityMatrix(rho.matrix).matrix, rho.matrix)
 
 
 # --- Monte Carlo uncertainty ---
@@ -299,8 +338,10 @@ def test_exact_fidelities_take_one_target_for_every_row():
     assert np.isnan(fid[2]) and np.isfinite(fid[[0, 1, 3]]).all()
     per_row, _ = exact_mle_fidelities(rows, MSET, [D] * 4)
     assert np.array_equal(fid, per_row, equal_nan=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need one target, or one per row of 4, got 2"):
         exact_mle_fidelities(rows, MSET, (D, H))
+    with pytest.raises(ValueError, match="need one target, or one per row of 1, got 0"):
+        exact_mle_fidelities(rows[:1], MSET, ())
 
 
 def test_exact_fidelities_solve_a_row_alone_as_in_a_batch():
@@ -406,9 +447,9 @@ def test_mc_in_chunks_equals_one_chunk(monkeypatch, projectors, counts, n_sample
 
 # --- the sphere ascent ---
 
-def ascent_terms() -> tuple[np.ndarray, np.ndarray]:
+def ascent_terms(mset: MeasurementSet = MSET) -> tuple[np.ndarray, np.ndarray]:
     """(c, b) with q = c + b r the projector probabilities of the state with Bloch vector r."""
-    a = MSET.design_matrix()
+    a = mset.design_matrix()
     return 0.5 * (a[:, 0] + a[:, 1]), 0.5 * np.column_stack((a[:, 0] - a[:, 1], a[:, 2], a[:, 3]))
 
 
@@ -433,7 +474,7 @@ def ascent_batch() -> tuple[np.ndarray, np.ndarray]:
 def test_ascent_ends_on_unit_stationary_points_no_worse_than_their_starts():
     k, starts = ascent_batch()
     c, b = ascent_terms()
-    n, stuck = _sphere_ascent(k, starts, c, b)
+    n, stuck = _sphere_ascent(k, starts, MSET)
     assert stuck.size == 0
     assert np.abs(np.linalg.norm(n, axis=1) - 1.0).max() <= 1e-15
     for ki, ni, start in zip(k, n, starts):
@@ -449,10 +490,9 @@ def test_ascent_ends_on_unit_stationary_points_no_worse_than_their_starts():
 
 def test_ascent_solves_a_row_alone_as_in_a_batch():
     k, starts = ascent_batch()
-    c, b = ascent_terms()
-    n, _ = _sphere_ascent(k, starts, c, b)
+    n, _ = _sphere_ascent(k, starts, MSET)
     for i in range(len(k)):
-        alone, stuck = _sphere_ascent(k[i:i + 1], starts[i:i + 1], c, b)
+        alone, stuck = _sphere_ascent(k[i:i + 1], starts[i:i + 1], MSET)
         assert np.array_equal(alone[0], n[i]) and stuck.size == 0
 
 
@@ -460,8 +500,7 @@ def test_ascent_converges_from_the_six_poles():
     # linear inversion gives r = (0, 0, 1.08); at four of the poles a projector
     # with counts has q = 0, so the start has no likelihood and no gradient
     k = np.tile([250.0, 250.0, 250.0, 520.0], (6, 1))
-    c, b = ascent_terms()
-    n, stuck = _sphere_ascent(k, np.vstack((np.eye(3), -np.eye(3))), c, b)
+    n, stuck = _sphere_ascent(k, np.vstack((np.eye(3), -np.eye(3))), MSET)
     assert stuck.size == 0
     r, failed = exact_mle_bloch(k[:1], MSET)
     assert not failed.any() and np.abs(n - r).max() <= 1e-9
