@@ -16,21 +16,23 @@ Seeding: record i of a scan with master seed s has the sub-seed
 record_seed(s, i) = SeedSequence([s, i]).generate_state(1)[0] and the count
 default_rng(sub).poisson(mean), so individual records are reproducible
 without replaying the whole scan.  A pipeline run draws all its records in
-one batch (`run_scans`, `draw_counts`): SeedSequence's hash is fixed uint32
-arithmetic, so the sub-seeds of every record are computed in one vectorized
-pass, and their PCG64 start states, as uint64 halves, in vectorized passes
-of 4096 records, each chunk used as soon as it is made.  From `_TRIAL_MIN`
-records on, each chunk's generators are stepped twice in arrays too, and
-every draw that numpy's Poisson sampler settles on its first trial (a mean
-of 0, a mean below 10 whose first uniform is at most exp(-mean), or a first
-PTRS candidate accepted at once) is settled there with numpy's own
-arithmetic (`_first_trial`).  Every other record, and every record of a
-smaller batch, is drawn by numpy itself (`_poisson_from`): one generator set
-to the record's start state in turn.  Either way each count is exactly
-default_rng(sub).poisson(mean), and an invalid mean raises numpy's error.
-seed=None disables sampling entirely and stores the exact Poisson means as
-floats (noiseless mode, used for calibration against closed-form
-efficiencies).
+one batch (`run_scans`, `draw_counts`).  SeedSequence's hash is fixed uint32
+arithmetic, so when every master is a one-word int (below 2**32, as the
+sub-seeds `record_seeds` returns are), the sub-seeds of a batch are computed
+in one vectorized pass; numpy's SeedSequence seeds any other master record
+by record.  The PCG64 start states, as uint64 halves, follow in vectorized
+passes of 4096 records, each chunk used as soon as it is made.  From
+`_TRIAL_MIN` records on, each chunk's generators are stepped twice in arrays
+too, and every draw that numpy's Poisson sampler settles on its first trial
+(a mean of 0, a mean below 10 whose first uniform is at most exp(-mean), or
+a first PTRS candidate accepted at once) is settled there with numpy's own
+arithmetic (`_first_trial`).  numpy draws every other record itself
+(`_poisson_from`): one generator set to the record's start state in turn.
+Below `_BATCH_MIN` records numpy seeds and draws each record.  Either way
+each count is exactly default_rng(sub).poisson(mean), and an invalid mean
+raises numpy's error.  seed=None disables sampling entirely and stores the
+exact Poisson means as floats (noiseless mode, used for calibration against
+closed-form efficiencies).
 
 A `ScanDataset` is its columns, one tuple each of setting labels, setting
 values, counts, cycle counts and sub-seeds, which `run_scans`,
@@ -41,10 +43,8 @@ values, counts, cycle counts and sub-seeds, which `run_scans`,
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import math
-import operator
 import os
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -173,7 +173,6 @@ _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-@functools.lru_cache(maxsize=None)
 def _hash_steps(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(xor, multiplier) of n successive hash steps, as (n, 1) uint32 columns."""
     xors, mults = [], []
@@ -184,16 +183,16 @@ def _hash_steps(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(xors, np.uint32)[:, None], np.array(mults, np.uint32)[:, None]
 
 
-def _mixing_steps(n_words: int) -> tuple[np.ndarray, np.ndarray]:
-    """Steps of the entropy mix: 4 to fill the pool, 12 to cross it, 4 per extra word."""
-    return _hash_steps(0x43B0D7E5, 0x931E8875, _POOL * max(n_words, _POOL))
-
+# the entropy mix of at most _POOL words (4 steps to fill the pool, 12 to cross
+# it) and the output steps of at most 8 words
+_MIXING_STEPS = _hash_steps(0x43B0D7E5, 0x931E8875, _POOL * _POOL)
+_OUTPUT_STEPS = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)
 
 # row s is mixed into every other row with steps 4 + 3s, 4 + 3s + 1, ...; its
 # pass updates the whole pool, with a placeholder step at row s, which is then
 # restored
 _CROSS = [tuple(steps[[4 + 3 * s + d - (d > s) if d != s else 4 for d in range(_POOL)]]
-                for steps in _mixing_steps(1))
+                for steps in _MIXING_STEPS)
           for s in range(_POOL)]
 
 
@@ -210,15 +209,15 @@ def _mix_into(pool: np.ndarray, value: np.ndarray, xors: np.ndarray,
 
 
 def _seed_sequence_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
-    """SeedSequence(words).generate_state(n_words) for each column of `entropy`.
+    """SeedSequence(words).generate_state(n_words), n_words <= 8, for each column of `entropy`.
 
-    `entropy` is a (words, m) uint32 array: column j holds the words that
-    SeedSequence assembles from seed j.  Returns an (n_words, m) uint32 array.
+    `entropy` is a (words, m) uint32 array of at most _POOL one-word ints per
+    column: (master, i) for a record's sub-seed, or a sub-seed alone for its
+    generator.  Returns an (n_words, m) uint32 array.
     """
-    n_in = entropy.shape[0]
-    xors, mults = _mixing_steps(n_in)
+    xors, mults = _MIXING_STEPS
     pool = np.zeros((_POOL, entropy.shape[1]), np.uint32)
-    pool[:n_in] = entropy[:_POOL]
+    pool[:entropy.shape[0]] = entropy
     pool ^= xors[:_POOL]
     pool *= mults[:_POOL]
     pool ^= pool >> _SHIFT
@@ -226,55 +225,30 @@ def _seed_sequence_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
         keep = pool[s].copy()
         _mix_into(pool, keep, x, m)
         pool[s] = keep
-    for i in range(_POOL, n_in):
-        _mix_into(pool, entropy[i], xors[_POOL * i:_POOL * (i + 1)],
-                  mults[_POOL * i:_POOL * (i + 1)])
     out = pool[np.arange(n_words) % _POOL]
-    xors, mults = _hash_steps(0x8B51F9DD, 0x58F38DED, n_words)
-    out ^= xors
-    out *= mults
+    out ^= _OUTPUT_STEPS[0][:n_words]
+    out *= _OUTPUT_STEPS[1][:n_words]
     out ^= out >> _SHIFT
     return out
-
-
-def _seed_words(seed: int) -> list[int]:
-    """The little-endian uint32 words SeedSequence reads an integer seed as."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    words = [seed & _MASK32]
-    while seed > _MASK32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    return words
 
 
 def _record_seeds(masters: Sequence[int], sizes: Sequence[int]) -> np.ndarray:
     """record_seed(master, i) for i < size, per (master, size), concatenated, as uint32.
 
-    Below _BATCH_MIN records in all, numpy's SeedSequence per record; from
-    there on, one hash pass per word count of the master seeds.
+    From _BATCH_MIN records in all, when every master is a one-word int
+    (0 <= master <= 2**32 - 1), one hash pass over the (master, i) pairs;
+    otherwise numpy's SeedSequence per record, which also raises numpy's
+    errors for a master it refuses.
     """
-    if sum(sizes) < _BATCH_MIN:
+    if sum(sizes) < _BATCH_MIN or not all(
+            isinstance(master, int) and 0 <= master <= _MASK32 for master in masters):
         return np.array([record_seed(master, i) for master, size in zip(masters, sizes)
                          for i in range(size)], np.uint32)
     sizes = np.array(sizes, np.int64)
-    starts = sizes.cumsum() - sizes
-    groups: dict[int, tuple[list[list[int]], list[int]]] = {}  # words -> (masters' words, jobs)
-    for j, master in enumerate(masters):
-        words = _seed_words(master)
-        group = groups.setdefault(len(words), ([], []))
-        group[0].append(words)
-        group[1].append(j)
-    subs = np.empty(int(sizes.sum()), np.uint32)
-    for words, members in groups.values():
-        n = sizes[members]
-        index = np.arange(n.sum()) - (n.cumsum() - n).repeat(n)  # each record's, in its job
-        entropy = np.empty((len(words[0]) + 1, len(index)), np.uint32)
-        entropy[:-1] = np.array(words, np.uint32).T.repeat(n, axis=1)
-        entropy[-1] = index
-        subs[index + starts[members].repeat(n)] = _seed_sequence_state(entropy, 1)[0]
-    return subs
+    entropy = np.empty((2, int(sizes.sum())), np.uint32)
+    entropy[0] = np.array(masters, np.uint32).repeat(sizes)
+    entropy[1] = np.arange(entropy.shape[1]) - (sizes.cumsum() - sizes).repeat(sizes)
+    return _seed_sequence_state(entropy, 1)[0]
 
 
 # PCG64 (O'Neill, HMC-CS-2014-0905; numpy's default bit generator) on uint64
@@ -409,15 +383,12 @@ def draw_counts(jobs: Sequence[tuple[int | None, Sequence[float]]]
         rng = np.random.default_rng(0)  # set to each record's start state in turn
         for at, starts in zip(range(0, total, _STATE_CHUNK), _pcg64_starts(subs)):
             chunk = means[at:at + _STATE_CHUNK]
-            if total < _TRIAL_MIN:
-                drawn += [_poisson_from(rng, start, mu)
-                          for start, mu in zip(starts.T.tolist(), chunk)]
-            else:
-                counts = _first_trial(starts, np.array(chunk, dtype=float))
-                rest = np.isnan(counts).nonzero()[0]
-                for i, start in zip(rest.tolist(), starts[:, rest].T.tolist()):
-                    counts[i] = _poisson_from(rng, start, chunk[i])
-                drawn += counts.tolist()
+            counts = (_first_trial(starts, np.array(chunk, dtype=float)) if total >= _TRIAL_MIN
+                      else np.full(len(chunk), np.nan))
+            rest = np.isnan(counts).nonzero()[0]
+            for i, start in zip(rest.tolist(), starts[:, rest].T.tolist()):
+                counts[i] = _poisson_from(rng, start, chunk[i])
+            drawn += counts.tolist()
     subs = subs.tolist()
     at = 0
     for j in seeded:

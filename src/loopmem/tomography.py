@@ -128,6 +128,9 @@ def counts_from_dataset(ds: ScanDataset, mset: MeasurementSet) -> np.ndarray:
     missing = [name for name in mset.labels() if name not in by_label]
     if missing:
         raise IncompleteSetError(f"dataset lacks settings {missing}")
+    for name in mset.labels():
+        if ds.setting_labels.count(name) > 1:
+            raise IncompleteSetError(f"dataset setting label {name!r} is repeated")
     return np.array([by_label[name] for name in mset.labels()], dtype=float)
 
 

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import loopmem.counting
+from loopmem import scenario
 from loopmem.engine import simulate_sweep
 from loopmem.scenario import PRESETS, resolve
 
@@ -94,3 +96,20 @@ def test_the_leaking_runs_list_events_that_no_preset_lists():
         leaked.append(_leaked_events(raw))
     assert all(exits > 0 for exits, _ in leaked)
     assert any(tails > 0 for _, tails in leaked)
+
+
+def test_the_wide_seed_runs_every_pipeline_that_draws_counts(monkeypatch, tmp_path):
+    drew = set()
+    draw_counts = loopmem.counting.draw_counts
+
+    def draw(jobs):
+        drew.add(run)
+        return draw_counts(jobs)
+
+    monkeypatch.setattr(loopmem.counting, "draw_counts", draw)
+    sc = resolve({"preset": "paper-short", "mc_samples": 40})
+    runs = [(sub, None) for sub in scenario.PIPELINES if sub != "reproduce"]
+    for run in runs + [("reproduce", fig) for fig in scenario.FIGURES]:
+        scenario.run(sc, run[0], str(tmp_path / "-".join(filter(None, run))), figure=run[1])
+    assert drew == set(compare_outputs.COUNT_RUNS)
+    assert compare_outputs.WIDE_SEED > 2**32

@@ -186,13 +186,46 @@ def test_dataset_columns_must_have_equal_length():
 
 # master seeds of one to ten uint32 words, on both sides of each word boundary
 MASTERS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**299 + 12345)
+ONE_WORD = (0, 1, 7, 2**32 - 1)  # the masters that are hashed in arrays
 
 
-def test_batched_sub_seeds_equal_record_seed():
-    drawn = draw_counts([(m, [0.0] * 301) for m in MASTERS])
-    for master, (counts, subs) in zip(MASTERS, drawn):
+@pytest.mark.parametrize("masters", [ONE_WORD, MASTERS], ids=["hashed", "numpy"])
+def test_batched_sub_seeds_equal_record_seed(masters, monkeypatch):
+    calls = []
+
+    def counted(master, index):
+        calls.append(master)
+        return record_seed(master, index)
+
+    monkeypatch.setattr(loopmem.counting, "record_seed", counted)
+    drawn = draw_counts([(m, [0.0] * 301) for m in masters])
+    for master, (counts, subs) in zip(masters, drawn):
         assert subs == [record_seed(master, i) for i in range(301)]
         assert counts == [0.0] * 301
+    # one master of more than one word sends the whole batch to numpy
+    assert len(calls) == (0 if masters == ONE_WORD else 301 * len(masters))
+
+
+@pytest.mark.parametrize("master", [2.5, -1])
+@pytest.mark.parametrize("size", [2, 8])
+def test_a_bad_master_raises_numpys_error_at_any_batch_size(master, size):
+    with pytest.raises((TypeError, ValueError)) as want:
+        np.random.SeedSequence([master, 0])
+    with pytest.raises(want.type) as got:
+        draw_counts([(master, [1.0] * size)])
+    assert str(got.value) == str(want.value)
+    assert str(want.value) == ("seed must be integer" if master == 2.5
+                               else "expected non-negative integer")
+
+
+def test_fig4_sub_seeds_are_all_hashed_in_arrays(monkeypatch, tmp_path):
+    def refuse(master, index):
+        raise AssertionError(f"record_seed({master}, {index}) called")
+
+    monkeypatch.setattr(loopmem.counting, "record_seed", refuse)
+    sc = scenario.resolve({"preset": "paper-short", "seed": 1})
+    scenario.run(sc, "reproduce", str(tmp_path), "fig4")
+    assert (tmp_path / "fig4.csv").is_file()
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 40])
@@ -326,8 +359,10 @@ def test_most_large_means_are_settled_in_arrays(monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", [
-    # few records, seeded one by one, and enough for the vectorized hash
+    # few records, seeded one by one; enough for the vectorized hash, from
+    # one-word masters; and as many from a master that numpy seeds
     [(5, [0.0, 0.7, 3.0]), (None, [2.5, 0.0]), (2**40, [7.0])],
+    [(5, [0.0, 0.7, 3.0, 9.99, 10.0, 2.5e4, 1e12]), (None, [2.5, 0.0]), (2**32 - 1, [7.0])],
     [(5, [0.0, 0.7, 3.0, 9.99, 10.0, 2.5e4, 1e12]), (None, [2.5, 0.0]), (2**40, [7.0])],
 ])
 def test_draw_counts_match_one_seed_draws(jobs):

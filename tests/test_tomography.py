@@ -542,3 +542,13 @@ def test_counts_from_dataset_missing_label():
                           ds.acquisition_s, ds.seed, ds.kind)
     with pytest.raises(IncompleteSetError):
         counts_from_dataset(clipped, MSET)
+
+
+def test_counts_from_dataset_rejects_a_repeated_label():
+    # a dict by label would keep the extra H record's count and drop the scan's
+    ds = run_scan(MemoryConfig(delta_tau=36.5), R, TomographyScan(), seed=None)
+    extra = ScanDataset(ds.setting_labels + ("H",), ds.setting_values + (0.0,),
+                        ds.record_counts + (1.0,), ds.n_cycles + (1,), ds.sub_seeds + (None,),
+                        ds.pair_rate, ds.detection_eff, ds.acquisition_s, ds.seed, ds.kind)
+    with pytest.raises(IncompleteSetError, match="'H' is repeated"):
+        counts_from_dataset(extra, MSET)

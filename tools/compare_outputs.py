@@ -6,8 +6,11 @@ Each root is a checkout of this repository.  Every pipeline of a tree (each
 figure of `reproduce` counts as one) runs on each of its presets at seeds
 0-7, at pipeline defaults.  The presets keep no light past the release
 passage, so the fixed set `LEAKING_RUNS` adds devices that leak (early exits,
-the listing past release and `tail-exit` rows) at the same seeds.  Each tree
-runs in its own subprocess, which imports `loopmem` only from `<root>/src`.
+the listing past release and `tail-exit` rows) at the same seeds.  Every
+pipeline that draws counts (`COUNT_RUNS`) also runs on paper-short at
+`WIDE_SEED`, a seed above 2**32, whose sub-seeds numpy's SeedSequence computes
+record by record rather than the array hash.  Each tree runs in its own
+subprocess, which imports `loopmem` only from `<root>/src`.
 The report lists:
 
 - CSV files whose bytes differ, or that only one tree wrote;
@@ -44,11 +47,19 @@ LEAKING_RUNS = (
     ("low-loss-tail", "demos/low_loss_tail.json", ("simulate",)),
 )
 
-# Runs in a fresh interpreter: argv is (root, out_dir, LEAKING_RUNS as JSON).
-# Writes one directory per preset or leaking device, seed and pipeline.
+# (pipeline, figure) of every run that draws counts, and the seed above 2**32
+# they also run at on paper-short
+COUNT_RUNS = (("decay", None), ("malus", None), ("tomo", None),
+              ("reproduce", "fig2c"), ("reproduce", "fig3"), ("reproduce", "fig4"))
+WIDE_SEED = 2**40 + 3
+
+# Runs in a fresh interpreter: argv is (root, out_dir, LEAKING_RUNS, COUNT_RUNS
+# and WIDE_SEED as JSON).  Writes one directory per preset or leaking device,
+# seed and pipeline.
 _CHILD = """
 import json, os, sys
-root, out, leaking = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+root, out = sys.argv[1], sys.argv[2]
+leaking, count_runs, wide_seed = json.loads(sys.argv[3])
 src = os.path.join(root, "src")
 sys.path.insert(0, src)
 from loopmem import scenario
@@ -56,14 +67,15 @@ if not os.path.realpath(scenario.__file__).startswith(os.path.realpath(src) + os
     sys.exit(f"loopmem imported from {scenario.__file__}, not from {src}")
 runs = [(sub, None) for sub in scenario.PIPELINES if sub != "reproduce"]
 runs += [("reproduce", fig) for fig in scenario.FIGURES]
-cases = [(preset, {"preset": preset}, runs) for preset in sorted(scenario.PRESETS)]
+cases = [(preset, {"preset": preset}, runs, range(8)) for preset in sorted(scenario.PRESETS)]
 for name, raw, subs in leaking:
     if isinstance(raw, str):
         with open(os.path.join(root, raw), encoding="utf-8") as fh:
             raw = json.load(fh)
-    cases.append((name, raw, [(sub, None) for sub in subs]))
-for name, raw, subs in cases:
-    for seed in range(8):
+    cases.append((name, raw, [(sub, None) for sub in subs], range(8)))
+cases.append(("paper-short", {"preset": "paper-short"}, count_runs, [wide_seed]))
+for name, raw, subs, seeds in cases:
+    for seed in seeds:
         sc = scenario.resolve(dict(raw, seed=seed))
         for sub, fig in subs:
             scenario.run(sc, sub, os.path.join(out, name, f"seed{seed}", fig or sub), figure=fig)
@@ -75,7 +87,7 @@ _IGNORED = {"metadata.generated_at"}
 def run_tree(root: str, out_dir: str) -> subprocess.Popen:
     """Start one tree's runs; -I keeps PYTHONPATH and user site-packages out."""
     return subprocess.Popen([sys.executable, "-I", "-B", "-c", _CHILD, root, out_dir,
-                             json.dumps(LEAKING_RUNS)],
+                             json.dumps([LEAKING_RUNS, COUNT_RUNS, WIDE_SEED])],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
